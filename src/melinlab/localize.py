@@ -95,8 +95,8 @@ def localize(p: GradedSymbol, ns: tuple[int, ...] = DEFAULT_TRUNCATIONS,
     stored matrix is the one at the final truncation.
     """
     sym = localized_symbol(p, strict=strict)
-    sweep = truncation_sweep(sym, 1.0, list(ns))
     matrix = weyl_quantize(sym, 1.0, ns[-1])
+    sweep = truncation_sweep(sym, 1.0, list(ns), matrix=matrix)
     return LocalizedOperator(
         source=p,
         k=p.k,

@@ -21,7 +21,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .errors import ModelFileError
 from .symbols import GradedSymbol
@@ -114,13 +115,17 @@ MODEL_SCHEMA = {
 }
 
 
+# Checked and compiled once; jsonschema.validate would redo both per call.
+_VALIDATOR = validator_for(MODEL_SCHEMA)(MODEL_SCHEMA)
+_VALIDATOR.check_schema(MODEL_SCHEMA)
+
+
 def load_model_dict(data: dict) -> tuple[GradedSymbol, dict | None, dict | None]:
     """Validate a parsed model dict; returns (symbol, sweep, phase)."""
-    try:
-        jsonschema.validate(data, MODEL_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise ModelFileError(f"model file invalid at {where}: {exc.message}") from exc
+    error = best_match(_VALIDATOR.iter_errors(data))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "(root)"
+        raise ModelFileError(f"model file invalid at {where}: {error.message}") from error
     seen = set()
     for entry in data["levels"]:
         if entry["j"] in seen:

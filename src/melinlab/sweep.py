@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import MelinLabError
 from .invariants import QuadraticData, melin_quantity
-from .localize import hypothesis_check, localize
+from .localize import hypothesis_check
 from .quantize import MAX_TRUNCATION, lowest_eigenvalue, weyl_quantize
 from .symbols import GradedSymbol, PolynomialSymbol
 
@@ -199,7 +199,7 @@ def lambda_sweep(spec: ModelSpec, workers: int = 1) -> SweepReport:
     symbol = spec.symbol
     k = symbol.k
     diagnosis = hypothesis_check(symbol)
-    reference = localize(symbol, strict=False).lambda_min
+    reference = diagnosis.lambda_min
 
     def one(lam: float) -> tuple[SweepRow, str | None]:
         val, n_used, note = _converged_lowest(symbol, lam, spec.truncations)

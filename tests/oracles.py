@@ -2,9 +2,9 @@
 
 Everything here is written from first principles, deliberately avoiding
 the code paths under test: quantization by brute-force symmetrized
-operator products instead of Jordan peeling, and the plus-trace through
-a matrix square root instead of the fundamental matrix.  Slow is fine;
-these only pin expected values.
+operator products, or by dense Jordan products instead of the banded
+peeling, and the plus-trace through a matrix square root instead of the
+fundamental matrix.  Slow is fine; these only pin expected values.
 """
 
 import itertools
@@ -77,6 +77,37 @@ def quantize_oracle(p, hbar, n):
         else:
             total += coeff * np.eye(dim, dtype=complex)
     keep = [i for i in range(dim)
+            if all((i // size ** s) % size < n for s in range(d))]
+    return total[np.ix_(keep, keep)]
+
+
+def jordan_mode_oracle(ypow, epow, hbar, size):
+    """Dense single-mode Weyl matrix of y^ypow eta^epow on `size` levels.
+
+    Plain Jordan products (xhat M + M xhat) / 2 with full matrix
+    multiplication, no symmetrization; entries near the truncation edge
+    carry the truncated ladder, exactly as any size-`size` computation.
+    """
+    yop, eop = coordinate_ops(hbar, size)
+    m = np.eye(size, dtype=complex)
+    for op in [yop] * ypow + [eop] * epow:
+        m = (op @ m + m @ op) / 2.0
+    return m
+
+
+def kron_quantize_oracle(p, hbar, n):
+    """Quantization through dense per-mode Jordan factors: the full
+    Kronecker product at per-mode size n + deg, then the leading n-block
+    gathered (mode 0 fastest)."""
+    d = p.d
+    size = n + max(p.degree(), 0)
+    total = np.zeros((size ** d, size ** d), dtype=complex)
+    for idx, coeff in p.iter_terms():
+        full = np.ones((1, 1), dtype=complex)
+        for s in range(d):
+            full = np.kron(jordan_mode_oracle(idx[s], idx[d + s], hbar, size), full)
+        total += coeff * full
+    keep = [i for i in range(size ** d)
             if all((i // size ** s) % size < n for s in range(d))]
     return total[np.ix_(keep, keep)]
 

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from melinlab.errors import DimensionMismatch, MonotonicityError, NonHermitianEr
 from melinlab.models import harmonic_symbol, quartic_model
 from melinlab.quantize import (
     TruncationSweep,
+    _leading_block,
+    _mode_band,
     conjugation_residual,
     ladder,
     lowest_eigenvalue,
@@ -17,7 +21,12 @@ from melinlab.quantize import (
 )
 from melinlab.symbols import GradedSymbol, PolynomialSymbol, eta, moyal_star, y
 
-from oracles import quantize_oracle, random_polynomial
+from oracles import (
+    jordan_mode_oracle,
+    kron_quantize_oracle,
+    quantize_oracle,
+    random_polynomial,
+)
 
 
 def test_ladder_entries():
@@ -207,3 +216,81 @@ def test_conjugation_residual_is_roundoff():
     assert conjugation_residual(g, 16.0, 12) < 1e-12
     with pytest.raises(ValueError):
         conjugation_residual(g, 0.5, 12)
+
+
+# ---------------------------------------------------------------------------
+# Banded peeling against the dense Jordan product
+# ---------------------------------------------------------------------------
+
+MONOMIALS_UP_TO_8 = [(a, w - a) for w in range(9) for a in range(w + 1)]
+
+
+def _rel_err(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+
+@pytest.mark.parametrize("size", [3, 10, 262])
+def test_mode_band_matches_dense_jordan(size):
+    for hbar in ((1.0, 0.3) if size < 100 else (0.3,)):
+        for a, b in MONOMIALS_UP_TO_8:
+            got = _leading_block(_mode_band(a, b, hbar, size), size)
+            want = jordan_mode_oracle(a, b, hbar, size)
+            assert _rel_err(got, want) <= 1e-13, (a, b, size, hbar)
+
+
+def test_monomial_entries_vanish_beyond_degree_offset():
+    for n in (10, 64):
+        for a, b in MONOMIALS_UP_TO_8:
+            mono = PolynomialSymbol.monomial(1, (a, b))
+            m = weyl_quantize(mono, 0.8, n).entries
+            assert not np.triu(m, a + b + 1).any()
+            assert not np.tril(m, -(a + b) - 1).any()
+            want = jordan_mode_oracle(a, b, 0.8, n + a + b)[:n, :n]
+            assert _rel_err(m, want) <= 1e-13, (a, b, n)
+
+
+def test_real_symbols_quantize_exactly_hermitian_at_scale():
+    rng = np.random.default_rng(113)
+    for d, n, deg in ((1, 256, 8), (1, 37, 7), (2, 12, 6)):
+        for _ in range(3):
+            p = random_polynomial(rng, d, deg, n_terms=8)
+            m = weyl_quantize(p, 0.45, n).entries
+            assert np.abs(m - m.conj().T).max() == 0.0
+
+
+def test_mixed_d2_symbol_matches_full_kron_gather():
+    p = PolynomialSymbol(2, {
+        (2, 0, 0, 2): 1.5,    # y1^2 eta2^2
+        (1, 1, 1, 1): -0.75,  # y1 y2 eta1 eta2
+        (3, 1, 0, 0): 0.5,    # y1^3 y2
+        (0, 0, 2, 1): 2.0,    # eta1^2 eta2
+        (0, 2, 1, 0): -1.0,   # y2^2 eta1
+        (0, 0, 0, 0): 3.0,
+    })
+    for hbar, n in ((1.0, 6), (0.4, 9)):
+        got = weyl_quantize(p, hbar, n).entries
+        want = kron_quantize_oracle(p, hbar, n)
+        assert _rel_err(got, want) <= 1e-13
+
+
+def test_truncation_sweep_reuses_prebuilt_matrix():
+    p = y() ** 4 + eta() ** 4 + y() ** 2
+    big = weyl_quantize(p, 1.0, 32)
+    shared = truncation_sweep(p, 1.0, [8, 16, 32], matrix=big)
+    assert shared.values == truncation_sweep(p, 1.0, [8, 16, 32]).values
+    with pytest.raises(ValueError):
+        truncation_sweep(p, 1.0, [8, 16], matrix=big)
+    with pytest.raises(ValueError):
+        truncation_sweep(p, 0.5, [8, 16, 32], matrix=big)
+
+
+def test_quantize_and_eigensolve_do_not_import_scipy():
+    code = (
+        "import sys, melinlab\n"
+        "m = melinlab.weyl_quantize(melinlab.y(2, 0) ** 2 + melinlab.eta(2, 1) ** 2, 1.0, 8)\n"
+        "melinlab.lowest_eigenvalue(m)\n"
+        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
