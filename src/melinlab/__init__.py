@@ -73,7 +73,6 @@ from .symbols import (
     moyal_star,
     poisson_bracket,
     scale_symbol,
-    symmetrize_monomial,
     taylor_transverse,
     y,
 )
@@ -88,7 +87,7 @@ __all__ = [
     # symbols
     "PolynomialSymbol", "GradedSymbol", "HalfGradedPolynomial", "y", "eta",
     "moyal_star", "bidifferential_power", "poisson_bracket", "graded_star",
-    "taylor_transverse", "scale_symbol", "symmetrize_monomial",
+    "taylor_transverse", "scale_symbol",
     # quantization
     "ladder", "mode_operators", "OperatorMatrix", "weyl_quantize", "number_operator",
     "lowest_eigenvalue", "TruncationSweep", "truncation_sweep", "conjugation_residual",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -21,9 +20,9 @@ import numpy as np
 from .errors import MelinLabError, ModelFileError, PositivityError
 from .invariants import QuadraticData, fundamental_matrix, melin_quantity, trace_plus
 from .localize import hypothesis_check, localize
-from .modelfile import load_model_file, sweep_spec_from_model
-from .sweep import emit_report, lambda_sweep, melin_phase_diagram, render_report
-from .symbols import PolynomialSymbol, moyal_star
+from .modelfile import load_model_file, load_symbol_literal, sweep_spec_from_model
+from .sweep import emit_report, lambda_sweep, melin_phase_diagram
+from .symbols import moyal_star
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -64,24 +63,6 @@ def _parse_matrix(text: str) -> np.ndarray:
     if mat.shape[0] % 2:
         raise MelinLabError(f"matrix size must be even (2d x 2d), got {mat.shape[0]}")
     return mat
-
-
-def _parse_poly(text: str) -> PolynomialSymbol:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MelinLabError(f"symbol is not valid JSON: {exc}")
-    if not isinstance(data, dict) or set(data) != {"d", "terms"}:
-        raise MelinLabError('symbol literal must be {"d": ..., "terms": [...]}')
-    for term in data["terms"]:
-        if not isinstance(term, dict) or set(term) != {"c", "y", "eta"}:
-            raise MelinLabError('each term must be {"c": [re, im], "y": [...], "eta": [...]}')
-        if len(term["y"]) != data["d"] or len(term["eta"]) != data["d"]:
-            raise MelinLabError(f"exponent lists must have length d={data['d']}")
-    try:
-        return PolynomialSymbol.from_dict(data)
-    except (MelinLabError, ValueError, TypeError, KeyError) as exc:
-        raise MelinLabError(f"bad symbol literal: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +231,8 @@ def cmd_phase(args: argparse.Namespace) -> int:
 
 
 def cmd_star(args: argparse.Namespace) -> int:
-    a = _parse_poly(args.a)
-    b = _parse_poly(args.b)
+    a = load_symbol_literal(args.a)
+    b = load_symbol_literal(args.b)
     if args.hbar < 0:
         raise MelinLabError(f"--hbar must be >= 0, got {args.hbar}")
     result = moyal_star(a, b, args.hbar)

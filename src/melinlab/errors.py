@@ -38,4 +38,4 @@ class MonotonicityError(MelinLabError):
 
 
 class ModelFileError(MelinLabError):
-    """A model file failed schema validation."""
+    """A model file or symbol literal failed schema validation."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GradingError, VanishingOrderError
+from .errors import GradingError, NonHermitianError, VanishingOrderError
 from .quantize import (
     OperatorMatrix,
     TruncationSweep,
@@ -95,13 +95,12 @@ def localize(p: GradedSymbol, ns: tuple[int, ...] = DEFAULT_TRUNCATIONS,
     stored matrix is the one at the final truncation.
     """
     sym = localized_symbol(p, strict=strict)
-    matrix = weyl_quantize(sym, 1.0, ns[-1])
-    sweep = truncation_sweep(sym, 1.0, list(ns), matrix=matrix)
+    sweep = truncation_sweep(sym, 1.0, list(ns))
     return LocalizedOperator(
         source=p,
         k=p.k,
         symbol=sym,
-        matrix=matrix,
+        matrix=sweep.matrix,
         lambda_min=sweep.lambda_min,
         sweep=sweep,
     )
@@ -199,17 +198,21 @@ def hypothesis_check(p: GradedSymbol,
     ell_min = float(real_vals.min())
     ellipticity_ok = bool(imag_ok and floor > 0.0 and ell_min >= floor)
 
-    loc = localize(p, ns=ns, strict=False)
+    try:
+        sweep = localize(p, ns=ns, strict=False).sweep
+    except NonHermitianError:
+        # a non-Hermitian localized operator has no lowest eigenvalue
+        sweep = TruncationSweep(truncations=list(ns), values=[math.nan] * len(ns))
     return HypothesisDiagnosis(
         vanishing_ok=vanishing_ok,
         vanishing_violations=violations,
         ellipticity_ok=ellipticity_ok,
         ellipticity_min=ell_min,
         ellipticity_floor=floor,
-        positivity_ok=bool(loc.lambda_min > 0.0),
-        lambda_min=loc.lambda_min,
-        truncations=list(loc.sweep.truncations),
-        sweep_values=list(loc.sweep.values),
+        positivity_ok=bool(sweep.lambda_min > 0.0),
+        lambda_min=sweep.lambda_min,
+        truncations=list(sweep.truncations),
+        sweep_values=list(sweep.values),
     )
 
 

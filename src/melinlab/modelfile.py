@@ -25,10 +25,11 @@ from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 from .errors import ModelFileError
-from .symbols import GradedSymbol
+from .symbols import GradedSymbol, PolynomialSymbol
 from .sweep import ModelSpec
 
-__all__ = ["MODEL_SCHEMA", "load_model_dict", "load_model_file", "sweep_spec_from_model"]
+__all__ = ["MODEL_SCHEMA", "load_model_dict", "load_model_file", "load_symbol_literal",
+           "sweep_spec_from_model"]
 
 _RANGE = {
     "type": "array",
@@ -115,27 +116,36 @@ MODEL_SCHEMA = {
 }
 
 
+# A polynomial-symbol literal {"d": ..., "terms": [...]}, as `melinlab star`
+# takes it; symbol algebra has no mode limit.
+_SYMBOL_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["d", "terms"],
+    "properties": {
+        "d": {"type": "integer", "minimum": 1},
+        "terms": MODEL_SCHEMA["properties"]["levels"]["items"]["properties"]["terms"],
+    },
+}
+
 # Checked and compiled once; jsonschema.validate would redo both per call.
+# The symbol schema adds only "d" to MODEL_SCHEMA's checked term schema,
+# so it is compiled without another 6 ms metaschema check at import.
 _VALIDATOR = validator_for(MODEL_SCHEMA)(MODEL_SCHEMA)
 _VALIDATOR.check_schema(MODEL_SCHEMA)
+_SYMBOL_VALIDATOR = validator_for(_SYMBOL_SCHEMA)(_SYMBOL_SCHEMA)
+
+
+def _validate(validator, data, what: str) -> None:
+    error = best_match(validator.iter_errors(data))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "(root)"
+        raise ModelFileError(f"{what} invalid at {where}: {error.message}") from error
 
 
 def load_model_dict(data: dict) -> tuple[GradedSymbol, dict | None, dict | None]:
     """Validate a parsed model dict; returns (symbol, sweep, phase)."""
-    error = best_match(_VALIDATOR.iter_errors(data))
-    if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "(root)"
-        raise ModelFileError(f"model file invalid at {where}: {error.message}") from error
-    seen = set()
-    for entry in data["levels"]:
-        if entry["j"] in seen:
-            raise ModelFileError(f"duplicate level index {entry['j']}")
-        seen.add(entry["j"])
-        for term in entry["terms"]:
-            if len(term["y"]) != data["d"] or len(term["eta"]) != data["d"]:
-                raise ModelFileError(
-                    f"level {entry['j']}: exponent lists must have length d={data['d']}"
-                )
+    _validate(_VALIDATOR, data, "model file")
     try:
         symbol = GradedSymbol.from_dict(data)
     except (ValueError, TypeError) as exc:
@@ -143,6 +153,16 @@ def load_model_dict(data: dict) -> tuple[GradedSymbol, dict | None, dict | None]
     if Fraction(symbol.m * 2).denominator != 1:
         raise ModelFileError(f"order m={symbol.m} must be a half-integer")
     return symbol, data.get("sweep"), data.get("phase")
+
+
+def load_symbol_literal(text: str) -> PolynomialSymbol:
+    """Parse and validate a polynomial-symbol literal, then build it."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ModelFileError(f"symbol is not valid JSON: {exc}") from exc
+    _validate(_SYMBOL_VALIDATOR, data, "symbol literal")
+    return PolynomialSymbol.from_dict(data)
 
 
 def load_model_file(path: str) -> tuple[GradedSymbol, dict | None, dict | None]:

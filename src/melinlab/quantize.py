@@ -20,9 +20,11 @@ then a compression, and lowest eigenvalues are nonincreasing in N.
 The same coupling bound makes the single-mode matrix of y^a eta^b
 banded, with 2(a+b) + 1 nonzero diagonals, so the recursion runs on
 diagonals: O(size * deg^2) per monomial instead of dense O(size^3)
-products.  The result costs one dense N^d x N^d write: d = 1 sums the
-monomial bands first; d = 2 takes one Kronecker product of leading
-blocks per distinct second-mode factor.
+products.  Every quantized matrix comes from one truncation ladder:
+the bands are peeled once at the top rung's internal size, and each
+rung is one dense N^d x N^d write of the Kronecker products of those
+bands (one per distinct second-mode factor; a single one for d = 1).
+weyl_quantize is the one-rung ladder.
 
 Everything here is desk scale: d <= 2 modes and N <= 256 per mode.
 """
@@ -32,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -96,6 +99,8 @@ class OperatorMatrix:
     hbar: float
     pad: int
     entries: np.ndarray = field(repr=False)
+    # set by the quantizer once the entries passed its 1e-12 check
+    hermitian: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.entries.setflags(write=False)
@@ -186,26 +191,21 @@ def _mode_band(ypow: int, epow: int, hbar: float, size: int) -> np.ndarray:
     return scale * band
 
 
-@functools.lru_cache(maxsize=32)
-def _scatter_geometry(width: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (band, dense) index pairs of the leading n x n block of a
-    width-W band whose columns are cut to n."""
-    r = np.arange(2 * width + 1)[:, None]
+@functools.lru_cache(maxsize=64)
+def _block_geometry(band_shape: tuple[int, int], n: int, row_stride: int, col_stride: int):
+    """(source, offsets) of the entries of a band that fall in its leading
+    n x n block: the entry (i, j) is band.flat[source] and sits at offset
+    i * row_stride + j * col_stride of the dense result."""
+    rows, size = band_shape
+    r = np.arange(rows)[:, None]
     i = np.arange(n)[None, :]
-    j = i + r - width
+    j = i + r - rows // 2
     inside = (j >= 0) & (j < n)
-    src, dst = (r * n + i)[inside], (i * n + j)[inside]
-    src.setflags(write=False)
-    dst.setflags(write=False)
-    return src, dst
-
-
-def _leading_block(band: np.ndarray, n: int) -> np.ndarray:
-    """Dense leading n x n block of a band-stored matrix."""
-    src, dst = _scatter_geometry(band.shape[0] // 2, n)
-    out = np.zeros((n, n), dtype=complex)
-    out.reshape(-1)[dst] = band[:, :n].reshape(-1)[src]
-    return out
+    source = (r * size + i)[inside]
+    offsets = (i * row_stride + j * col_stride)[inside]
+    source.setflags(write=False)
+    offsets.setflags(write=False)
+    return source, offsets
 
 
 def _block_indices(d: int, size: int, n: int) -> np.ndarray:
@@ -219,13 +219,80 @@ def _block_indices(d: int, size: int, n: int) -> np.ndarray:
     return out
 
 
-def _hermitian_skew(m: np.ndarray) -> float:
-    """max |m - m^H| over entries, taken in row blocks so that the
-    transposed read stays cache-friendly at dimension 10^3 and up."""
+def _check_hermitian(m: np.ndarray, tol: float, what: str) -> None:
+    """Raise NonHermitianError if max |m - m^H| exceeds tol.  The skew is
+    taken in row blocks so that the transposed read stays cache-friendly
+    at dimension 10^3 and up."""
     worst = 0.0
     for i in range(0, m.shape[0], 64):
         worst = max(worst, float(np.abs(m[i:i + 64] - m[:, i:i + 64].conj().T).max()))
-    return worst
+    if worst > tol:
+        raise NonHermitianError(f"{what} (deviation {worst:.3e})")
+
+
+def _bands(p: PolynomialSymbol, hbar: float, size: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Band stage of the ladder: peel every monomial once, at per-mode
+    internal size `size`, and return (mode-2 band, summed band of the
+    mode-1 factors it multiplies) per distinct mode-2 factor."""
+    factors: dict[tuple[int, int], list[tuple[int, int, complex]]] = {}
+    for idx, coeff in p.iter_terms():
+        # (mode-1, mode-2) exponents; at d = 1 the mode-2 factor is y^0 eta^0
+        ys, es = idx[:p.d] + (0,), idx[p.d:] + (0,)
+        factors.setdefault((ys[1], es[1]), []).append((ys[0], es[0], coeff))
+    # at d = 2 a factor recurs across terms and modes: peel each once
+    wanted = {(a, b, size) for terms in factors.values() for a, b, _ in terms}
+    wanted |= {(a2, b2, size ** (p.d - 1)) for a2, b2 in factors}
+    peeled = {(a, b, m): _mode_band(a, b, hbar, m) for a, b, m in wanted}
+    bands = []
+    for (a2, b2), terms in factors.items():
+        width = max(a + b for a, b, _ in terms)
+        summed = np.zeros((2 * width + 1, size), dtype=complex)
+        for a, b, coeff in terms:
+            summed[width - a - b : width + a + b + 1] += coeff * peeled[a, b, size]
+        bands.append((peeled[a2, b2, size ** (p.d - 1)], summed))
+    return bands
+
+
+def _block(d: int, bands: list[tuple[np.ndarray, np.ndarray]], n: int) -> np.ndarray:
+    """Block stage of the ladder: the dense leading n^d block (mode 1
+    fastest).  Each product of a mode-2 and a mode-1 band entry is an
+    entry of their Kronecker product and goes straight to its place."""
+    dim = n ** d
+    out = np.zeros((dim, dim), dtype=complex)
+    flat = out.reshape(-1)
+    for band2, band1 in bands:
+        src2, off2 = _block_geometry(band2.shape, n ** (d - 1), n * dim, n)
+        src1, off1 = _block_geometry(band1.shape, n, dim, 1)
+        flat[np.add.outer(off2, off1)] += np.multiply.outer(band2.take(src2), band1.take(src1))
+    return out
+
+
+def _ladder(p: PolynomialSymbol, hbar: float, ns: list[int]) -> Iterator[OperatorMatrix]:
+    """Quantize p at each truncation of the strictly increasing ns.
+
+    The band stage runs once, at per-mode size ns[-1] + deg(p); a rung's
+    block is assembled only when the consumer asks for it, so stopping
+    early never allocates a larger dense block.  Blocks of real symbols
+    are checked Hermitian to 1e-12 and marked so.
+    """
+    if p.d > MAX_MODES:
+        raise DimensionMismatch(f"quantization supports d <= {MAX_MODES}, got d={p.d}")
+    if hbar <= 0:
+        raise ValueError(f"hbar must be positive, got {hbar}")
+    if not ns or ns[0] < 2 or ns[-1] > MAX_TRUNCATION:
+        raise ValueError(f"truncations must satisfy 2 <= n <= {MAX_TRUNCATION}, got {ns}")
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"truncations must be strictly increasing, got {ns}")
+    size = ns[-1] + max(p.degree(), 0)
+    bands = _bands(p, hbar, size)
+    real = p.is_real()
+    for n in ns:
+        entries = _block(p.d, bands, n)
+        if real:
+            _check_hermitian(entries, HERMITICITY_TOL, "real symbol produced non-Hermitian matrix")
+        rung = OperatorMatrix(d=p.d, n=n, hbar=hbar, pad=size - n, entries=entries)
+        rung.hermitian = real
+        yield rung
 
 
 def weyl_quantize(p: PolynomialSymbol, hbar: float, n: int) -> OperatorMatrix:
@@ -245,45 +312,7 @@ def weyl_quantize(p: PolynomialSymbol, hbar: float, n: int) -> OperatorMatrix:
     OperatorMatrix with exact entries of the infinite matrix on the
     block; built internally at per-mode size n + deg(p).
     """
-    if p.d > MAX_MODES:
-        raise DimensionMismatch(f"quantization supports d <= {MAX_MODES}, got d={p.d}")
-    if hbar <= 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
-    if not 2 <= n <= MAX_TRUNCATION:
-        raise ValueError(f"truncation must satisfy 2 <= n <= {MAX_TRUNCATION}, got {n}")
-    deg = max(p.degree(), 0)
-    size = n + deg
-    if p.d == 1:
-        # one mode: sum the monomial bands, then write the block once
-        acc = np.zeros((2 * deg + 1, size), dtype=complex)
-        for (a, b), coeff in p.iter_terms():
-            acc[deg - a - b : deg + a + b + 1] += coeff * _mode_band(a, b, hbar, size)
-        total = _leading_block(acc, n)
-    else:
-        # two modes: per-mode leading blocks, then one Kronecker product per
-        # distinct mode-2 factor, written into the (n2, n1, n2', n1') view
-        # of the result (mode 1 fastest)
-        blocks: dict[tuple[int, int], np.ndarray] = {}
-
-        def block(key: tuple[int, int]) -> np.ndarray:
-            if key not in blocks:
-                blocks[key] = _leading_block(_mode_band(*key, hbar, size), n)
-            return blocks[key]
-
-        mode1_sums: dict[tuple[int, int], np.ndarray] = {}
-        for (a1, a2, b1, b2), coeff in p.iter_terms():
-            mode1_sums[(a2, b2)] = mode1_sums.get((a2, b2), 0.0) + coeff * block((a1, b1))
-        total = np.zeros((n * n, n * n), dtype=complex)
-        grid = total.reshape(n, n, n, n)
-        for key, mode1 in mode1_sums.items():
-            grid += block(key)[:, None, :, None] * mode1[None, :, None, :]
-    if p.is_real():
-        skew = _hermitian_skew(total)
-        if skew > HERMITICITY_TOL:
-            raise NonHermitianError(
-                f"real symbol produced non-Hermitian matrix (deviation {skew:.3e})"
-            )
-    return OperatorMatrix(d=p.d, n=n, hbar=hbar, pad=deg, entries=total)
+    return next(_ladder(p, hbar, [n]))
 
 
 def number_operator(k: int, d: int, n: int) -> OperatorMatrix:
@@ -325,12 +354,12 @@ def lowest_eigenvalue(m: OperatorMatrix | np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian operator matrix.
 
     Raises NonHermitianError if the entries deviate from Hermitian
-    symmetry by more than 1e-10.
+    symmetry by more than 1e-10; quantized real symbols, already checked
+    to 1e-12, are not checked again.
     """
     entries = m.entries if isinstance(m, OperatorMatrix) else np.asarray(m)
-    skew = _hermitian_skew(entries)
-    if skew > 1e-10:
-        raise NonHermitianError(f"matrix is not Hermitian (deviation {skew:.3e})")
+    if not getattr(m, "hermitian", False):
+        _check_hermitian(entries, 1e-10, "matrix is not Hermitian")
     return float(np.linalg.eigvalsh(entries)[0])
 
 
@@ -339,11 +368,13 @@ class TruncationSweep:
     """Lowest eigenvalues across nested truncations.
 
     Compression makes the values nonincreasing in N; an increase beyond
-    1e-10 is rejected at construction as an exactness bug.
+    1e-10 is rejected at construction as an exactness bug.  `matrix` is
+    the quantized matrix at the largest N.
     """
 
     truncations: list[int]
     values: list[float]
+    matrix: OperatorMatrix | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.truncations) != len(self.values):
@@ -369,33 +400,18 @@ class TruncationSweep:
         return self.values[-1]
 
 
-def truncation_sweep(p: PolynomialSymbol, hbar: float, ns: list[int],
-                     matrix: OperatorMatrix | None = None) -> TruncationSweep:
+def truncation_sweep(p: PolynomialSymbol, hbar: float, ns: list[int]) -> TruncationSweep:
     """Lowest eigenvalue of quantize(p, hbar) at each truncation in ns.
 
-    The matrix is built once at the largest N (entries are exact, so
-    smaller truncations are its leading blocks).  A caller that already
-    holds weyl_quantize(p, hbar, ns[-1]) passes it as `matrix`.
+    One ladder: the bands are peeled once at the largest N and every rung
+    is a dense block assembled from them; the result keeps the top rung's
+    matrix.
     """
     ns = [int(v) for v in ns]
-    if not ns:
-        raise ValueError("need at least one truncation")
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError(f"truncations must be strictly increasing, got {ns}")
-    if matrix is None:
-        big = weyl_quantize(p, hbar, ns[-1])
-    elif (matrix.d, matrix.n, matrix.hbar) != (p.d, ns[-1], hbar):
-        raise ValueError(
-            f"matrix is quantized at d={matrix.d}, N={matrix.n}, hbar={matrix.hbar}, "
-            f"not at d={p.d}, N={ns[-1]}, hbar={hbar}"
-        )
-    else:
-        big = matrix
     values = []
-    for n in ns:
-        block = _block_indices(p.d, ns[-1], n)
-        values.append(float(np.linalg.eigvalsh(big.entries[np.ix_(block, block)])[0]))
-    return TruncationSweep(truncations=ns, values=values)
+    for rung in _ladder(p, hbar, ns):
+        values.append(lowest_eigenvalue(rung))
+    return TruncationSweep(truncations=ns, values=values, matrix=rung)
 
 
 def conjugation_residual(p: GradedSymbol, lam: float, n: int) -> float:

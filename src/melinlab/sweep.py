@@ -28,7 +28,7 @@ import numpy as np
 from .errors import MelinLabError
 from .invariants import QuadraticData, melin_quantity
 from .localize import hypothesis_check
-from .quantize import MAX_TRUNCATION, lowest_eigenvalue, weyl_quantize
+from .quantize import MAX_TRUNCATION, _ladder, lowest_eigenvalue, weyl_quantize
 from .symbols import GradedSymbol, PolynomialSymbol
 
 __all__ = [
@@ -147,14 +147,6 @@ class SweepReport:
         )
 
 
-def _fold_normalized(symbol: GradedSymbol, lam: float) -> PolynomialSymbol:
-    """Fold with m treated as 0 (m is divided out of experiments)."""
-    out = PolynomialSymbol.zero(symbol.d)
-    for j, q in symbol.levels.items():
-        out = out + float(lam) ** (-j) * q
-    return out
-
-
 def _converged_lowest(symbol: GradedSymbol, lam: float,
                       ladder: list[int]) -> tuple[float, int, str | None]:
     """Lowest eigenvalue at auto-escalating truncation.
@@ -164,24 +156,24 @@ def _converged_lowest(symbol: GradedSymbol, lam: float,
     A gap only counts when the two truncations differ by more than the
     symbol degree: the matrix couples Fock levels at most deg apart, so
     closer pairs can sit on a parity plateau that mimics convergence.
-    Returns (value, n_used, note) with a note when the cap is hit first.
+    The symbol is folded with m = 0 and its bands are peeled once, at
+    the cap; rungs are assembled from them one at a time, and none past
+    the converged one.  Returns (value, n_used, note) with a note when
+    the cap is hit first.
     """
-    folded = _fold_normalized(symbol, lam)
+    folded = GradedSymbol(symbol.d, symbol.k, symbol.levels, m=0).fold(lam)
     ns = list(ladder)
     while ns[-1] * 2 <= MAX_TRUNCATION:
         ns.append(ns[-1] * 2)
     span = max(folded.degree(), 0) + 1
-    prev = None
-    prev_n = None
-    val = None
-    n = ns[-1]
-    for n in ns:
-        val = lowest_eigenvalue(weyl_quantize(folded, 1.0 / lam, n))
-        if (prev is not None and n - prev_n >= span
+    prev = prev_n = None
+    for rung in _ladder(folded, 1.0 / lam, ns):
+        val = lowest_eigenvalue(rung)
+        if (prev is not None and rung.n - prev_n >= span
                 and abs(val - prev) < CONVERGENCE_REL * abs(val) + CONVERGENCE_ABS):
-            return val, n, None
-        prev, prev_n = val, n
-    return val, n, f"Lambda={lam:g}: truncation cap {n} hit before convergence"
+            return val, rung.n, None
+        prev, prev_n = val, rung.n
+    return val, prev_n, f"Lambda={lam:g}: truncation cap {prev_n} hit before convergence"
 
 
 def lambda_sweep(spec: ModelSpec, workers: int = 1) -> SweepReport:

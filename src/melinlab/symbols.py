@@ -44,7 +44,6 @@ __all__ = [
     "graded_star",
     "taylor_transverse",
     "scale_symbol",
-    "symmetrize_monomial",
 ]
 
 MultiIndex = tuple  # tuple[int, ...] of length 2d: (y-powers, eta-powers)
@@ -252,6 +251,8 @@ class PolynomialSymbol:
         d = int(data["d"])
         terms: dict[MultiIndex, complex] = {}
         for t in data["terms"]:
+            if len(t["y"]) != d or len(t["eta"]) != d:
+                raise DimensionMismatch(f"exponent lists of term {t} must have length d={d}")
             idx = tuple(int(p) for p in t["y"]) + tuple(int(p) for p in t["eta"])
             c = complex(t["c"][0], t["c"][1])
             terms[idx] = terms.get(idx, 0.0) + c
@@ -306,20 +307,6 @@ def eta(d: int = 1, mode: int = 0) -> PolynomialSymbol:
     idx = [0] * (2 * d)
     idx[d + mode] = 1
     return PolynomialSymbol.monomial(d, idx)
-
-
-def symmetrize_monomial(index: Sequence[int]) -> PolynomialSymbol:
-    """Symbol whose Weyl quantization is the symmetrized operator product
-    of the coordinate factors listed in `index`.
-
-    For coordinate monomials the symmetrized product quantizes with no
-    remainder, so the answer is the monomial itself; the function exists
-    to state that contract in one place.
-    """
-    if len(index) % 2 != 0:
-        raise DimensionMismatch(f"multi-index length must be even, got {len(index)}")
-    d = len(index) // 2
-    return PolynomialSymbol.monomial(d, index)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,17 @@ def test_localize_json_and_dump_matrix(tmp_path, capsys):
     assert np.abs(m - m.conj().T).max() == 0.0
 
 
+def test_localize_non_hermitian_model_is_invalid_input(tmp_path, capsys):
+    model = quartic_model_dict()
+    model["levels"][1]["terms"].append({"c": [0, 0.3], "y": [1], "eta": [1]})
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(model))
+    assert main(["localize", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "not Hermitian" in captured.err
+    assert "verdict: pass" not in captured.out
+
+
 def test_localize_missing_file(capsys):
     assert main(["localize", "/nonexistent/model.json"]) == 2
     assert "cannot read model file" in capsys.readouterr().err
@@ -285,10 +296,16 @@ def test_star_rejects_negative_hbar(capsys):
 
 
 def test_star_rejects_bad_literal(capsys):
-    bad = json.dumps({"d": 1, "terms": [{"c": [1, 0], "y": [1]}]})
     _, b = yeta_literal()
-    assert main(["star", "--a", bad, "--b", b, "--hbar", "1"]) == 2
-    assert "term" in capsys.readouterr().err
+    for bad in (
+        {"d": 1, "terms": [{"c": [1, 0], "y": [1]}]},
+        {"d": 1, "terms": 5},
+        {"d": 1, "terms": [{"c": [1, 0], "y": 3, "eta": [0]}]},
+    ):
+        bad = json.dumps(bad)
+        for pair in (["--a", bad, "--b", b], ["--a", b, "--b", bad]):
+            assert main(["star", *pair, "--hbar", "1"]) == 2
+            assert "term" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

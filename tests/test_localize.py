@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from melinlab.errors import VanishingOrderError
+from melinlab.errors import NonHermitianError, VanishingOrderError
 from melinlab.invariants import QuadraticData, melin_quantity
 from melinlab.localize import (
     hypothesis_check,
@@ -11,6 +13,7 @@ from melinlab.localize import (
     unit_sphere_grid,
 )
 from melinlab.models import harmonic_symbol, quadratic_model, quartic_model
+from melinlab.quantize import weyl_quantize
 from melinlab.symbols import GradedSymbol, PolynomialSymbol, eta, y
 
 
@@ -78,6 +81,16 @@ def test_localize_k1_reproduces_melin_quantity():
     assert loc.lambda_min == pytest.approx(want, abs=1e-8)
 
 
+def test_localize_keeps_top_rung_matrix():
+    for g, ns in ((quartic_model(sub_coeff=1.0), (16, 32)),
+                  (GradedSymbol(2, 1, {0: harmonic_symbol(2) + 0.5 * (y(2, 0) * eta(2, 1))}),
+                   (4, 8))):
+        loc = localize(g, ns=ns)
+        np.testing.assert_array_equal(loc.matrix.entries,
+                                      weyl_quantize(loc.symbol, 1.0, ns[-1]).entries)
+        assert loc.matrix.n == ns[-1]
+
+
 def test_unit_sphere_grid_shapes_and_norms():
     g1 = unit_sphere_grid(1)
     assert g1.shape == (720, 2)
@@ -121,6 +134,22 @@ def test_hypothesis_check_reports_vanishing_violations():
     assert 0 in diag.vanishing_violations
     assert any("y^2" in s for s in diag.vanishing_violations[0])
     assert not diag.ok
+
+
+def test_hypothesis_check_reports_non_hermitian_localized_operator():
+    # 0.3i y eta at level 1 enters the localized symbol; its matrix is not
+    # Hermitian, so there is no lowest eigenvalue to report
+    g = quartic_model(sub_coeff=1.0)
+    g = GradedSymbol(1, 2, {**g.levels, 1: g.levels[1] + 0.3j * (y() * eta())})
+    diag = hypothesis_check(g, ns=(8, 16))
+    assert diag.vanishing_ok and diag.ellipticity_ok
+    assert not diag.positivity_ok
+    assert not diag.ok
+    assert math.isnan(diag.lambda_min)
+    assert diag.truncations == [8, 16]
+    assert "verdict: FAIL" in diag.summary_lines()[-1]
+    with pytest.raises(NonHermitianError):
+        localize(g, ns=(8, 16))
 
 
 def test_localization_product_check_is_roundoff():

@@ -9,7 +9,6 @@ from melinlab.errors import DimensionMismatch, MonotonicityError, NonHermitianEr
 from melinlab.models import harmonic_symbol, quartic_model
 from melinlab.quantize import (
     TruncationSweep,
-    _leading_block,
     _mode_band,
     conjugation_residual,
     ladder,
@@ -229,11 +228,21 @@ def _rel_err(got, want):
     return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
 
 
+def _dense(band, size):
+    """Unpack band storage, band[W + k, i] = M[i, i + k], into M."""
+    width = band.shape[0] // 2
+    out = np.zeros((size, size), dtype=complex)
+    for k in range(-width, width + 1):
+        i = np.arange(max(0, -k), min(size, size - k))
+        out[i, i + k] = band[width + k, i]
+    return out
+
+
 @pytest.mark.parametrize("size", [3, 10, 262])
 def test_mode_band_matches_dense_jordan(size):
     for hbar in ((1.0, 0.3) if size < 100 else (0.3,)):
         for a, b in MONOMIALS_UP_TO_8:
-            got = _leading_block(_mode_band(a, b, hbar, size), size)
+            got = _dense(_mode_band(a, b, hbar, size), size)
             want = jordan_mode_oracle(a, b, hbar, size)
             assert _rel_err(got, want) <= 1e-13, (a, b, size, hbar)
 
@@ -273,15 +282,30 @@ def test_mixed_d2_symbol_matches_full_kron_gather():
         assert _rel_err(got, want) <= 1e-13
 
 
-def test_truncation_sweep_reuses_prebuilt_matrix():
-    p = y() ** 4 + eta() ** 4 + y() ** 2
-    big = weyl_quantize(p, 1.0, 32)
-    shared = truncation_sweep(p, 1.0, [8, 16, 32], matrix=big)
-    assert shared.values == truncation_sweep(p, 1.0, [8, 16, 32]).values
-    with pytest.raises(ValueError):
-        truncation_sweep(p, 1.0, [8, 16], matrix=big)
-    with pytest.raises(ValueError):
-        truncation_sweep(p, 0.5, [8, 16, 32], matrix=big)
+def test_truncation_sweep_rungs_equal_separate_quantizations():
+    # bands peeled once at the top rung give each rung the exact bytes of
+    # a separate quantization at that rung
+    p1 = y() ** 4 + eta() ** 4 + y() ** 2 - 0.5 * (y() * eta())
+    p2 = (y(2, 0) ** 2 + eta(2, 0) ** 2) ** 2 + 0.3 * (y(2, 0) * eta(2, 1)) ** 2 \
+        + eta(2, 1) ** 4 + y(2, 1) ** 2 * eta(2, 1) ** 2 + y(2, 1) ** 4
+    for p, hbar, ns in ((p1, 0.7, [8, 16, 32]), (p2, 1.0, [4, 8, 12])):
+        sweep = truncation_sweep(p, hbar, ns)
+        assert sweep.values == [lowest_eigenvalue(weyl_quantize(p, hbar, n)) for n in ns]
+        np.testing.assert_array_equal(sweep.matrix.entries,
+                                      weyl_quantize(p, hbar, ns[-1]).entries)
+
+
+def test_truncation_sweep_rejects_non_hermitian_symbols():
+    # eigvalsh reads one triangle; a complex symbol must not get that far
+    p = y() ** 4 + eta() ** 4 + 1j * (y() * eta() * y())
+    with pytest.raises(NonHermitianError):
+        lowest_eigenvalue(weyl_quantize(p, 1.0, 16))
+    with pytest.raises(NonHermitianError):
+        truncation_sweep(p, 1.0, [8, 16])
+    # a complex symbol whose matrix is Hermitian to within 1e-10 passes
+    q = y() ** 4 + eta() ** 4 + (1e-14j) * y() ** 2
+    assert truncation_sweep(q, 1.0, [8, 16]).values == pytest.approx(
+        truncation_sweep(y() ** 4 + eta() ** 4, 1.0, [8, 16]).values, abs=1e-12)
 
 
 def test_quantize_and_eigensolve_do_not_import_scipy():

@@ -16,7 +16,6 @@ from melinlab.symbols import (
     moyal_star,
     poisson_bracket,
     scale_symbol,
-    symmetrize_monomial,
     taylor_transverse,
     y,
 )
@@ -60,6 +59,9 @@ def test_mixed_dimension_rejected():
         y(1) + y(2)
     with pytest.raises(DimensionMismatch):
         moyal_star(y(1), eta(2), 1.0)
+    # a JSON term whose exponent lists split 2d entries unevenly
+    with pytest.raises(DimensionMismatch):
+        PolynomialSymbol.from_dict({"d": 1, "terms": [{"c": [1, 0], "y": [1, 0], "eta": []}]})
 
 
 def test_derivative_axis_convention():
@@ -81,12 +83,6 @@ def test_evaluate_vectorized():
 def test_json_round_trip_with_complex_coefficients():
     p = PolynomialSymbol(2, {(1, 0, 2, 0): 1.5 - 2.0j, (0, 0, 0, 1): 3.0})
     assert PolynomialSymbol.from_dict(p.to_dict()) == p
-
-
-def test_symmetrize_monomial_is_plain_monomial():
-    assert symmetrize_monomial((2, 1)) == y() ** 2 * eta()
-    with pytest.raises(DimensionMismatch):
-        symmetrize_monomial((1, 0, 1))
 
 
 # ---------------------------------------------------------------------------
