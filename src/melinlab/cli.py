@@ -10,7 +10,6 @@ worker count for sweeps; row order and file bytes do not depend on it.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -52,11 +51,17 @@ def _resolve_workers(value: int | None) -> int:
     return workers
 
 
-def _parse_matrix(text: str) -> np.ndarray:
-    rows = [r.strip() for r in text.split(";") if r.strip()]
+def _parse_matrix(text: str, allow_json: bool = False) -> np.ndarray:
+    """A 2d x 2d matrix from rows separated by ";" or newlines, or, with
+    allow_json, from a JSON array."""
+    text = text.strip()
     try:
-        mat = np.array([[float(v) for v in r.split()] for r in rows])
-    except ValueError as exc:
+        if allow_json and text.startswith("["):
+            mat = np.array(json.loads(text), dtype=float)
+        else:
+            rows = [r.strip() for r in text.replace("\n", ";").split(";") if r.strip()]
+            mat = np.array([[float(v) for v in r.split()] for r in rows])
+    except (ValueError, TypeError) as exc:
         raise MelinLabError(f"cannot parse matrix {text!r}: {exc}")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise MelinLabError(f"matrix must be square, got shape {mat.shape}")
@@ -72,18 +77,8 @@ def _parse_matrix(text: str) -> np.ndarray:
 
 def cmd_traceplus(args: argparse.Namespace) -> int:
     if args.h_file:
-        try:
-            with open(args.h_file, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            return _fail(str(exc))
-        stripped = text.strip()
-        if stripped.startswith("["):
-            hessian = np.array(json.loads(stripped), dtype=float)
-            if hessian.ndim != 2 or hessian.shape[0] != hessian.shape[1] or hessian.shape[0] % 2:
-                return _fail(f"matrix in {args.h_file} must be square of even size")
-        else:
-            hessian = _parse_matrix(stripped.replace("\n", ";"))
+        with open(args.h_file, "r", encoding="utf-8") as fh:
+            hessian = _parse_matrix(fh.read(), allow_json=True)
     else:
         hessian = _parse_matrix(args.h)
     d = hessian.shape[0] // 2
@@ -113,7 +108,8 @@ def cmd_traceplus(args: argparse.Namespace) -> int:
 def cmd_localize(args: argparse.Namespace) -> int:
     symbol, _, _ = load_model_file(args.model)
     diagnosis = hypothesis_check(symbol)
-    op = localize(symbol, strict=False)
+    # a non-Hermitian operator is not kept; localizing again raises its error
+    op = diagnosis.localized or localize(symbol, strict=False)
     if args.dump_matrix:
         with open(args.dump_matrix, "w", encoding="utf-8") as fh:
             json.dump({
@@ -190,8 +186,6 @@ def cmd_phase(args: argparse.Namespace) -> int:
     rng = {}
     for key in ("alpha", "beta", "gamma", "s"):
         lo, hi, count = phase_section[key]
-        if int(count) < 1:
-            raise ModelFileError(f"phase range {key} needs a positive count")
         rng[key] = np.linspace(lo, hi, int(count))
     workers = _resolve_workers(args.workers)
     report = melin_phase_diagram(
@@ -200,17 +194,7 @@ def cmd_phase(args: argparse.Namespace) -> int:
         workers=workers,
     )
     if args.out:
-        if args.format == "json":
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(report.to_json_dict(), fh, indent=2)
-                fh.write("\n")
-        else:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["alpha", "beta", "gamma", "s", "melin", "lambda_min", "error"])
-                for p in report.points:
-                    writer.writerow([format(v, ".17g") for v in
-                                     (p.alpha, p.beta, p.gamma, p.s, p.melin, p.lambda_min, p.error)])
+        emit_report(report, args.format, args.out)
     if args.json:
         print(json.dumps({
             "points": len(report.points),
@@ -304,11 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ModelFileError as exc:
-        return _fail(str(exc))
-    except MelinLabError as exc:
-        return _fail(str(exc))
-    except OSError as exc:
+    except (MelinLabError, OSError) as exc:
         return _fail(str(exc))
 
 

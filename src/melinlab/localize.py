@@ -35,6 +35,7 @@ from .quantize import (
 from .symbols import (
     GradedSymbol,
     PolynomialSymbol,
+    _weighted_sum,
     graded_star,
     moyal_star,
     taylor_transverse,
@@ -62,7 +63,7 @@ def localized_symbol(p: GradedSymbol, strict: bool = True) -> PolynomialSymbol:
     required order raises VanishingOrderError; otherwise such terms are
     ignored, which is what the diagnosis path wants.
     """
-    out = PolynomialSymbol.zero(p.d)
+    leads = []
     for j, q in p.levels.items():
         if j > p.k:
             continue
@@ -71,8 +72,8 @@ def localized_symbol(p: GradedSymbol, strict: bool = True) -> PolynomialSymbol:
             lead, _ = taylor_transverse(q, order, strict=strict)
         except VanishingOrderError as exc:
             raise VanishingOrderError(f"level {j}: {exc}") from exc
-        out = out + lead
-    return out
+        leads.append((1, lead))
+    return _weighted_sum(p.d, leads)
 
 
 @dataclass
@@ -151,6 +152,8 @@ class HypothesisDiagnosis:
     lambda_min: float
     truncations: list[int]
     sweep_values: list[float]
+    # the operator the positivity check built; None when it is not Hermitian
+    localized: LocalizedOperator | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -177,7 +180,8 @@ class HypothesisDiagnosis:
 def hypothesis_check(p: GradedSymbol,
                      ns: tuple[int, ...] = DEFAULT_TRUNCATIONS) -> HypothesisDiagnosis:
     """Diagnose the vanishing-order, ellipticity, and positivity
-    hypotheses for a graded symbol.  Never raises on a bad model."""
+    hypotheses for a graded symbol.  Never raises on a bad model; keeps
+    the localized operator of the positivity check as `localized`."""
     violations: dict[int, list[str]] = {}
     for j, q in p.levels.items():
         if j > p.k:
@@ -198,8 +202,10 @@ def hypothesis_check(p: GradedSymbol,
     ell_min = float(real_vals.min())
     ellipticity_ok = bool(imag_ok and floor > 0.0 and ell_min >= floor)
 
+    op = None
     try:
-        sweep = localize(p, ns=ns, strict=False).sweep
+        op = localize(p, ns=ns, strict=False)
+        sweep = op.sweep
     except NonHermitianError:
         # a non-Hermitian localized operator has no lowest eigenvalue
         sweep = TruncationSweep(truncations=list(ns), values=[math.nan] * len(ns))
@@ -213,6 +219,7 @@ def hypothesis_check(p: GradedSymbol,
         lambda_min=sweep.lambda_min,
         truncations=list(sweep.truncations),
         sweep_values=list(sweep.values),
+        localized=op,
     )
 
 

@@ -12,6 +12,8 @@ sections:
                 "gamma": [0.7, 2.5, 10], "s": [-1, 1, 5], "truncation": 64}
     }
 
+Each phase range is [low, high, count] with an integer count >= 1, and
+the grid (the product of the four counts) may hold at most 10^6 points.
 Unknown keys are rejected at every nesting level; all validation runs
 before any computation.
 """
@@ -19,6 +21,7 @@ before any computation.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from jsonschema.exceptions import best_match
@@ -31,12 +34,14 @@ from .sweep import ModelSpec
 __all__ = ["MODEL_SCHEMA", "load_model_dict", "load_model_file", "load_symbol_literal",
            "sweep_spec_from_model"]
 
-_RANGE = {
+_RANGE = {  # [low, high, count]
     "type": "array",
-    "items": {"type": "number"},
+    "prefixItems": [{"type": "number"}, {"type": "number"}, {"type": "integer", "minimum": 1}],
+    "items": False,
     "minItems": 3,
-    "maxItems": 3,
 }
+_PHASE_AXES = ("alpha", "beta", "gamma", "s")
+_MAX_PHASE_POINTS = 10**6  # product of the four counts
 
 MODEL_SCHEMA = {
     "type": "object",
@@ -152,7 +157,10 @@ def load_model_dict(data: dict) -> tuple[GradedSymbol, dict | None, dict | None]
         raise ModelFileError(f"model file invalid: {exc}") from exc
     if Fraction(symbol.m * 2).denominator != 1:
         raise ModelFileError(f"order m={symbol.m} must be a half-integer")
-    return symbol, data.get("sweep"), data.get("phase")
+    phase = data.get("phase")
+    if phase and math.prod(int(phase[ax][2]) for ax in _PHASE_AXES) > _MAX_PHASE_POINTS:
+        raise ModelFileError(f"phase grid has more than {_MAX_PHASE_POINTS} points")
+    return symbol, data.get("sweep"), phase
 
 
 def load_symbol_literal(text: str) -> PolynomialSymbol:

@@ -424,7 +424,7 @@ def conjugation_residual(p: GradedSymbol, lam: float, n: int) -> float:
     if lam < 1:
         raise ValueError(f"Lambda must be >= 1, got {lam}")
     left = weyl_quantize(p.fold(lam), 1.0 / lam, n).entries
-    right = weyl_quantize(scale_symbol(p, fold=True, lam=lam), 1.0, n).entries
+    right = weyl_quantize(scale_symbol(p).fold(lam), 1.0, n).entries
     scale = max(np.abs(left).max() if left.size else 0.0,
                 np.abs(right).max() if right.size else 0.0)
     if scale == 0.0:

@@ -21,7 +21,7 @@ import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -123,6 +123,11 @@ class SweepReport:
             "notes": list(self.notes),
         }
 
+    def _csv_rows(self) -> list[list]:
+        return [CSV_HEADER] + [
+            [_fmt(r.lam), r.n_used, _fmt(r.lambda_min), _fmt(r.scaled), _fmt(r.reference)]
+            for r in self.rows]
+
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepReport":
         rows = [
@@ -191,7 +196,18 @@ def lambda_sweep(spec: ModelSpec, workers: int = 1) -> SweepReport:
     symbol = spec.symbol
     k = symbol.k
     diagnosis = hypothesis_check(symbol)
-    reference = diagnosis.lambda_min
+    reference, hypothesis_ok = diagnosis.lambda_min, diagnosis.ok
+    reasons: list[str] = []
+    if not hypothesis_ok:
+        parts = []
+        if not diagnosis.vanishing_ok:
+            parts.append("vanishing orders (i)")
+        if not diagnosis.ellipticity_ok:
+            parts.append("transverse ellipticity (ii)")
+        if not diagnosis.positivity_ok:
+            parts.append("localized positivity (iii)")
+        reasons.append("hypothesis failure: " + ", ".join(parts))
+    del diagnosis  # the rows need neither it nor its localized matrix
 
     def one(lam: float) -> tuple[SweepRow, str | None]:
         val, n_used, note = _converged_lowest(symbol, lam, spec.truncations)
@@ -219,16 +235,6 @@ def lambda_sweep(spec: ModelSpec, workers: int = 1) -> SweepReport:
     else:
         slope = float("nan")
 
-    reasons: list[str] = []
-    if not diagnosis.ok:
-        parts = []
-        if not diagnosis.vanishing_ok:
-            parts.append("vanishing orders (i)")
-        if not diagnosis.ellipticity_ok:
-            parts.append("transverse ellipticity (ii)")
-        if not diagnosis.positivity_ok:
-            parts.append("localized positivity (iii)")
-        reasons.append("hypothesis failure: " + ", ".join(parts))
     last = rows[-1]
     if reference == 0.0:
         reasons.append("localized reference is zero; no limit to compare against")
@@ -245,7 +251,7 @@ def lambda_sweep(spec: ModelSpec, workers: int = 1) -> SweepReport:
         rows=rows,
         slope=slope,
         reference=reference,
-        hypothesis_ok=diagnosis.ok,
+        hypothesis_ok=hypothesis_ok,
         verdict="pass" if not reasons else "fail",
         reasons=reasons,
         notes=notes,
@@ -285,6 +291,10 @@ class PhaseReport:
             "skipped": list(self.skipped),
             "max_error": self.max_error,
         }
+
+    def _csv_rows(self) -> list[list]:
+        return [[f.name for f in fields(PhasePoint)]] + [
+            [_fmt(v) for v in vars(p).values()] for p in self.points]
 
 
 def melin_phase_diagram(alphas, betas, gammas, svals, truncation: int = 64,
@@ -340,24 +350,20 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def render_report(report: SweepReport, fmt: str) -> bytes:
-    """Serialize a sweep report to CSV (fixed five columns) or JSON."""
+def render_report(report: SweepReport | PhaseReport, fmt: str) -> bytes:
+    """Serialize a sweep or phase report to CSV (fixed columns) or JSON."""
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in report.rows:
-            writer.writerow([_fmt(r.lam), r.n_used, _fmt(r.lambda_min),
-                             _fmt(r.scaled), _fmt(r.reference)])
+        csv.writer(buf, lineterminator="\n").writerows(report._csv_rows())
         return buf.getvalue().encode()
     if fmt == "json":
         return (json.dumps(report.to_json_dict(), indent=2) + "\n").encode()
     raise MelinLabError(f"unknown report format {fmt!r} (use csv or json)")
 
 
-def emit_report(report: SweepReport, fmt: str, path: str) -> None:
-    """Write a sweep report to disk; bytes are deterministic (LF endings,
-    17 significant digits) so repeated runs are byte-identical."""
+def emit_report(report: SweepReport | PhaseReport, fmt: str, path: str) -> None:
+    """Write a report to disk; bytes are deterministic (LF endings, 17
+    significant digits) so repeated runs are byte-identical."""
     data = render_report(report, fmt)
     with open(path, "wb") as fh:
         fh.write(data)

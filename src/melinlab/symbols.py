@@ -331,17 +331,54 @@ def _multi_factorial(alpha: Iterable[int]) -> int:
     return out
 
 
-def _partial(p: PolynomialSymbol, gamma: MultiIndex,
-             cache: dict[MultiIndex, PolynomialSymbol]) -> PolynomialSymbol:
-    """Mixed partial d^gamma p with memoization (gamma spans all 2d axes)."""
-    if gamma in cache:
-        return cache[gamma]
-    # peel one derivative off the first nonzero slot
-    axis = next(i for i, g in enumerate(gamma) if g > 0)
-    parent = gamma[:axis] + (gamma[axis] - 1,) + gamma[axis + 1 :]
-    out = _partial(p, parent, cache).derivative(axis)
-    cache[gamma] = out
-    return out
+def _weighted_sum(d: int, pairs: Iterable[tuple[complex, PolynomialSymbol]]) -> PolynomialSymbol:
+    """sum_i w_i p_i, added into one dict in the order given and built once."""
+    out: dict[MultiIndex, complex] = {}
+    for w, p in pairs:
+        for k, v in p.terms.items():
+            out[k] = out.get(k, 0.0) + v * w
+    return PolynomialSymbol(d, out)
+
+
+def _add_partials(table: dict[MultiIndex, PolynomialSymbol], order: int) -> None:
+    """Add the nonzero mixed partials of total order `order` to a table
+    {gamma: d^gamma p} holding those of order - 1; each is one derivative,
+    along its first nonzero axis, of a table entry."""
+    for gamma in _compositions(order, len(next(iter(table)))):
+        axis = next(i for i, g in enumerate(gamma) if g > 0)
+        parent = table.get(gamma[:axis] + (gamma[axis] - 1,) + gamma[axis + 1 :])
+        if parent is not None and not (part := parent.derivative(axis)).is_zero():
+            table[gamma] = part
+
+
+def _star_series(a: PolynomialSymbol, b: PolynomialSymbol, hbar: float,
+                 first: int = 0) -> Iterator[tuple[int, complex, PolynomialSymbol]]:
+    """Yield (r, (i*hbar/2)^r / r!, B^r(a, b)) for r = first .. min(deg a, deg b).
+
+    B^r vanishes beyond the smaller degree, so this is the whole Moyal
+    series.  Each mixed partial of a and of b is taken once and shared
+    by every order that uses it.
+    """
+    a._require_same_d(b)
+    d = a.d
+    partials_a, partials_b = {(0,) * (2 * d): a}, {(0,) * (2 * d): b}
+    for r in range(min(a.degree(), b.degree()) + 1):
+        if r > 0:
+            _add_partials(partials_a, r)
+            _add_partials(partials_b, r)
+        if r < first:
+            continue
+        rfact = math.factorial(r)
+        pairs = []
+        for ra in range(r + 1):
+            for alpha in _compositions(ra, d):
+                for beta in _compositions(r - ra, d):
+                    da = partials_a.get(alpha + beta)
+                    db = partials_b.get(beta + alpha)
+                    if da is not None and db is not None:
+                        weight = rfact // (_multi_factorial(alpha) * _multi_factorial(beta))
+                        pairs.append((-weight if (r - ra) % 2 else weight, da * db))
+        yield r, (1j * hbar / 2) ** r / rfact, _weighted_sum(d, pairs)
 
 
 def bidifferential_power(a: PolynomialSymbol, b: PolynomialSymbol, j: int) -> PolynomialSymbol:
@@ -352,31 +389,11 @@ def bidifferential_power(a: PolynomialSymbol, b: PolynomialSymbol, j: int) -> Po
 
     B^1 is the Poisson bracket {a, b}.
     """
-    if a.d != b.d:
-        raise DimensionMismatch(f"cannot combine symbols with d={a.d} and d={b.d}")
     if j < 0:
         raise ValueError(f"bidifferential order must be >= 0, got {j}")
-    if j == 0:
-        return a * b
-    d = a.d
-    cache_a: dict[MultiIndex, PolynomialSymbol] = {(0,) * (2 * d): a}
-    cache_b: dict[MultiIndex, PolynomialSymbol] = {(0,) * (2 * d): b}
-    out = PolynomialSymbol.zero(d)
-    jfact = math.factorial(j)
-    for ja in range(j + 1):
-        jb = j - ja
-        for alpha in _compositions(ja, d):
-            for beta in _compositions(jb, d):
-                da = _partial(a, alpha + beta, cache_a)
-                if da.is_zero():
-                    continue
-                db = _partial(b, beta + alpha, cache_b)
-                if db.is_zero():
-                    continue
-                weight = jfact // (_multi_factorial(alpha) * _multi_factorial(beta))
-                sign = -1 if jb % 2 else 1
-                out = out + (sign * weight) * (da * db)
-    return out
+    for _, _, term in _star_series(a, b, 1.0, first=j):
+        return term
+    return PolynomialSymbol.zero(a.d)
 
 
 def poisson_bracket(a: PolynomialSymbol, b: PolynomialSymbol) -> PolynomialSymbol:
@@ -390,22 +407,12 @@ def moyal_star(a: PolynomialSymbol, b: PolynomialSymbol, hbar: float) -> Polynom
     The expansion terminates at j = min(deg a, deg b), so the result is
     exact.  hbar = 0 is accepted and returns the commutative product.
     """
-    if a.d != b.d:
-        raise DimensionMismatch(f"cannot combine symbols with d={a.d} and d={b.d}")
+    a._require_same_d(b)
     if hbar < 0:
         raise ValueError(f"hbar must be >= 0, got {hbar}")
-    if a.is_zero() or b.is_zero():
-        return PolynomialSymbol.zero(a.d)
-    out = a * b
-    jmax = min(a.degree(), b.degree())
     if hbar == 0:
-        return out
-    for j in range(1, jmax + 1):
-        coeff = (1j * hbar / 2) ** j / math.factorial(j)
-        term = bidifferential_power(a, b, j)
-        if not term.is_zero():
-            out = out + coeff * term
-    return out
+        return a * b
+    return _weighted_sum(a.d, ((coeff, term) for _, coeff, term in _star_series(a, b, hbar)))
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +498,8 @@ class GradedSymbol:
         """Numeric symbol sum_j Lambda^(m-j) q_j at a concrete Lambda >= 1."""
         if lam < 1:
             raise ValueError(f"Lambda must be >= 1, got {lam}")
-        out = PolynomialSymbol.zero(self.d)
-        for j, q in self.levels.items():
-            out = out + float(lam) ** float(self.m - j) * q
-        return out
+        return _weighted_sum(self.d, ((float(lam) ** float(self.m - j), q)
+                                      for j, q in self.levels.items()))
 
     def max_degree(self) -> int:
         return max((q.degree() for q in self.levels.values()), default=-1)
@@ -537,17 +542,12 @@ def graded_star(p: GradedSymbol, q: GradedSymbol) -> GradedSymbol:
     """
     if p.d != q.d:
         raise DimensionMismatch(f"cannot compose symbols with d={p.d} and d={q.d}")
-    levels: dict[int, PolynomialSymbol] = {}
+    pairs: dict[int, list[tuple[complex, PolynomialSymbol]]] = {}
     for jp, a in p.levels.items():
         for jq, b in q.levels.items():
-            rmax = min(a.degree(), b.degree())
-            for r in range(rmax + 1):
-                term = bidifferential_power(a, b, r)
-                if term.is_zero():
-                    continue
-                term = ((0.5j) ** r / math.factorial(r)) * term
-                J = jp + jq + r
-                levels[J] = levels.get(J, PolynomialSymbol.zero(p.d)) + term
+            for r, coeff, term in _star_series(a, b, 1.0):
+                pairs.setdefault(jp + jq + r, []).append((coeff, term))
+    levels = {J: _weighted_sum(p.d, terms) for J, terms in pairs.items()}
     return GradedSymbol(p.d, p.k + q.k, levels, m=p.m + q.m)
 
 
@@ -595,31 +595,21 @@ class HalfGradedPolynomial:
         return f"HalfGradedPolynomial(d={self.d}, [{'; '.join(chunks)}])"
 
 
-def scale_symbol(p: GradedSymbol, fold: bool = False,
-                 lam: float | None = None) -> HalfGradedPolynomial | PolynomialSymbol:
+def scale_symbol(p: GradedSymbol) -> HalfGradedPolynomial:
     """Rescale a graded symbol to the unit model scale.
 
     Conjugating the hbar = 1/Lambda quantization by the metaplectic
     dilation that maps each variable to Lambda^(-1/2) times itself sends
     a level-j monomial of transverse degree l to the same monomial with
     Lambda-exponent e = m - j - l/2.  Exponents are tracked as doubled
-    integers; a non-half-integer m raises GradingError.
-
-    With fold=True (requires a numeric `lam`), the Lambda^e weights are
-    folded into the coefficients and a plain PolynomialSymbol comes back.
+    integers; a non-half-integer m raises GradingError.  Fold the result
+    at a numeric Lambda for a plain PolynomialSymbol:
+    scale_symbol(p).fold(lam).
     """
     two_m = p.m * 2
     if two_m.denominator != 1:
         raise GradingError(f"order m={p.m} is not a half-integer; exponents 2e leave Z")
-    terms: dict[tuple[MultiIndex, int], complex] = {}
-    for j, q in p.levels.items():
-        for idx, c in q.terms.items():
-            e2 = int(two_m) - 2 * j - sum(idx)
-            key = (idx, e2)
-            terms[key] = terms.get(key, 0.0) + c
-    half = HalfGradedPolynomial(p.d, terms)
-    if fold:
-        if lam is None:
-            raise ValueError("fold=True requires a numeric Lambda")
-        return half.fold(lam)
-    return half
+    # (idx, e2) never repeats: for one idx, levels differ in e2
+    return HalfGradedPolynomial(p.d, {(idx, int(two_m) - 2 * j - sum(idx)): c
+                                      for j, q in p.levels.items()
+                                      for idx, c in q.terms.items()})

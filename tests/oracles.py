@@ -127,6 +127,48 @@ def trace_plus_oracle(hessian):
     return float(np.sum(eigs.imag[eigs.imag > 1e-12]))
 
 
+def falling_factorial(n, k):
+    """n (n-1) ... (n-k+1); zero when k > n."""
+    out = 1
+    for i in range(k):
+        out *= n - i
+    return out
+
+
+def bidifferential_oracle(a_terms, b_terms, d, j):
+    """B^j(a, b) summed monomial pair by monomial pair, as a dict
+    {multi-index: coefficient}; a_terms and b_terms are such dicts too.
+
+    For a = y^p eta^q and b = y^s eta^t (multi-indices in N^d),
+
+        B^j(a, b) = sum_{|alpha|+|beta|=j} j!/(alpha! beta!) (-1)^|beta|
+                    [p]_alpha [q]_beta [t]_alpha [s]_beta
+                    y^(p-alpha+s-beta) eta^(q-beta+t-alpha)
+
+    with [n]_k the falling factorial, taken per mode and multiplied.
+    """
+    orders = [ab for ab in itertools.product(range(j + 1), repeat=2 * d) if sum(ab) == j]
+    out = {}
+    for ka, ca in a_terms.items():
+        p, q = ka[:d], ka[d:]
+        for kb, cb in b_terms.items():
+            s, t = kb[:d], kb[d:]
+            for ab in orders:
+                alpha, beta = ab[:d], ab[d:]
+                w = math.factorial(j) * (-1) ** sum(beta)
+                for i in range(d):
+                    w //= math.factorial(alpha[i]) * math.factorial(beta[i])
+                for i in range(d):
+                    w *= (falling_factorial(p[i], alpha[i]) * falling_factorial(q[i], beta[i])
+                          * falling_factorial(t[i], alpha[i]) * falling_factorial(s[i], beta[i]))
+                if w == 0:
+                    continue
+                key = (tuple(p[i] - alpha[i] + s[i] - beta[i] for i in range(d))
+                       + tuple(q[i] - beta[i] + t[i] - alpha[i] for i in range(d)))
+                out[key] = out.get(key, 0.0) + w * ca * cb
+    return out
+
+
 def random_polynomial(rng, d, max_degree, n_terms=6, real=True):
     """Random polynomial symbol with small integer-ish coefficients."""
     terms = {}

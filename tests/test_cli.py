@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -85,9 +86,15 @@ def test_traceplus_indefinite_is_invalid_input(capsys):
     assert "hypothesis violated" in capsys.readouterr().err
 
 
-def test_traceplus_malformed_matrix(capsys):
+def test_traceplus_malformed_matrix(tmp_path, capsys):
     assert main(["traceplus", "--h", "1 2; 3"]) == 2
     assert "error:" in capsys.readouterr().err
+    # malformed JSON, a ragged array, non-numeric entries
+    for i, text in enumerate(['[1, 2', '[[1,2],[3]]', '[["a","b"],["c","d"]]']):
+        path = tmp_path / f"h{i}.json"
+        path.write_text(text)
+        assert main(["traceplus", "--h-file", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_traceplus_odd_size_matrix(capsys):
@@ -142,6 +149,22 @@ def test_localize_non_hermitian_model_is_invalid_input(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "not Hermitian" in captured.err
     assert "verdict: pass" not in captured.out
+
+
+def test_localize_walks_the_ladder_once(tmp_path, monkeypatch, capsys):
+    # the package's `localize` attribute is the function, not the module
+    module = importlib.import_module("melinlab.localize")
+    calls = []
+    original = module.truncation_sweep
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "truncation_sweep", counting)
+    assert main(["localize", write_model(tmp_path)]) == 0
+    assert "lambda_min = 3" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_localize_missing_file(capsys):
@@ -268,6 +291,15 @@ def test_phase_json_summary(tmp_path, capsys):
     assert data["points"] == 4
     assert data["skipped"] == 0
     assert data["max_error"] < 1e-9
+
+
+def test_phase_rejects_bad_counts(tmp_path, capsys):
+    # a fractional count, and a grid far past the point limit
+    for key, rng in (("alpha", [1, 2, 2.5]), ("s", [0, 0, 1e12])):
+        model = write_model(tmp_path, phase={**PHASE_SECTION, key: rng})
+        assert main(["phase", model]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from melinlab.symbols import (
     y,
 )
 
-from oracles import random_polynomial
+from oracles import bidifferential_oracle, random_polynomial
 
 
 def coeff_distance(a, b):
@@ -274,7 +274,7 @@ def test_scale_symbol_exponents():
 def test_scale_symbol_fold_matches_manual_weights():
     g = quartic_model(sub_coeff=2.0)
     lam = 9.0
-    folded = scale_symbol(g, fold=True, lam=lam)
+    folded = scale_symbol(g).fold(lam)
     expect = lam ** -2.0 * (harmonic() ** 2 + 2.0 * harmonic())
     assert coeff_distance(folded, expect) <= 1e-15
 
@@ -293,3 +293,75 @@ def test_half_graded_rejects_non_integer_doubled_exponent():
 def test_half_graded_fold_halves_exponent():
     h = HalfGradedPolynomial(1, {((1, 0), -1): 2.0})
     assert h.fold(4.0).terms[(1, 0)] == pytest.approx(1.0, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The star series against a monomial-pair oracle
+# ---------------------------------------------------------------------------
+
+
+def seeded_symbol(rng, d, degree):
+    """A random complex symbol of total degree <= degree with non-integer
+    coefficients, so roundoff in the algebra is actually exercised."""
+    p = random_polynomial(rng, d, degree, n_terms=8, real=False)
+    return PolynomialSymbol(d, {k: c * rng.uniform(0.5, 1.5) for k, c in p.terms.items()})
+
+
+def oracle_distance(p, expect):
+    """Largest coefficient deviation relative to the largest expected one."""
+    keys = set(p.terms) | set(expect)
+    worst = max((abs(p.terms.get(k, 0.0) - expect.get(k, 0.0)) for k in keys), default=0.0)
+    scale = max((abs(v) for v in expect.values()), default=0.0)
+    return worst / (scale or 1.0)
+
+
+def oracle_sum(weighted):
+    out = {}
+    for w, terms in weighted:
+        for k, v in terms.items():
+            out[k] = out.get(k, 0.0) + w * v
+    return out
+
+
+def star_oracle_pairs(seed):
+    rng = np.random.default_rng(seed)
+    for d in (1, 2):
+        for deg_a, deg_b in ((2, 3), (4, 4), (6, 5), (6, 6)):
+            yield seeded_symbol(rng, d, deg_a), seeded_symbol(rng, d, deg_b)
+
+
+def test_bidifferential_power_matches_monomial_oracle():
+    for a, b in star_oracle_pairs(11):
+        for j in range(min(a.degree(), b.degree()) + 1):
+            expect = bidifferential_oracle(a.terms, b.terms, a.d, j)
+            assert oracle_distance(bidifferential_power(a, b, j), expect) <= 1e-13, (a.d, j)
+
+
+def test_moyal_star_matches_monomial_oracle():
+    for a, b in star_oracle_pairs(12):
+        rmax = min(a.degree(), b.degree())
+        for hbar in (0.3, 1.0):
+            expect = oracle_sum(
+                ((1j * hbar / 2) ** r / math.factorial(r),
+                 bidifferential_oracle(a.terms, b.terms, a.d, r))
+                for r in range(rmax + 1))
+            assert oracle_distance(moyal_star(a, b, hbar), expect) <= 1e-13, (a.d, hbar)
+
+
+def test_graded_star_levels_match_monomial_oracle():
+    rng = np.random.default_rng(13)
+    for d in (1, 2):
+        p = GradedSymbol(d, 2, {0: seeded_symbol(rng, d, 6), 1: seeded_symbol(rng, d, 4)})
+        q = GradedSymbol(d, 1, {0: seeded_symbol(rng, d, 5), 2: seeded_symbol(rng, d, 3)})
+        expect = {}
+        for jp, a in p.levels.items():
+            for jq, b in q.levels.items():
+                for r in range(min(a.degree(), b.degree()) + 1):
+                    expect.setdefault(jp + jq + r, []).append(
+                        ((0.5j) ** r / math.factorial(r),
+                         bidifferential_oracle(a.terms, b.terms, d, r)))
+        g = graded_star(p, q)
+        assert set(g.levels) <= set(expect)
+        for level, weighted in expect.items():
+            got = g.levels.get(level, PolynomialSymbol.zero(d))
+            assert oracle_distance(got, oracle_sum(weighted)) <= 1e-13, (d, level)
