@@ -17,6 +17,7 @@ from .errors import (
     MonotonicityError,
     NonHermitianError,
     PositivityError,
+    ResourceLimitError,
     VanishingOrderError,
 )
 from .invariants import (
@@ -84,6 +85,7 @@ __all__ = [
     # errors
     "MelinLabError", "DimensionMismatch", "VanishingOrderError", "GradingError",
     "PositivityError", "NonHermitianError", "MonotonicityError", "ModelFileError",
+    "ResourceLimitError",
     # symbols
     "PolynomialSymbol", "GradedSymbol", "HalfGradedPolynomial", "y", "eta",
     "moyal_star", "bidifferential_power", "poisson_bracket", "graded_star",

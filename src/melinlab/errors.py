@@ -39,3 +39,8 @@ class MonotonicityError(MelinLabError):
 
 class ModelFileError(MelinLabError):
     """A model file or symbol literal failed schema validation."""
+
+
+class ResourceLimitError(MelinLabError):
+    """A computation would exceed a stated size limit; raised before
+    anything of that size is allocated."""

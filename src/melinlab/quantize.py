@@ -26,7 +26,21 @@ rung is one dense N^d x N^d write of the Kronecker products of those
 bands (one per distinct second-mode factor; a single one for d = 1).
 weyl_quantize is the one-rung ladder.
 
-Everything here is desk scale: d <= 2 modes and N <= 256 per mode.
+Parity sectors.  The Weyl matrix of y_s^a eta_s^b changes n_s by
+amounts of the parity of a + b, so a symbol whose monomials all have
+even degree in every mode commutes with each (-1)^{N_s}, and one whose
+monomials all have even total degree commutes with (-1)^{N_1 + N_2}.
+The ladder reads this from the exponents and marks each rung with its
+sector index sets (2^d sectors split by the parity of each n_s, or 2
+split by the parity of n_1 + n_2, or none); entries between sectors
+are exactly zero, and lowest_eigenvalue takes the bottom over the
+sector blocks.
+
+Everything here is desk scale: d <= 2 modes and N <= 256 per mode, and
+a dense block of at most MAX_DENSE_DIM = 4096 rows (d = 2 up to
+N = 64).  A ladder whose top rung is larger raises ResourceLimitError
+before anything is peeled or allocated, so the default d = 2 ladder
+(32, 64, 128) is rejected until a sparse path exists.
 """
 
 from __future__ import annotations
@@ -42,6 +56,7 @@ from .errors import (
     DimensionMismatch,
     MonotonicityError,
     NonHermitianError,
+    ResourceLimitError,
 )
 from .symbols import GradedSymbol, PolynomialSymbol, _compositions, scale_symbol
 
@@ -59,6 +74,7 @@ __all__ = [
 
 MAX_MODES = 2
 MAX_TRUNCATION = 256
+MAX_DENSE_DIM = 4096
 HERMITICITY_TOL = 1e-12
 MONOTONICITY_TOL = 1e-10
 
@@ -101,6 +117,10 @@ class OperatorMatrix:
     entries: np.ndarray = field(repr=False)
     # set by the quantizer once the entries passed its 1e-12 check
     hermitian: bool = field(default=False, init=False, repr=False, compare=False)
+    # set by the quantizer: flat indices of the Fock-parity sectors the
+    # operator leaves invariant (no entry couples two of them)
+    sectors: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False,
+                                                    compare=False)
 
     def __post_init__(self):
         self.entries.setflags(write=False)
@@ -208,15 +228,43 @@ def _block_geometry(band_shape: tuple[int, int], n: int, row_stride: int, col_st
     return source, offsets
 
 
+def _fock_digits(d: int, n: int) -> list[np.ndarray]:
+    """Per-mode Fock levels n_s of every flat index of the n^d block."""
+    flat = np.arange(n ** d)
+    return [(flat // n ** s) % n for s in range(d)]
+
+
 def _block_indices(d: int, size: int, n: int) -> np.ndarray:
     """Flat indices of the leading n-block inside a size^d tensor grid."""
-    b = np.arange(n ** d)
-    out = np.zeros_like(b)
-    rem = b
-    for s in range(d):
-        out = out + (rem % n) * size ** s
-        rem = rem // n
-    return out
+    return sum(level * size ** s for s, level in enumerate(_fock_digits(d, n)))
+
+
+def _parity_kind(p: PolynomialSymbol) -> str | None:
+    """The Fock parities the Weyl operator of p conserves: "mode" if
+    every monomial has even degree in each mode, else "total" if every
+    monomial has even total degree, else None."""
+    degrees = [[idx[s] + idx[p.d + s] for s in range(p.d)] for idx, _ in p.iter_terms()]
+    if all(deg % 2 == 0 for mono in degrees for deg in mono):
+        return "mode"
+    if all(sum(mono) % 2 == 0 for mono in degrees):
+        return "total"
+    return None
+
+
+@functools.lru_cache(maxsize=64)
+def _sectors(d: int, n: int, kind: str) -> tuple[np.ndarray, ...]:
+    """Flat indices of the parity sectors of the n^d block: 2^d sectors
+    labelled by the parity of each n_s ("mode"), or 2 by the parity of
+    their sum ("total")."""
+    digits = _fock_digits(d, n)
+    if kind == "mode":
+        label, count = sum((level % 2) << s for s, level in enumerate(digits)), 2 ** d
+    else:
+        label, count = sum(digits) % 2, 2
+    sectors = tuple(np.flatnonzero(label == v) for v in range(count))
+    for idx in sectors:
+        idx.setflags(write=False)
+    return sectors
 
 
 def _check_hermitian(m: np.ndarray, tol: float, what: str) -> None:
@@ -273,7 +321,9 @@ def _ladder(p: PolynomialSymbol, hbar: float, ns: list[int]) -> Iterator[Operato
     The band stage runs once, at per-mode size ns[-1] + deg(p); a rung's
     block is assembled only when the consumer asks for it, so stopping
     early never allocates a larger dense block.  Blocks of real symbols
-    are checked Hermitian to 1e-12 and marked so.
+    are checked Hermitian to 1e-12 and marked so; every block is marked
+    with the parity sectors the symbol conserves.  A top rung of more
+    than MAX_DENSE_DIM rows raises ResourceLimitError up front.
     """
     if p.d > MAX_MODES:
         raise DimensionMismatch(f"quantization supports d <= {MAX_MODES}, got d={p.d}")
@@ -283,15 +333,23 @@ def _ladder(p: PolynomialSymbol, hbar: float, ns: list[int]) -> Iterator[Operato
         raise ValueError(f"truncations must satisfy 2 <= n <= {MAX_TRUNCATION}, got {ns}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"truncations must be strictly increasing, got {ns}")
+    dim = ns[-1] ** p.d
+    if dim > MAX_DENSE_DIM:
+        raise ResourceLimitError(
+            f"d={p.d}, N={ns[-1]} needs a dense block of dimension {dim}, above the "
+            f"limit {MAX_DENSE_DIM} (d=2 runs up to N=64 until a sparse path exists)"
+        )
     size = ns[-1] + max(p.degree(), 0)
     bands = _bands(p, hbar, size)
     real = p.is_real()
+    kind = _parity_kind(p)
     for n in ns:
         entries = _block(p.d, bands, n)
         if real:
             _check_hermitian(entries, HERMITICITY_TOL, "real symbol produced non-Hermitian matrix")
         rung = OperatorMatrix(d=p.d, n=n, hbar=hbar, pad=size - n, entries=entries)
         rung.hermitian = real
+        rung.sectors = _sectors(p.d, n, kind) if kind else None
         yield rung
 
 
@@ -337,8 +395,7 @@ def number_operator(k: int, d: int, n: int) -> OperatorMatrix:
         return out
 
     dim = n ** d
-    flat = np.arange(dim)
-    digits = [(flat // n ** s) % n for s in range(d)]
+    digits = _fock_digits(d, n)
     diag = np.zeros(dim)
     for total_order in range(k + 1):
         for alpha in _compositions(total_order, d):
@@ -355,12 +412,18 @@ def lowest_eigenvalue(m: OperatorMatrix | np.ndarray) -> float:
 
     Raises NonHermitianError if the entries deviate from Hermitian
     symmetry by more than 1e-10; quantized real symbols, already checked
-    to 1e-12, are not checked again.
+    to 1e-12, are not checked again.  A quantized matrix marked with
+    parity sectors is block diagonal in them, and its bottom is the
+    minimum of eigvalsh over the sector blocks; any other matrix is
+    solved whole.
     """
     entries = m.entries if isinstance(m, OperatorMatrix) else np.asarray(m)
     if not getattr(m, "hermitian", False):
         _check_hermitian(entries, 1e-10, "matrix is not Hermitian")
-    return float(np.linalg.eigvalsh(entries)[0])
+    sectors = getattr(m, "sectors", None)
+    if not sectors:
+        return float(np.linalg.eigvalsh(entries)[0])
+    return float(min(np.linalg.eigvalsh(entries[np.ix_(idx, idx)])[0] for idx in sectors))
 
 
 @dataclass

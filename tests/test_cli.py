@@ -167,6 +167,20 @@ def test_localize_walks_the_ladder_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_localize_d2_default_ladder_is_rejected_before_allocating(tmp_path, capsys):
+    # the default ladder (32, 64, 128) tops out at a 16384-row dense block
+    quartic = [{"c": [1, 0], "y": ys, "eta": es} for ys, es in
+               (([4, 0], [0, 0]), ([0, 0], [4, 0]), ([0, 4], [0, 0]), ([0, 0], [0, 4]))]
+    quadratic = [{"c": [1, 0], "y": ys, "eta": es} for ys, es in
+                 (([2, 0], [0, 0]), ([0, 0], [2, 0]), ([0, 2], [0, 0]), ([0, 0], [0, 2]))]
+    path = tmp_path / "mode2.json"
+    path.write_text(json.dumps({"d": 2, "m": 0, "k": 2, "levels": [
+        {"j": 0, "terms": quartic}, {"j": 1, "terms": quadratic}]}))
+    assert main(["localize", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "d=2, N=128" in err and "dimension 16384" in err and "limit 4096" in err
+
+
 def test_localize_missing_file(capsys):
     assert main(["localize", "/nonexistent/model.json"]) == 2
     assert "cannot read model file" in capsys.readouterr().err

@@ -5,10 +5,18 @@ import sys
 import numpy as np
 import pytest
 
-from melinlab.errors import DimensionMismatch, MonotonicityError, NonHermitianError
+from melinlab.errors import (
+    DimensionMismatch,
+    MonotonicityError,
+    NonHermitianError,
+    ResourceLimitError,
+)
 from melinlab.models import harmonic_symbol, quartic_model
+from melinlab import quantize
 from melinlab.quantize import (
+    MAX_DENSE_DIM,
     TruncationSweep,
+    _ladder,
     _mode_band,
     conjugation_residual,
     ladder,
@@ -306,6 +314,71 @@ def test_truncation_sweep_rejects_non_hermitian_symbols():
     q = y() ** 4 + eta() ** 4 + (1e-14j) * y() ** 2
     assert truncation_sweep(q, 1.0, [8, 16]).values == pytest.approx(
         truncation_sweep(y() ** 4 + eta() ** 4, 1.0, [8, 16]).values, abs=1e-12)
+
+
+# (symbol, ladder, sector count): even in each mode, total parity only
+# (the coupling y1 eta2 flips both mode parities), and mixed parity
+PARITY_CASES = [
+    ((y() ** 2 + eta() ** 2) ** 2 + 0.5 * (y() * eta()) ** 2 + 0.3 * y() ** 2, [32, 256], 2),
+    ((y(2, 0) ** 2 + eta(2, 0) ** 2) ** 2 + y(2, 1) ** 4 + 0.3 * (y(2, 0) * eta(2, 1)) ** 2
+     + eta(2, 1) ** 2 + 0.2 * (y(2, 0) * eta(2, 0)), [8, 16], 4),
+    (y(2, 0) * eta(2, 1) + harmonic_symbol(2), [8, 16], 2),
+    (y() ** 4 + eta() ** 2 + 0.3 * y(), [16, 64], 0),
+]
+
+
+@pytest.mark.parametrize("p, ns, count", PARITY_CASES)
+def test_parity_sectors_split_every_rung_exactly(p, ns, count):
+    for rung in _ladder(p, 0.7, ns):
+        full = np.linalg.eigvalsh(rung.entries)[0]
+        if not count:
+            assert rung.sectors is None
+            assert lowest_eigenvalue(rung) == full
+            continue
+        assert len(rung.sectors) == count
+        label = np.full(rung.dim, -1)
+        for v, idx in enumerate(rung.sectors):
+            assert (label[idx] == -1).all()
+            label[idx] = v
+        assert (label >= 0).all()
+        assert (rung.entries[label[:, None] != label[None, :]] == 0).all()
+        assert abs(lowest_eigenvalue(rung) - full) <= 1e-12 * abs(full)
+
+
+def test_parity_sector_bottom_at_high_degree_is_within_eigvalsh_roundoff():
+    # a degree-6 symbol at N=256 has max row sum ~4e7, so dense eigvalsh
+    # is only good to about eps * ||M|| (~1e-12 relative here) whether it
+    # reads the sector blocks or the whole matrix
+    m = weyl_quantize(y() ** 6 + eta() ** 4 + 0.5 * (y() * eta()) ** 2 + y() ** 2, 0.7, 256)
+    full = np.linalg.eigvalsh(m.entries)[0]
+    norm = np.abs(m.entries).sum(axis=1).max()
+    assert abs(lowest_eigenvalue(m) - full) <= 4 * np.finfo(float).eps * norm
+
+
+def test_parity_sectors_are_shared_and_marked_only_by_the_quantizer():
+    even = harmonic_symbol(2)
+    a = weyl_quantize(even, 1.0, 6)
+    assert a.sectors is weyl_quantize(even * even, 0.5, 6).sectors
+    assert number_operator(2, 2, 4).sectors is None
+    with pytest.raises(TypeError):
+        quantize.OperatorMatrix(d=1, n=2, hbar=1.0, pad=0, entries=np.eye(2), sectors=None)
+    # the Hermiticity check still comes before the sector blocks
+    skew = weyl_quantize(y() ** 4 + eta() ** 4 + 1j * (y() * eta()), 1.0, 16)
+    assert skew.sectors is not None
+    with pytest.raises(NonHermitianError):
+        lowest_eigenvalue(skew)
+
+
+def test_dense_limit_rejects_before_peeling(monkeypatch):
+    def no_bands(*args):
+        raise AssertionError("band stage reached")
+
+    monkeypatch.setattr(quantize, "_bands", no_bands)
+    p = harmonic_symbol(2)
+    for n, ns in ((65, None), (128, [32, 64, 128])):
+        with pytest.raises(ResourceLimitError, match=str(MAX_DENSE_DIM)) as err:
+            truncation_sweep(p, 1.0, ns) if ns else weyl_quantize(p, 1.0, n)
+        assert f"N={n}" in str(err.value) and f"dimension {n * n}" in str(err.value)
 
 
 def test_quantize_and_eigensolve_do_not_import_scipy():
