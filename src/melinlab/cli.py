@@ -19,8 +19,8 @@ import numpy as np
 from .errors import MelinLabError, ModelFileError, PositivityError
 from .invariants import QuadraticData, fundamental_matrix, melin_quantity, trace_plus
 from .localize import hypothesis_check, localize
-from .modelfile import load_model_file, load_symbol_literal, sweep_spec_from_model
-from .sweep import emit_report, lambda_sweep, melin_phase_diagram
+from .modelfile import _PHASE_AXES, load_model_file, load_symbol_literal, sweep_spec_from_model
+from .sweep import PHASE_TRUNCATION, emit_report, lambda_sweep, melin_phase_diagram, render_report
 from .symbols import moyal_star
 
 EXIT_OK = 0
@@ -161,7 +161,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     report = lambda_sweep(spec, workers=workers)
     emit_report(report, args.format, args.out)
     if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
+        print(render_report(report, "json").decode(), end="")
     else:
         for r in report.rows:
             print(
@@ -183,15 +183,12 @@ def cmd_phase(args: argparse.Namespace) -> int:
     if phase_section is None:
         raise ModelFileError(f"model file {args.model} has no \"phase\" section")
     del symbol  # the phase grid is defined by its own section
-    rng = {}
-    for key in ("alpha", "beta", "gamma", "s"):
-        lo, hi, count = phase_section[key]
-        rng[key] = np.linspace(lo, hi, int(count))
-    workers = _resolve_workers(args.workers)
+    axes = [np.linspace(lo, hi, int(count))
+            for lo, hi, count in (phase_section[ax] for ax in _PHASE_AXES)]
     report = melin_phase_diagram(
-        rng["alpha"], rng["beta"], rng["gamma"], rng["s"],
-        truncation=phase_section.get("truncation", 64),
-        workers=workers,
+        *axes,
+        truncation=phase_section.get("truncation", PHASE_TRUNCATION),
+        workers=_resolve_workers(args.workers),
     )
     if args.out:
         emit_report(report, args.format, args.out)

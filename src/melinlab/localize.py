@@ -28,7 +28,6 @@ from .errors import GradingError, NonHermitianError, VanishingOrderError
 from .quantize import (
     OperatorMatrix,
     TruncationSweep,
-    _block_indices,
     truncation_sweep,
     weyl_quantize,
 )
@@ -266,9 +265,9 @@ def localization_product_check(p: GradedSymbol, q: GradedSymbol,
 
     lhs = weyl_quantize(sym_g, 1.0, n).entries
     pad = max(sym_p.degree(), 0) + max(sym_q.degree(), 0)
-    big_n = n + pad
-    a = weyl_quantize(sym_p, 1.0, big_n).entries
-    b = weyl_quantize(sym_q, 1.0, big_n).entries
-    block = _block_indices(p.d, big_n, n)
-    rhs = (a @ b)[np.ix_(block, block)]
+    grid, block = (n + pad,) * p.d, (slice(n),) * p.d
+    # rows of a and columns of b in the leading n-block of each mode
+    a = weyl_quantize(sym_p, 1.0, n + pad).entries.reshape(grid + (-1,))[block]
+    b = weyl_quantize(sym_q, 1.0, n + pad).entries.reshape((-1,) + grid)[(..., *block)]
+    rhs = a.reshape(n ** p.d, -1) @ b.reshape(-1, n ** p.d)
     return float(np.abs(lhs - rhs).max())

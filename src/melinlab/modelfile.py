@@ -12,10 +12,12 @@ sections:
                 "gamma": [0.7, 2.5, 10], "s": [-1, 1, 5], "truncation": 64}
     }
 
-Each phase range is [low, high, count] with an integer count >= 1, and
-the grid (the product of the four counts) may hold at most 10^6 points.
-Unknown keys are rejected at every nesting level; all validation runs
-before any computation.
+Input limits: d <= MAX_MODES = 2; every truncation (sweep and phase) is
+an integer from 2 to MAX_TRUNCATION = 256; Lambda >= 1, and Lambda^k
+must fit a double.  Each phase range is [low, high, count] with an
+integer count >= 1, and the grid (the product of the four counts) may
+hold at most 10^6 points.  Unknown keys are rejected at every nesting
+level; all validation runs before any computation.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 from .errors import ModelFileError
+from .quantize import MAX_MODES, MAX_TRUNCATION
 from .symbols import GradedSymbol, PolynomialSymbol
 from .sweep import ModelSpec
 
@@ -40,6 +43,7 @@ _RANGE = {  # [low, high, count]
     "items": False,
     "minItems": 3,
 }
+_TRUNCATION = {"type": "integer", "minimum": 2, "maximum": MAX_TRUNCATION}
 _PHASE_AXES = ("alpha", "beta", "gamma", "s")
 _MAX_PHASE_POINTS = 10**6  # product of the four counts
 
@@ -48,7 +52,7 @@ MODEL_SCHEMA = {
     "additionalProperties": False,
     "required": ["d", "m", "k", "levels"],
     "properties": {
-        "d": {"type": "integer", "minimum": 1, "maximum": 2},
+        "d": {"type": "integer", "minimum": 1, "maximum": MAX_MODES},
         "m": {"type": "number"},
         "k": {"type": "integer", "minimum": 0},
         "levels": {
@@ -98,7 +102,7 @@ MODEL_SCHEMA = {
                 },
                 "truncations": {
                     "type": "array",
-                    "items": {"type": "integer", "minimum": 2},
+                    "items": _TRUNCATION,
                     "minItems": 1,
                 },
                 "limit_tol": {"type": "number", "exclusiveMinimum": 0},
@@ -108,14 +112,8 @@ MODEL_SCHEMA = {
         "phase": {
             "type": "object",
             "additionalProperties": False,
-            "required": ["alpha", "beta", "gamma", "s"],
-            "properties": {
-                "alpha": _RANGE,
-                "beta": _RANGE,
-                "gamma": _RANGE,
-                "s": _RANGE,
-                "truncation": {"type": "integer", "minimum": 2, "maximum": 256},
-            },
+            "required": list(_PHASE_AXES),
+            "properties": {**dict.fromkeys(_PHASE_AXES, _RANGE), "truncation": _TRUNCATION},
         },
     },
 }
@@ -190,12 +188,6 @@ def load_model_file(path: str) -> tuple[GradedSymbol, dict | None, dict | None]:
 def sweep_spec_from_model(symbol: GradedSymbol, section: dict) -> ModelSpec:
     """Build the sweep spec from a validated model-file section."""
     try:
-        return ModelSpec(
-            symbol=symbol,
-            lambdas=section["lambdas"],
-            truncations=section["truncations"],
-            limit_tol=section.get("limit_tol", 0.05),
-            slope_tol=section.get("slope_tol", 0.05),
-        )
+        return ModelSpec(symbol=symbol, **section)
     except ValueError as exc:
         raise ModelFileError(f"sweep section invalid: {exc}") from exc

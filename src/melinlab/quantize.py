@@ -234,11 +234,6 @@ def _fock_digits(d: int, n: int) -> list[np.ndarray]:
     return [(flat // n ** s) % n for s in range(d)]
 
 
-def _block_indices(d: int, size: int, n: int) -> np.ndarray:
-    """Flat indices of the leading n-block inside a size^d tensor grid."""
-    return sum(level * size ** s for s, level in enumerate(_fock_digits(d, n)))
-
-
 def _parity_kind(p: PolynomialSymbol) -> str | None:
     """The Fock parities the Weyl operator of p conserves: "mode" if
     every monomial has even degree in each mode, else "total" if every

@@ -17,18 +17,19 @@ closed-form s + tr+/2.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from .errors import MelinLabError
 from .invariants import QuadraticData, melin_quantity
 from .localize import hypothesis_check
-from .quantize import MAX_TRUNCATION, _ladder, lowest_eigenvalue, weyl_quantize
+from .quantize import MAX_TRUNCATION, TruncationSweep, _ladder, lowest_eigenvalue, weyl_quantize
 from .symbols import GradedSymbol, PolynomialSymbol
 
 __all__ = [
@@ -45,7 +46,7 @@ __all__ = [
 
 CONVERGENCE_REL = 1e-8
 CONVERGENCE_ABS = 1e-12
-CSV_HEADER = ["lambda", "n_used", "lambda_min", "scaled", "reference"]
+PHASE_TRUNCATION = 64
 
 
 @dataclass
@@ -72,12 +73,23 @@ class ModelSpec:
             raise ValueError(f"Lambda values must be >= 1, got {self.lambdas}")
         if any(b <= a for a, b in zip(self.lambdas, self.lambdas[1:])):
             raise ValueError(f"Lambda values must be strictly increasing, got {self.lambdas}")
+        if not _power_fits(self.lambdas[-1], self.symbol.k):
+            raise ValueError(f"Lambda^k overflows a double at Lambda={self.lambdas[-1]:g}, "
+                             f"k={self.symbol.k}")
         if not self.truncations:
             raise ValueError("need at least one truncation")
-        if any(v < 2 for v in self.truncations):
-            raise ValueError(f"truncations must be >= 2, got {self.truncations}")
+        if any(not 2 <= v <= MAX_TRUNCATION for v in self.truncations):
+            raise ValueError(f"truncations must lie in [2, {MAX_TRUNCATION}], "
+                             f"got {self.truncations}")
         if any(b <= a for a, b in zip(self.truncations, self.truncations[1:])):
             raise ValueError(f"truncations must be strictly increasing, got {self.truncations}")
+
+
+def _power_fits(base: float, k: int) -> bool:
+    try:
+        return math.isfinite(base) and math.isfinite(base ** k)
+    except OverflowError:
+        return False
 
 
 @dataclass
@@ -103,53 +115,15 @@ class SweepReport:
     notes: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "rows": [
-                {
-                    "lambda": r.lam,
-                    "n_used": r.n_used,
-                    "lambda_min": r.lambda_min,
-                    "scaled": r.scaled,
-                    "reference": r.reference,
-                }
-                for r in self.rows
-            ],
-            "slope": self.slope,
-            "reference": self.reference,
-            "hypothesis_ok": self.hypothesis_ok,
-            "verdict": self.verdict,
-            "reasons": list(self.reasons),
-            "notes": list(self.notes),
-        }
+        return _record(self)
 
     def _csv_rows(self) -> list[list]:
-        return [CSV_HEADER] + [
-            [_fmt(r.lam), r.n_used, _fmt(r.lambda_min), _fmt(r.scaled), _fmt(r.reference)]
-            for r in self.rows]
+        return _table(SweepRow, self.rows)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepReport":
-        rows = [
-            SweepRow(
-                lam=row["lambda"],
-                n_used=row["n_used"],
-                lambda_min=row["lambda_min"],
-                scaled=row["scaled"],
-                reference=row["reference"],
-            )
-            for row in data["rows"]
-        ]
-        return cls(
-            k=data["k"],
-            rows=rows,
-            slope=data["slope"],
-            reference=data["reference"],
-            hypothesis_ok=data["hypothesis_ok"],
-            verdict=data["verdict"],
-            reasons=list(data["reasons"]),
-            notes=list(data["notes"]),
-        )
+        rows = [_from_record(SweepRow, r) for r in data["rows"]]
+        return _from_record(cls, {**data, "rows": rows})
 
 
 def _converged_lowest(symbol: GradedSymbol, lam: float,
@@ -164,21 +138,26 @@ def _converged_lowest(symbol: GradedSymbol, lam: float,
     The symbol is folded with m = 0 and its bands are peeled once, at
     the cap; rungs are assembled from them one at a time, and none past
     the converged one.  Returns (value, n_used, note) with a note when
-    the cap is hit first.
+    the cap is hit first; the visited rungs pass the same monotonicity
+    gate as every TruncationSweep (MonotonicityError if a value rose).
     """
     folded = GradedSymbol(symbol.d, symbol.k, symbol.levels, m=0).fold(lam)
     ns = list(ladder)
     while ns[-1] * 2 <= MAX_TRUNCATION:
         ns.append(ns[-1] * 2)
     span = max(folded.degree(), 0) + 1
-    prev = prev_n = None
+    visited, values = [], []
+    note = f"Lambda={lam:g}: truncation cap {ns[-1]} hit before convergence"
     for rung in _ladder(folded, 1.0 / lam, ns):
-        val = lowest_eigenvalue(rung)
-        if (prev is not None and rung.n - prev_n >= span
-                and abs(val - prev) < CONVERGENCE_REL * abs(val) + CONVERGENCE_ABS):
-            return val, rung.n, None
-        prev, prev_n = val, rung.n
-    return val, prev_n, f"Lambda={lam:g}: truncation cap {prev_n} hit before convergence"
+        visited.append(rung.n)
+        values.append(lowest_eigenvalue(rung))
+        if (len(values) > 1 and visited[-1] - visited[-2] >= span
+                and abs(values[-1] - values[-2])
+                < CONVERGENCE_REL * abs(values[-1]) + CONVERGENCE_ABS):
+            note = None
+            break
+    TruncationSweep(visited, values)
+    return values[-1], visited[-1], note
 
 
 def lambda_sweep(spec: ModelSpec, workers: int = 1) -> SweepReport:
@@ -286,18 +265,13 @@ class PhaseReport:
     max_error: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "points": [vars(p).copy() for p in self.points],
-            "skipped": list(self.skipped),
-            "max_error": self.max_error,
-        }
+        return _record(self)
 
     def _csv_rows(self) -> list[list]:
-        return [[f.name for f in fields(PhasePoint)]] + [
-            [_fmt(v) for v in vars(p).values()] for p in self.points]
+        return _table(PhasePoint, self.points)
 
 
-def melin_phase_diagram(alphas, betas, gammas, svals, truncation: int = 64,
+def melin_phase_diagram(alphas, betas, gammas, svals, truncation: int = PHASE_TRUNCATION,
                         workers: int = 1) -> PhaseReport:
     """Compare lambda_min(quantize(Q0) + s) against s + tr+/2 on a grid.
 
@@ -346,8 +320,43 @@ def melin_phase_diagram(alphas, betas, gammas, svals, truncation: int = 64,
 # ---------------------------------------------------------------------------
 
 
+# The one report key that is not its dataclass field's name.
+_KEY_NAMES = {"lam": "lambda"}
+
+
+@functools.cache
+def _keys(cls) -> dict[str, str]:
+    """{field name: report key} of a report dataclass, in field order."""
+    return {f.name: _KEY_NAMES.get(f.name, f.name) for f in fields(cls)}
+
+
+def _record(obj) -> dict:
+    """A report dataclass as {key: value} in field order; lists are copied
+    and the rows in them become records too."""
+    record = {}
+    for name, key in _keys(type(obj)).items():
+        value = getattr(obj, name)
+        if isinstance(value, list):
+            value = [_record(v) if is_dataclass(v) else v for v in value]
+        record[key] = value
+    return record
+
+
+def _from_record(cls, data: dict):
+    """Inverse of _record for one dataclass level."""
+    return cls(**{name: data[key] for name, key in _keys(cls).items()})
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _table(row_cls, rows: list) -> list[list]:
+    """CSV rows: the keys of row_cls, then each row at 17 significant digits."""
+    return [list(_keys(row_cls).values())] + [[_fmt(v) for v in _record(r).values()] for r in rows]
+
+
+CSV_HEADER = list(_keys(SweepRow).values())
 
 
 def render_report(report: SweepReport | PhaseReport, fmt: str) -> bytes:

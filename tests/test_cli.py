@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from melinlab.cli import main
+from melinlab.quantize import MAX_TRUNCATION
 from melinlab.symbols import PolynomialSymbol
 
 
@@ -274,6 +275,30 @@ def test_sweep_invalid_section_content(tmp_path, capsys):
                         sweep={"lambdas": [64, 16], "truncations": [16, 32]})
     assert main(["sweep", model, "--out", str(tmp_path / "r.csv")]) == 2
     assert "sweep section invalid" in capsys.readouterr().err
+
+
+def test_truncations_above_the_cap_are_rejected_by_the_schema(tmp_path, capsys):
+    # both truncation bounds of the schema are quantize.MAX_TRUNCATION
+    cases = [("sweep", {"sweep": {**SWEEP_SECTION, "truncations": t}})
+             for t in ([16, 512], [300])]
+    cases.append(("phase", {"phase": {**PHASE_SECTION, "truncation": 300}}))
+    for command, section in cases:
+        model = write_model(tmp_path, **section)
+        assert main([command, model, "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "model file invalid at" in err
+        assert f"is greater than the maximum of {MAX_TRUNCATION}" in err
+
+
+def test_sweep_rejects_lambda_power_overflow_before_any_row(tmp_path, capsys, monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a sweep row ran")
+
+    monkeypatch.setattr("melinlab.sweep._converged_lowest", no_rows)
+    model = write_model(tmp_path, sweep={"lambdas": [16, 1e200], "truncations": [16, 32]})
+    assert main(["sweep", model, "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "sweep section invalid" in err and "overflows a double" in err
 
 
 # ---------------------------------------------------------------------------

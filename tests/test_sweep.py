@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from melinlab.errors import MelinLabError
+from melinlab import sweep
+from melinlab.errors import MelinLabError, MonotonicityError
 from melinlab.models import quartic_model
 from melinlab.sweep import (
     CSV_HEADER,
@@ -39,6 +41,21 @@ def test_model_spec_validation():
         ModelSpec(g, lambdas=[4.0, 16.0], truncations=[1, 2])
     with pytest.raises(ValueError):
         ModelSpec(g, lambdas=[4.0, 16.0], truncations=[16, 16])
+    # k = 2: Lambda^k must fit a double, and no rung may pass the cap
+    for lambdas in ([16.0, 1e200], [16.0, math.inf]):
+        with pytest.raises(ValueError, match="overflows a double"):
+            ModelSpec(g, lambdas=lambdas, truncations=[16, 32])
+    ModelSpec(g, lambdas=[16.0, 1e150], truncations=[16, 32])
+    with pytest.raises(ValueError, match="256"):
+        ModelSpec(g, lambdas=[16.0], truncations=[16, 512])
+
+
+def test_sweep_rows_pass_the_monotonicity_gate(monkeypatch):
+    # a row whose rungs rise is an exactness bug, as in every TruncationSweep
+    rising = iter(range(100))
+    monkeypatch.setattr(sweep, "lowest_eigenvalue", lambda m: float(next(rising)))
+    with pytest.raises(MonotonicityError, match="padding exactness"):
+        lambda_sweep(quartic_spec(lambdas=(16.0,)))
 
 
 def test_sweep_exact_quartic_scaling():
