@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -214,8 +215,8 @@ def cmd_phase(args: argparse.Namespace) -> int:
 def cmd_star(args: argparse.Namespace) -> int:
     a = load_symbol_literal(args.a)
     b = load_symbol_literal(args.b)
-    if args.hbar < 0:
-        raise MelinLabError(f"--hbar must be >= 0, got {args.hbar}")
+    if not 0 <= args.hbar < math.inf:
+        raise MelinLabError(f"--hbar must be finite and >= 0, got {args.hbar}")
     result = moyal_star(a, b, args.hbar)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, PositivityError
+from .errors import DimensionMismatch, MelinLabError, PositivityError
 
 __all__ = [
     "QuadraticData",
@@ -49,6 +49,8 @@ class QuadraticData:
             raise DimensionMismatch(
                 f"Hessian shape {h.shape} does not match d={self.d} (need {(2 * self.d, 2 * self.d)})"
             )
+        if not np.isfinite(h).all():
+            raise MelinLabError(f"Hessian entries must be finite, got {h.tolist()}")
         if np.abs(h - h.T).max() != 0.0:
             raise PositivityError(
                 "Hessian must be exactly symmetric; pass (h + h.T) / 2 if "

@@ -16,8 +16,10 @@ Input limits: d <= MAX_MODES = 2; every truncation (sweep and phase) is
 an integer from 2 to MAX_TRUNCATION = 256; Lambda >= 1, and Lambda^k
 must fit a double.  Each phase range is [low, high, count] with an
 integer count >= 1, and the grid (the product of the four counts) may
-hold at most 10^6 points.  Unknown keys are rejected at every nesting
-level; all validation runs before any computation.
+hold at most 10^6 points.  Every number must be a finite double: the
+JSON parse rejects NaN, Infinity and overflowing numbers such as 1e400.
+Unknown keys are rejected at every nesting level; all validation runs
+before any computation.
 """
 
 from __future__ import annotations
@@ -161,10 +163,27 @@ def load_model_dict(data: dict) -> tuple[GradedSymbol, dict | None, dict | None]
     return symbol, data.get("sweep"), phase
 
 
+def _finite(text: str) -> float:
+    """Number hook of every model-file and literal parse: json alone lets
+    NaN, Infinity and overflowing numbers such as 1e400 through."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ModelFileError(f"{text} is not allowed; numbers must be finite")
+    return value
+
+
+def _finite_int(text: str) -> int:
+    _finite(text)
+    return int(text)
+
+
+_JSON_NUMBERS = {"parse_float": _finite, "parse_int": _finite_int, "parse_constant": _finite}
+
+
 def load_symbol_literal(text: str) -> PolynomialSymbol:
     """Parse and validate a polynomial-symbol literal, then build it."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, **_JSON_NUMBERS)
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"symbol is not valid JSON: {exc}") from exc
     _validate(_SYMBOL_VALIDATOR, data, "symbol literal")
@@ -175,7 +194,7 @@ def load_model_file(path: str) -> tuple[GradedSymbol, dict | None, dict | None]:
     """Read and validate a model file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, **_JSON_NUMBERS)
     except OSError as exc:
         raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

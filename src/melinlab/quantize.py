@@ -26,6 +26,15 @@ rung is one dense N^d x N^d write of the Kronecker products of those
 bands (one per distinct second-mode factor; a single one for d = 1).
 weyl_quantize is the one-rung ladder.
 
+Band cache.  The Weyl matrix of y^a eta^b is (hbar/2)^((a+b)/2) i^b R
+with a real band R that does not depend on hbar, so R is peeled once
+per process: _real_band caches it by (a, b, size), read-only, and keeps
+the _BAND_CACHE_SIZE = 128 most recently used.  A band holds
+(2(a+b) + 1) * size doubles, at most 35.9 KB for degree <= 8 at
+N <= 256 (size <= 264), so 4.6 MB for the full cache; in general 128
+bands of the largest degree and size peeled.  Each use multiplies R by
+the hbar factor, the same final operation as an uncached peel.
+
 Parity sectors.  The Weyl matrix of y_s^a eta_s^b changes n_s by
 amounts of the parity of a + b, so a symbol whose monomials all have
 even degree in every mode commutes with each (-1)^{N_s}, and one whose
@@ -75,6 +84,7 @@ __all__ = [
 MAX_MODES = 2
 MAX_TRUNCATION = 256
 MAX_DENSE_DIM = 4096
+_BAND_CACHE_SIZE = 128
 HERMITICITY_TOL = 1e-12
 MONOTONICITY_TOL = 1e-10
 
@@ -94,8 +104,8 @@ def ladder(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def mode_operators(hbar: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Single-mode coordinate matrices (yhat, etahat) at parameter hbar."""
-    if hbar <= 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
+    if not 0 < hbar < math.inf:
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
     low, high = ladder(n)
     s = math.sqrt(hbar / 2.0)
     return s * (low + high), 1j * s * (high - low)
@@ -155,46 +165,31 @@ class OperatorMatrix:
 _PHASES = (1.0, 1j, -1.0, -1j)
 
 
-@functools.lru_cache(maxsize=32)
-def _peel_geometry(width: int, size: int):
-    """Weights and transpose gather for peeling on a (2W+1, size) band.
+@functools.lru_cache(maxsize=_BAND_CACHE_SIZE)
+def _real_band(ypow: int, epow: int, size: int) -> np.ndarray:
+    """The real band R of y^ypow eta^epow (W = ypow + epow >= 1); it does
+    not depend on hbar, and it is read-only because every caller shares it.
 
-    Returns (lo, up, col, flip): lo[i] = g[i], up[i] = g[i+1],
-    col[r, i] = g[i + r - W - 1] for r in 0..2W+2, and flat indices into
-    the zero-padded (2W+3, size+2) work array that read the transposed
-    band (out-of-matrix positions read the zero corner).
+    Jordan peeling quantize(x q) = (xhat Q + Q xhat) / 2 on diagonals,
+    O(size W) per step, W steps, with the weights lo[i] = g[i],
+    up[i] = g[i+1] and col[r, i] = g[i + r - W - 1] for r in 0..2W+2.
+    flip holds the flat indices into the zero-padded (2W+3, size+2) work
+    array that read the transposed band (out-of-matrix positions read
+    the zero corner).
     """
-    rows = 2 * width + 1
+    width = ypow + epow
 
     def g(m: np.ndarray) -> np.ndarray:
         inside = (m >= 1) & (m < size)
         return np.where(inside, np.sqrt(np.where(inside, m, 0)), 0.0)
 
     i = np.arange(size)
-    lo = g(i)
-    up = g(i + 1)
-    col = g(i[None, :] + np.arange(rows + 2)[:, None] - width - 1)
-    k = np.arange(rows)[:, None] - width
+    lo, up = g(i), g(i + 1)
+    col = g(i[None, :] + np.arange(2 * width + 3)[:, None] - width - 1)
+    k = np.arange(2 * width + 1)[:, None] - width
     j = i[None, :] + k
-    inside = (j >= 0) & (j < size)
-    flip = np.where(inside, (width - k + 1) * (size + 2) + j + 1, 0)
-    for shared in (lo, up, col, flip):
-        shared.setflags(write=False)
-    return lo, up, col, flip
-
-
-def _mode_band(ypow: int, epow: int, hbar: float, size: int) -> np.ndarray:
-    """Exact single-mode Weyl matrix of y^ypow eta^epow, in band storage.
-
-    Jordan peeling quantize(x q) = (xhat Q + Q xhat) / 2 on diagonals:
-    O(size W) per step, W = ypow + epow steps.
-    """
-    width = ypow + epow
-    rows = 2 * width + 1
-    if width == 0:
-        return np.ones((1, size), dtype=complex)
-    lo, up, col, flip = _peel_geometry(width, size)
-    work = np.zeros((rows + 2, size + 2))  # band inside a ring of zeros
+    flip = np.where((j >= 0) & (j < size), (width - k + 1) * (size + 2) + j + 1, 0)
+    work = np.zeros((2 * width + 3, size + 2))  # band inside a ring of zeros
     band = work[1:-1, 1:-1]
     band[width] = 1.0
     below, above = work[:-2], work[2:]
@@ -207,8 +202,19 @@ def _mode_band(ypow: int, epow: int, hbar: float, size: int) -> np.ndarray:
         etas = step + 1 - ypow
         tau = -1.0 if etas > 0 and etas % 2 else 1.0
         band[...] = 0.5 * (new + tau * work.take(flip))
+    band = band.copy()
+    band.setflags(write=False)
+    return band
+
+
+def _mode_band(ypow: int, epow: int, hbar: float, size: int) -> np.ndarray:
+    """Exact single-mode Weyl matrix of y^ypow eta^epow, in band storage:
+    (hbar/2)^(W/2) i^epow times the cached real band."""
+    width = ypow + epow
+    if width == 0:
+        return np.ones((1, size), dtype=complex)
     scale = (hbar / 2.0) ** (width / 2.0) * _PHASES[epow % 4]
-    return scale * band
+    return scale * _real_band(ypow, epow, size)
 
 
 @functools.lru_cache(maxsize=64)
@@ -263,36 +269,32 @@ def _sectors(d: int, n: int, kind: str) -> tuple[np.ndarray, ...]:
 
 
 def _check_hermitian(m: np.ndarray, tol: float, what: str) -> None:
-    """Raise NonHermitianError if max |m - m^H| exceeds tol.  The skew is
-    taken in row blocks so that the transposed read stays cache-friendly
-    at dimension 10^3 and up."""
-    worst = 0.0
-    for i in range(0, m.shape[0], 64):
-        worst = max(worst, float(np.abs(m[i:i + 64] - m[:, i:i + 64].conj().T).max()))
-    if worst > tol:
+    """Raise NonHermitianError if max |m - m^H| exceeds tol or is NaN.  The
+    skew is taken in row blocks so that the transposed read stays
+    cache-friendly at dimension 10^3 and up."""
+    worst = np.max([np.abs(m[i:i + 64] - m[:, i:i + 64].conj().T).max()
+                    for i in range(0, m.shape[0], 64)], initial=0.0)
+    if not worst <= tol:
         raise NonHermitianError(f"{what} (deviation {worst:.3e})")
 
 
 def _bands(p: PolynomialSymbol, hbar: float, size: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Band stage of the ladder: peel every monomial once, at per-mode
-    internal size `size`, and return (mode-2 band, summed band of the
-    mode-1 factors it multiplies) per distinct mode-2 factor."""
+    """Band stage of the ladder: the band of every monomial factor at
+    per-mode internal size `size` (each peeled once per process), and
+    (mode-2 band, summed band of the mode-1 factors it multiplies) per
+    distinct mode-2 factor."""
     factors: dict[tuple[int, int], list[tuple[int, int, complex]]] = {}
     for idx, coeff in p.iter_terms():
         # (mode-1, mode-2) exponents; at d = 1 the mode-2 factor is y^0 eta^0
         ys, es = idx[:p.d] + (0,), idx[p.d:] + (0,)
         factors.setdefault((ys[1], es[1]), []).append((ys[0], es[0], coeff))
-    # at d = 2 a factor recurs across terms and modes: peel each once
-    wanted = {(a, b, size) for terms in factors.values() for a, b, _ in terms}
-    wanted |= {(a2, b2, size ** (p.d - 1)) for a2, b2 in factors}
-    peeled = {(a, b, m): _mode_band(a, b, hbar, m) for a, b, m in wanted}
     bands = []
     for (a2, b2), terms in factors.items():
         width = max(a + b for a, b, _ in terms)
         summed = np.zeros((2 * width + 1, size), dtype=complex)
         for a, b, coeff in terms:
-            summed[width - a - b : width + a + b + 1] += coeff * peeled[a, b, size]
-        bands.append((peeled[a2, b2, size ** (p.d - 1)], summed))
+            summed[width - a - b : width + a + b + 1] += coeff * _mode_band(a, b, hbar, size)
+        bands.append((_mode_band(a2, b2, hbar, size ** (p.d - 1)), summed))
     return bands
 
 
@@ -322,8 +324,8 @@ def _ladder(p: PolynomialSymbol, hbar: float, ns: list[int]) -> Iterator[Operato
     """
     if p.d > MAX_MODES:
         raise DimensionMismatch(f"quantization supports d <= {MAX_MODES}, got d={p.d}")
-    if hbar <= 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
+    if not 0 < hbar < math.inf:
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
     if not ns or ns[0] < 2 or ns[-1] > MAX_TRUNCATION:
         raise ValueError(f"truncations must satisfy 2 <= n <= {MAX_TRUNCATION}, got {ns}")
     if any(b <= a for a, b in zip(ns, ns[1:])):

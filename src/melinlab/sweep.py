@@ -69,8 +69,8 @@ class ModelSpec:
         self.truncations = [int(v) for v in self.truncations]
         if not self.lambdas:
             raise ValueError("need at least one Lambda")
-        if any(v < 1 for v in self.lambdas):
-            raise ValueError(f"Lambda values must be >= 1, got {self.lambdas}")
+        if not all(v >= 1 for v in self.lambdas):  # NaN fails too
+            raise ValueError(f"Lambda values must be numbers >= 1, got {self.lambdas}")
         if any(b <= a for a, b in zip(self.lambdas, self.lambdas[1:])):
             raise ValueError(f"Lambda values must be strictly increasing, got {self.lambdas}")
         if not _power_fits(self.lambdas[-1], self.symbol.k):
@@ -83,6 +83,9 @@ class ModelSpec:
                              f"got {self.truncations}")
         if any(b <= a for a, b in zip(self.truncations, self.truncations[1:])):
             raise ValueError(f"truncations must be strictly increasing, got {self.truncations}")
+        for name in ("limit_tol", "slope_tol"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 def _power_fits(base: float, k: int) -> bool:

@@ -8,7 +8,12 @@ addition, multiplication, and differentiation never truncate it.
 Floating point enters only through the coefficient values.
 
 A multi-index is a tuple of 2d nonnegative integers, the first d
-entries for powers of y, the last d for powers of eta.
+entries for powers of y, the last d for powers of eta.  Public input is
+validated: PolynomialSymbol(d, terms), monomial, from_dict and
+HalfGradedPolynomial(...) check every multi-index and convert every
+coefficient to complex.  Results built from valid symbols (*, +, -,
+conjugate, derivative, the star series, fold, taylor_transverse) go
+through the trusted PolynomialSymbol._trusted, which only drops zeros.
 
 The module also provides the Moyal star product
 
@@ -79,16 +84,28 @@ class PolynomialSymbol:
     def __init__(self, d: int, terms: Mapping[MultiIndex, complex] | None = None):
         if d < 1:
             raise ValueError(f"transverse dimension must be >= 1, got {d}")
-        self.d = int(d)
+        d = int(d)
         clean: dict[MultiIndex, complex] = {}
         if terms:
             for index, coeff in terms.items():
-                idx = _check_index(index, self.d)
+                idx = _check_index(index, d)
                 c = complex(coeff)
                 if c != 0:
                     clean[idx] = clean.get(idx, 0.0) + c
-        # re-drop anything that cancelled during accumulation
-        self.terms = {k: v for k, v in clean.items() if v != 0}
+        self._adopt(d, clean)
+
+    def _adopt(self, d: int, terms: Mapping[MultiIndex, complex]) -> "PolynomialSymbol":
+        """The trusted end of construction: keys are already tuples of 2d
+        nonnegative ints and values Python complex, so only the zeros
+        (including any that cancelled while accumulating) are dropped."""
+        self.d = d
+        self.terms = {k: v for k, v in terms.items() if v != 0}
+        return self
+
+    @classmethod
+    def _trusted(cls, d: int, terms: Mapping[MultiIndex, complex]) -> "PolynomialSymbol":
+        """A symbol from terms the algebra built out of valid symbols."""
+        return cls.__new__(cls)._adopt(d, terms)
 
     # -- constructors ------------------------------------------------
 
@@ -137,7 +154,7 @@ class PolynomialSymbol:
             out = dict(self.terms)
             for k, v in other.terms.items():
                 out[k] = out.get(k, 0.0) + v
-            return PolynomialSymbol(self.d, out)
+            return PolynomialSymbol._trusted(self.d, out)
         if isinstance(other, (int, float, complex)):
             return self + PolynomialSymbol.constant(self.d, other)
         return NotImplemented
@@ -145,7 +162,7 @@ class PolynomialSymbol:
     __radd__ = __add__
 
     def __neg__(self):
-        return PolynomialSymbol(self.d, {k: -v for k, v in self.terms.items()})
+        return PolynomialSymbol._trusted(self.d, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -165,9 +182,10 @@ class PolynomialSymbol:
                 for kb, vb in sorted(other.terms.items()):
                     key = tuple(a + b for a, b in zip(ka, kb))
                     out[key] = out.get(key, 0.0) + va * vb
-            return PolynomialSymbol(self.d, out)
+            return PolynomialSymbol._trusted(self.d, out)
         if isinstance(other, (int, float, complex)):
-            return PolynomialSymbol(self.d, {k: v * other for k, v in self.terms.items()})
+            c = complex(other)
+            return PolynomialSymbol._trusted(self.d, {k: v * c for k, v in self.terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -202,10 +220,10 @@ class PolynomialSymbol:
                 continue
             kk = k[:axis] + (p - 1,) + k[axis + 1 :]
             out[kk] = out.get(kk, 0.0) + v * p
-        return PolynomialSymbol(self.d, out)
+        return PolynomialSymbol._trusted(self.d, out)
 
     def conjugate(self) -> "PolynomialSymbol":
-        return PolynomialSymbol(self.d, {k: v.conjugate() for k, v in self.terms.items()})
+        return PolynomialSymbol._trusted(self.d, {k: v.conjugate() for k, v in self.terms.items()})
 
     def evaluate(self, yv: np.ndarray, ev: np.ndarray) -> np.ndarray:
         """Evaluate at sample points.
@@ -337,7 +355,7 @@ def _weighted_sum(d: int, pairs: Iterable[tuple[complex, PolynomialSymbol]]) -> 
     for w, p in pairs:
         for k, v in p.terms.items():
             out[k] = out.get(k, 0.0) + v * w
-    return PolynomialSymbol(d, out)
+    return PolynomialSymbol._trusted(d, out)
 
 
 def _add_partials(table: dict[MultiIndex, PolynomialSymbol], order: int) -> None:
@@ -408,8 +426,8 @@ def moyal_star(a: PolynomialSymbol, b: PolynomialSymbol, hbar: float) -> Polynom
     exact.  hbar = 0 is accepted and returns the commutative product.
     """
     a._require_same_d(b)
-    if hbar < 0:
-        raise ValueError(f"hbar must be >= 0, got {hbar}")
+    if not 0 <= hbar < math.inf:
+        raise ValueError(f"hbar must be finite and >= 0, got {hbar}")
     if hbar == 0:
         return a * b
     return _weighted_sum(a.d, ((coeff, term) for _, coeff, term in _star_series(a, b, hbar)))
@@ -442,7 +460,7 @@ def taylor_transverse(p: PolynomialSymbol, order: int,
             raise VanishingOrderError(
                 f"monomial {k} has degree {deg} < required transverse order {order}"
             )
-    return PolynomialSymbol(p.d, lead), PolynomialSymbol(p.d, rest)
+    return PolynomialSymbol._trusted(p.d, lead), PolynomialSymbol._trusted(p.d, rest)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +601,7 @@ class HalfGradedPolynomial:
         for (idx, e2), c in sorted(self.terms.items()):
             w = c * float(lam) ** (e2 / 2.0)
             out[idx] = out.get(idx, 0.0) + w
-        return PolynomialSymbol(self.d, out)
+        return PolynomialSymbol._trusted(self.d, out)
 
     def __eq__(self, other):
         if not isinstance(other, HalfGradedPolynomial):

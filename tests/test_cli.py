@@ -98,6 +98,12 @@ def test_traceplus_malformed_matrix(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_traceplus_non_finite_hessian_is_invalid_input(capsys):
+    for text in ("nan 0; 0 1", "1 0; 0 inf"):
+        assert main(["traceplus", "--h", text]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+
 def test_traceplus_odd_size_matrix(capsys):
     assert main(["traceplus", "--h", "1 0 0; 0 1 0; 0 0 1"]) == 2
     assert "even" in capsys.readouterr().err
@@ -362,8 +368,25 @@ def test_star_json(capsys):
 
 def test_star_rejects_negative_hbar(capsys):
     a, b = yeta_literal()
-    assert main(["star", "--a", a, "--b", b, "--hbar", "-1"]) == 2
-    assert "hbar" in capsys.readouterr().err
+    for hbar in ("-1", "nan", "inf"):
+        assert main(["star", "--a", a, "--b", b, "--hbar", hbar]) == 2
+        assert "hbar" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])
+def test_non_finite_numbers_are_rejected_at_parse_time(tmp_path, capsys, literal):
+    # Python's json reads all three as floats that are not finite
+    model = json.dumps(quartic_model_dict(phase={**PHASE_SECTION, "alpha": ["@", 1, 2]}))
+    path = tmp_path / "model.json"
+    path.write_text(model.replace('"@"', literal))
+    assert main(["phase", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "numbers must be finite" in err and literal in err
+    a, b = yeta_literal()
+    bad = a.replace("[1, 0]", f"[{literal}, 0]")
+    assert main(["star", "--a", bad, "--b", b, "--hbar", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "numbers must be finite" in err and literal in err
 
 
 def test_star_rejects_bad_literal(capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from melinlab.errors import DimensionMismatch, PositivityError
+from melinlab.errors import DimensionMismatch, MelinLabError, PositivityError
 from melinlab.invariants import (
     MetricPoint,
     QuadraticData,
@@ -112,6 +112,9 @@ def test_quadratic_data_validation():
         QuadraticData(1, np.array([[1.0, 0.5], [0.4, 1.0]]))
     with pytest.raises(DimensionMismatch):
         trace_plus(np.eye(3))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(MelinLabError, match="must be finite"):
+            QuadraticData(1, np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_melin_quantity():

@@ -26,6 +26,7 @@ from melinlab.quantize import (
     truncation_sweep,
     weyl_quantize,
 )
+from melinlab.sweep import melin_phase_diagram
 from melinlab.symbols import GradedSymbol, PolynomialSymbol, eta, moyal_star, y
 
 from oracles import (
@@ -145,6 +146,11 @@ def test_quantize_validation():
         weyl_quantize(harmonic_symbol(), 1.0, 300)
     with pytest.raises(DimensionMismatch):
         weyl_quantize(PolynomialSymbol.monomial(3, (1, 0, 0, 0, 0, 0)), 1.0, 4)
+    for hbar in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            weyl_quantize(harmonic_symbol(), hbar, 8)
+        with pytest.raises(ValueError, match="finite"):
+            mode_operators(hbar, 8)
 
 
 def test_number_operator_values():
@@ -253,6 +259,44 @@ def test_mode_band_matches_dense_jordan(size):
             got = _dense(_mode_band(a, b, hbar, size), size)
             want = jordan_mode_oracle(a, b, hbar, size)
             assert _rel_err(got, want) <= 1e-13, (a, b, size, hbar)
+
+
+def test_band_cache_serves_every_hbar_from_one_peel():
+    # M = (hbar/2)^(W/2) i^b R with R real and hbar-free: R is peeled once
+    quantize._real_band.cache_clear()
+    for hbar in (1.0, 0.3):
+        for a, b in MONOMIALS_UP_TO_8[1:]:
+            got = _dense(_mode_band(a, b, hbar, 12), 12)
+            assert _rel_err(got, jordan_mode_oracle(a, b, hbar, 12)) <= 1e-13, (a, b, hbar)
+    info = quantize._real_band.cache_info()
+    assert info.misses == len(MONOMIALS_UP_TO_8) - 1
+    assert info.hits == len(MONOMIALS_UP_TO_8) - 1
+    cached = quantize._real_band(2, 1, 12)
+    assert cached.dtype == np.float64 and not cached.flags.writeable
+    with pytest.raises(ValueError):
+        cached[0, 0] = 1.0
+    # callers get a fresh scaled copy, never the cached array
+    assert not np.shares_memory(_mode_band(2, 1, 1.0, 12), cached)
+
+
+def test_phase_grid_peels_each_form_monomial_once():
+    quantize._real_band.cache_clear()
+    axis = np.linspace(0.7, 2.5, 4)
+    report = melin_phase_diagram(axis, np.linspace(-0.5, 0.5, 4), axis, [0.0])
+    assert len(report.points) == 64
+    # y^2, y eta and eta^2 at internal size 64 + 2, shared by all 64 forms
+    assert quantize._real_band.cache_info().misses == 3
+
+
+def test_nan_matrix_fails_the_hermiticity_check():
+    # max(0.0, nan) is 0.0, so a NaN deviation must be caught explicitly
+    entries = np.eye(130, dtype=complex)
+    entries[100, 3] = np.nan
+    with pytest.raises(NonHermitianError, match="nan"):
+        lowest_eigenvalue(entries)
+    p = PolynomialSymbol(1, {(2, 0): math.nan, (0, 2): 1.0})
+    with pytest.raises(NonHermitianError):
+        weyl_quantize(p, 1.0, 8)
 
 
 def test_monomial_entries_vanish_beyond_degree_offset():

@@ -48,6 +48,13 @@ def test_model_spec_validation():
     ModelSpec(g, lambdas=[16.0, 1e150], truncations=[16, 32])
     with pytest.raises(ValueError, match="256"):
         ModelSpec(g, lambdas=[16.0], truncations=[16, 512])
+    # NaN compares False with everything, so it must fail each check explicitly
+    with pytest.raises(ValueError, match=">= 1"):
+        ModelSpec(g, lambdas=[math.nan, 16.0, 64.0], truncations=[16, 32])
+    for name in ("limit_tol", "slope_tol"):
+        for tol in (math.nan, math.inf, 0.0, -0.1):
+            with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+                ModelSpec(g, lambdas=[16.0, 64.0], truncations=[16, 32], **{name: tol})
 
 
 def test_sweep_rows_pass_the_monotonicity_gate(monkeypatch):

@@ -175,6 +175,9 @@ def test_degree_two_commutator_is_poisson_bracket():
 def test_star_rejects_negative_hbar():
     with pytest.raises(ValueError):
         moyal_star(y(), eta(), -1.0)
+    for hbar in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            moyal_star(y(), eta(), hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -365,3 +368,53 @@ def test_graded_star_levels_match_monomial_oracle():
         for level, weighted in expect.items():
             got = g.levels.get(level, PolynomialSymbol.zero(d))
             assert oracle_distance(got, oracle_sum(weighted)) <= 1e-13, (d, level)
+
+
+# ---------------------------------------------------------------------------
+# Trusted construction of internal results
+# ---------------------------------------------------------------------------
+
+
+def assert_canonical(p):
+    """p is what the validating constructor makes of its own terms: keys
+    are tuples of 2d ints, coefficients nonzero Python complex."""
+    assert p == PolynomialSymbol(p.d, p.terms)
+    for k, c in p.terms.items():
+        assert type(k) is tuple and len(k) == 2 * p.d and all(type(e) is int for e in k)
+        assert type(c) is complex and c != 0
+
+
+def test_internal_results_are_canonical():
+    rng = np.random.default_rng(14)
+    for a, b in star_oracle_pairs(15):
+        results = [a * b, a + b, -a, a - b, 2.5 * a, a.conjugate(), moyal_star(a, b, 0.3),
+                   *taylor_transverse(a, 3)]
+        results += [a.derivative(axis) for axis in range(2 * a.d)]
+        for r in results:
+            assert_canonical(r)
+        assert a - a == PolynomialSymbol.zero(a.d)
+    for d in (1, 2):
+        p = GradedSymbol(d, 2, {0: seeded_symbol(rng, d, 6), 1: seeded_symbol(rng, d, 4)})
+        q = GradedSymbol(d, 1, {0: seeded_symbol(rng, d, 5), 2: seeded_symbol(rng, d, 3)})
+        g = graded_star(p, q)
+        for level in g.levels.values():
+            assert_canonical(level)
+        assert_canonical(g.fold(4.0))
+        assert_canonical(scale_symbol(g).fold(4.0))
+
+
+def test_public_constructors_validate_keys():
+    with pytest.raises(DimensionMismatch):
+        PolynomialSymbol(1, {(1, 0, 0): 1.0})
+    with pytest.raises(ValueError, match="negative"):
+        PolynomialSymbol(1, {(1, -1): 1.0})
+    with pytest.raises(DimensionMismatch):
+        PolynomialSymbol.monomial(2, (1, 0))
+    with pytest.raises(ValueError, match="negative"):
+        PolynomialSymbol.from_dict({"d": 1, "terms": [{"c": [1, 0], "y": [-2], "eta": [0]}]})
+    with pytest.raises(DimensionMismatch):
+        HalfGradedPolynomial(1, {((1, 0, 0), 2): 1.0})
+    with pytest.raises(GradingError):
+        HalfGradedPolynomial(1, {((1, 0), 0.5): 1.0})
+    # the validating constructor still converts keys and coefficients
+    assert_canonical(PolynomialSymbol(1, {(np.int64(2), 0): np.float64(1.5), (0, 1): 0}))
