@@ -19,6 +19,7 @@ hypothesis_check diagnoses the three standing hypotheses:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -111,28 +112,33 @@ def localize(p: GradedSymbol, ns: tuple[int, ...] = DEFAULT_TRUNCATIONS,
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def unit_sphere_grid(d: int) -> np.ndarray:
     """Deterministic angular grid on the unit sphere of R^(2d).
 
     720 points on the circle for d = 1; a 3-angle hyperspherical product
-    grid with more than 10^4 points on S^3 for d = 2.
+    grid with more than 10^4 points on S^3 for d = 2.  Built once per
+    process and shared, so the array is read-only.
     """
     if d == 1:
         theta = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
-        return np.column_stack([np.cos(theta), np.sin(theta)])
-    if d == 2:
+        grid = np.column_stack([np.cos(theta), np.sin(theta)])
+    elif d == 2:
         t1 = np.linspace(0.0, math.pi, 22)
         t2 = np.linspace(0.0, math.pi, 22)
         t3 = np.linspace(0.0, 2.0 * math.pi, 23, endpoint=False)
         a, b, c = np.meshgrid(t1, t2, t3, indexing="ij")
         a, b, c = a.ravel(), b.ravel(), c.ravel()
-        return np.column_stack([
+        grid = np.column_stack([
             np.cos(a),
             np.sin(a) * np.cos(b),
             np.sin(a) * np.sin(b) * np.cos(c),
             np.sin(a) * np.sin(b) * np.sin(c),
         ])
-    raise ValueError(f"sphere sampling supports d <= 2, got d={d}")
+    else:
+        raise ValueError(f"sphere sampling supports d <= 2, got d={d}")
+    grid.setflags(write=False)
+    return grid
 
 
 @dataclass

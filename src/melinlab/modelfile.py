@@ -12,14 +12,16 @@ sections:
                 "gamma": [0.7, 2.5, 10], "s": [-1, 1, 5], "truncation": 64}
     }
 
-Input limits: d <= MAX_MODES = 2; every truncation (sweep and phase) is
-an integer from 2 to MAX_TRUNCATION = 256; Lambda >= 1, and Lambda^k
-must fit a double.  Each phase range is [low, high, count] with an
-integer count >= 1, and the grid (the product of the four counts) may
-hold at most 10^6 points.  Every number must be a finite double: the
-JSON parse rejects NaN, Infinity and overflowing numbers such as 1e400.
-Unknown keys are rejected at every nesting level; all validation runs
-before any computation.
+Input limits: d <= MAX_MODES = 2; every exponent is an integer from 0 to
+MAX_DEGREE = 32, and quantization rejects a symbol whose total degree
+exceeds it; every truncation (sweep and phase) is an integer from 2 to
+MAX_TRUNCATION = 256; Lambda >= 1, and Lambda^k must fit a double.
+Each phase range is [low, high, count] with an integer count >= 1, and
+the grid (the product of the four counts) may hold at most 10^6 points.
+Every number must be a finite double: the JSON parse rejects NaN,
+Infinity and overflowing numbers such as 1e400.  Unknown keys are
+rejected at every nesting level; all validation runs before any
+computation.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 from .errors import ModelFileError
-from .quantize import MAX_MODES, MAX_TRUNCATION
+from .quantize import MAX_DEGREE, MAX_MODES, MAX_TRUNCATION
 from .symbols import GradedSymbol, PolynomialSymbol
 from .sweep import ModelSpec
 
@@ -46,6 +48,7 @@ _RANGE = {  # [low, high, count]
     "minItems": 3,
 }
 _TRUNCATION = {"type": "integer", "minimum": 2, "maximum": MAX_TRUNCATION}
+_EXPONENT = {"type": "integer", "minimum": 0, "maximum": MAX_DEGREE}
 _PHASE_AXES = ("alpha", "beta", "gamma", "s")
 _MAX_PHASE_POINTS = 10**6  # product of the four counts
 
@@ -78,14 +81,8 @@ MODEL_SCHEMA = {
                                     "minItems": 2,
                                     "maxItems": 2,
                                 },
-                                "y": {
-                                    "type": "array",
-                                    "items": {"type": "integer", "minimum": 0},
-                                },
-                                "eta": {
-                                    "type": "array",
-                                    "items": {"type": "integer", "minimum": 0},
-                                },
+                                "y": {"type": "array", "items": _EXPONENT},
+                                "eta": {"type": "array", "items": _EXPONENT},
                             },
                         },
                     },
@@ -122,7 +119,8 @@ MODEL_SCHEMA = {
 
 
 # A polynomial-symbol literal {"d": ..., "terms": [...]}, as `melinlab star`
-# takes it; symbol algebra has no mode limit.
+# takes it; symbol algebra has no mode limit, and its terms share the model
+# file's exponent limit.
 _SYMBOL_SCHEMA = {
     "type": "object",
     "additionalProperties": False,

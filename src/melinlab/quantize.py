@@ -26,6 +26,18 @@ rung is one dense N^d x N^d write of the Kronecker products of those
 bands (one per distinct second-mode factor; a single one for d = 1).
 weyl_quantize is the one-rung ladder.
 
+Real arithmetic.  Each term c y^a eta^b enters the block with the weight
+c i^|b| (|b| the total eta-degree) times the real hbar-scaled bands of
+its factors: the phase i^b_s of every factor moves into the weight.  When
+every weight is real, which the ladder reads once from the exponents,
+the bands and the block are float64 and eigvalsh runs the real symmetric
+solver; otherwise they are complex.  Real-coefficient symbols even in
+eta take the real path, and so does eta_1 eta_2, whose two imaginary
+factors multiply to a real one (in the Fock basis complex conjugation
+sends Weyl(p(y, eta)) to Weyl(p(y, -eta))).  The Hermiticity check
+compares m[I, J] with m[J, I]^H over 64 x 64 tiles with I <= J, so each
+transposed read is one cache-sized tile.
+
 Band cache.  The Weyl matrix of y^a eta^b is (hbar/2)^((a+b)/2) i^b R
 with a real band R that does not depend on hbar, so R is peeled once
 per process: _real_band caches it by (a, b, size), read-only, and keeps
@@ -45,11 +57,14 @@ split by the parity of n_1 + n_2, or none); entries between sectors
 are exactly zero, and lowest_eigenvalue takes the bottom over the
 sector blocks.
 
-Everything here is desk scale: d <= 2 modes and N <= 256 per mode, and
-a dense block of at most MAX_DENSE_DIM = 4096 rows (d = 2 up to
-N = 64).  A ladder whose top rung is larger raises ResourceLimitError
-before anything is peeled or allocated, so the default d = 2 ladder
-(32, 64, 128) is rejected until a sparse path exists.
+Everything here is desk scale: d <= 2 modes and N <= 256 per mode, a
+dense block of at most MAX_DENSE_DIM = 4096 rows (d = 2 up to N = 64),
+and symbols of total degree at most MAX_DEGREE = 32 (a degree-32 band
+peels in milliseconds at N = 256 and its entries stay far below
+overflow, also in d = 2 products).  A ladder beyond either limit raises
+ResourceLimitError before anything is peeled or allocated, so the
+default d = 2 ladder (32, 64, 128) is rejected until a sparse path
+exists.
 """
 
 from __future__ import annotations
@@ -84,6 +99,7 @@ __all__ = [
 MAX_MODES = 2
 MAX_TRUNCATION = 256
 MAX_DENSE_DIM = 4096
+MAX_DEGREE = 32
 _BAND_CACHE_SIZE = 128
 HERMITICITY_TOL = 1e-12
 MONOTONICITY_TOL = 1e-10
@@ -124,6 +140,8 @@ class OperatorMatrix:
     n: int
     hbar: float
     pad: int
+    # float64 when every term weight c i^|b| is real (and for
+    # number_operator), complex128 otherwise
     entries: np.ndarray = field(repr=False)
     # set by the quantizer once the entries passed its 1e-12 check
     hermitian: bool = field(default=False, init=False, repr=False, compare=False)
@@ -207,14 +225,19 @@ def _real_band(ypow: int, epow: int, size: int) -> np.ndarray:
     return band
 
 
-def _mode_band(ypow: int, epow: int, hbar: float, size: int) -> np.ndarray:
-    """Exact single-mode Weyl matrix of y^ypow eta^epow, in band storage:
-    (hbar/2)^(W/2) i^epow times the cached real band."""
+def _scaled_band(ypow: int, epow: int, hbar: float, size: int) -> np.ndarray:
+    """The real band (hbar/2)^(W/2) R of y^ypow eta^epow (ones for W = 0):
+    the single-mode Weyl matrix with its phase i^epow left out."""
     width = ypow + epow
     if width == 0:
-        return np.ones((1, size), dtype=complex)
-    scale = (hbar / 2.0) ** (width / 2.0) * _PHASES[epow % 4]
-    return scale * _real_band(ypow, epow, size)
+        return np.ones((1, size))
+    return (hbar / 2.0) ** (width / 2.0) * _real_band(ypow, epow, size)
+
+
+def _mode_band(ypow: int, epow: int, hbar: float, size: int) -> np.ndarray:
+    """Exact single-mode Weyl matrix of y^ypow eta^epow, in complex band
+    storage: i^epow (hbar/2)^(W/2) times the cached real band."""
+    return np.multiply(_PHASES[epow % 4], _scaled_band(ypow, epow, hbar, size), dtype=complex)
 
 
 @functools.lru_cache(maxsize=64)
@@ -270,40 +293,47 @@ def _sectors(d: int, n: int, kind: str) -> tuple[np.ndarray, ...]:
 
 def _check_hermitian(m: np.ndarray, tol: float, what: str) -> None:
     """Raise NonHermitianError if max |m - m^H| exceeds tol or is NaN.  The
-    skew is taken in row blocks so that the transposed read stays
-    cache-friendly at dimension 10^3 and up."""
-    worst = np.max([np.abs(m[i:i + 64] - m[:, i:i + 64].conj().T).max()
-                    for i in range(0, m.shape[0], 64)], initial=0.0)
+    deviation at (i, j) equals the one at (j, i), so the check compares
+    m[I, J] with m[J, I]^H over pairs of 64 x 64 tiles with I <= J: the
+    transposed read stays one cache-sized tile at dimension 10^3 and up."""
+    n = m.shape[0]
+    worst = np.max([np.abs(m[i:i + 64, j:j + 64] - m[j:j + 64, i:i + 64].conj().T).max()
+                    for i in range(0, n, 64) for j in range(i, n, 64)], initial=0.0)
     if not worst <= tol:
         raise NonHermitianError(f"{what} (deviation {worst:.3e})")
 
 
 def _bands(p: PolynomialSymbol, hbar: float, size: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Band stage of the ladder: the band of every monomial factor at
-    per-mode internal size `size` (each peeled once per process), and
-    (mode-2 band, summed band of the mode-1 factors it multiplies) per
-    distinct mode-2 factor."""
+    """Band stage of the ladder: per distinct mode-2 factor, its real scaled
+    band and the summed mode-1 bands it multiplies, at per-mode internal
+    size `size` (each real band peeled once per process).  A term's phases
+    i^b1 i^b2 go into its weight c i^|b|, so the summed band is float64
+    when every weight is real and complex otherwise."""
     factors: dict[tuple[int, int], list[tuple[int, int, complex]]] = {}
     for idx, coeff in p.iter_terms():
         # (mode-1, mode-2) exponents; at d = 1 the mode-2 factor is y^0 eta^0
         ys, es = idx[:p.d] + (0,), idx[p.d:] + (0,)
-        factors.setdefault((ys[1], es[1]), []).append((ys[0], es[0], coeff))
+        weight = coeff * _PHASES[(es[0] + es[1]) % 4]
+        factors.setdefault((ys[1], es[1]), []).append((ys[0], es[0], weight))
+    real = all(w.imag == 0.0 for terms in factors.values() for _, _, w in terms)
     bands = []
     for (a2, b2), terms in factors.items():
         width = max(a + b for a, b, _ in terms)
-        summed = np.zeros((2 * width + 1, size), dtype=complex)
-        for a, b, coeff in terms:
-            summed[width - a - b : width + a + b + 1] += coeff * _mode_band(a, b, hbar, size)
-        bands.append((_mode_band(a2, b2, hbar, size ** (p.d - 1)), summed))
+        summed = np.zeros((2 * width + 1, size), dtype=float if real else complex)
+        for a, b, w in terms:
+            summed[width - a - b : width + a + b + 1] += (
+                (w.real if real else w) * _scaled_band(a, b, hbar, size))
+        bands.append((_scaled_band(a2, b2, hbar, size ** (p.d - 1)), summed))
     return bands
 
 
 def _block(d: int, bands: list[tuple[np.ndarray, np.ndarray]], n: int) -> np.ndarray:
     """Block stage of the ladder: the dense leading n^d block (mode 1
-    fastest).  Each product of a mode-2 and a mode-1 band entry is an
-    entry of their Kronecker product and goes straight to its place."""
+    fastest), of the summed bands' dtype (float64 for the zero symbol).
+    Each product of a mode-2 and a mode-1 band entry is an entry of their
+    Kronecker product and goes straight to its place."""
     dim = n ** d
-    out = np.zeros((dim, dim), dtype=complex)
+    out = np.zeros((dim, dim), dtype=bands[0][1].dtype if bands else float)
     flat = out.reshape(-1)
     for band2, band1 in bands:
         src2, off2 = _block_geometry(band2.shape, n ** (d - 1), n * dim, n)
@@ -317,10 +347,12 @@ def _ladder(p: PolynomialSymbol, hbar: float, ns: list[int]) -> Iterator[Operato
 
     The band stage runs once, at per-mode size ns[-1] + deg(p); a rung's
     block is assembled only when the consumer asks for it, so stopping
-    early never allocates a larger dense block.  Blocks of real symbols
-    are checked Hermitian to 1e-12 and marked so; every block is marked
-    with the parity sectors the symbol conserves.  A top rung of more
-    than MAX_DENSE_DIM rows raises ResourceLimitError up front.
+    early never allocates a larger dense block.  Blocks are float64 when
+    every term's weight c i^|b| is real, else complex.  Blocks of real
+    symbols are checked Hermitian to 1e-12 and marked so; every block is
+    marked with the parity sectors the symbol conserves.  A top rung of
+    more than MAX_DENSE_DIM rows, or a symbol of degree above MAX_DEGREE,
+    raises ResourceLimitError before any band is peeled.
     """
     if p.d > MAX_MODES:
         raise DimensionMismatch(f"quantization supports d <= {MAX_MODES}, got d={p.d}")
@@ -336,7 +368,10 @@ def _ladder(p: PolynomialSymbol, hbar: float, ns: list[int]) -> Iterator[Operato
             f"d={p.d}, N={ns[-1]} needs a dense block of dimension {dim}, above the "
             f"limit {MAX_DENSE_DIM} (d=2 runs up to N=64 until a sparse path exists)"
         )
-    size = ns[-1] + max(p.degree(), 0)
+    degree = max(p.degree(), 0)
+    if degree > MAX_DEGREE:
+        raise ResourceLimitError(f"symbol degree {degree} is above the limit {MAX_DEGREE}")
+    size = ns[-1] + degree
     bands = _bands(p, hbar, size)
     real = p.is_real()
     kind = _parity_kind(p)
@@ -400,8 +435,7 @@ def number_operator(k: int, d: int, n: int) -> OperatorMatrix:
             for s, a in enumerate(alpha):
                 term = term * rising(digits[s], a)
             diag += term
-    return OperatorMatrix(d=d, n=n, hbar=1.0, pad=0,
-                          entries=np.diag(diag).astype(complex))
+    return OperatorMatrix(d=d, n=n, hbar=1.0, pad=0, entries=np.diag(diag))
 
 
 def lowest_eigenvalue(m: OperatorMatrix | np.ndarray) -> float:

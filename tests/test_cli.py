@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from melinlab.cli import main
-from melinlab.quantize import MAX_TRUNCATION
+from melinlab.quantize import MAX_DEGREE, MAX_TRUNCATION
 from melinlab.symbols import PolynomialSymbol
 
 
@@ -186,6 +186,22 @@ def test_localize_d2_default_ladder_is_rejected_before_allocating(tmp_path, caps
     assert main(["localize", str(path)]) == 2
     err = capsys.readouterr().err
     assert "d=2, N=128" in err and "dimension 16384" in err and "limit 4096" in err
+
+
+def test_exponents_above_the_degree_limit_are_rejected(tmp_path, capsys):
+    # the schema caps each exponent; the quantizer caps the total degree
+    huge = quartic_model_dict()
+    huge["levels"][0]["terms"].append({"c": [1, 0], "y": [20000], "eta": [0]})
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(huge))
+    assert main(["localize", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "levels/0/terms/3/y/0" in err and f"maximum of {MAX_DEGREE}" in err
+    deep = quartic_model_dict(sweep=SWEEP_SECTION)
+    deep["levels"][0]["terms"].append({"c": [1, 0], "y": [20], "eta": [20]})
+    path.write_text(json.dumps(deep))
+    assert main(["sweep", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+    assert f"symbol degree 40 is above the limit {MAX_DEGREE}" in capsys.readouterr().err
 
 
 def test_localize_missing_file(capsys):

@@ -102,6 +102,15 @@ def test_unit_sphere_grid_shapes_and_norms():
         unit_sphere_grid(3)
 
 
+def test_unit_sphere_grid_is_built_once_and_read_only():
+    for d in (1, 2):
+        grid = unit_sphere_grid(d)
+        assert unit_sphere_grid(d) is grid
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 2.0
+
+
 def test_hypothesis_check_passes_quartic():
     diag = hypothesis_check(quartic_model(sub_coeff=1.0), ns=(16, 32))
     assert diag.vanishing_ok and diag.ellipticity_ok and diag.positivity_ok

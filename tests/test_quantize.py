@@ -14,8 +14,10 @@ from melinlab.errors import (
 from melinlab.models import harmonic_symbol, quartic_model
 from melinlab import quantize
 from melinlab.quantize import (
+    MAX_DEGREE,
     MAX_DENSE_DIM,
     TruncationSweep,
+    _check_hermitian,
     _ladder,
     _mode_band,
     conjugation_residual,
@@ -155,6 +157,7 @@ def test_quantize_validation():
 
 def test_number_operator_values():
     n1 = number_operator(1, 1, 6).entries
+    assert n1.dtype == np.float64
     np.testing.assert_array_equal(np.diag(n1).real, 2.0 * np.arange(6) + 3.0)
     n2 = number_operator(2, 1, 4).entries
     # 1 + 2(n+1) + 4(n+1)(n+2)
@@ -425,6 +428,21 @@ def test_dense_limit_rejects_before_peeling(monkeypatch):
         assert f"N={n}" in str(err.value) and f"dimension {n * n}" in str(err.value)
 
 
+def test_degree_limit_rejects_before_peeling(monkeypatch):
+    def no_bands(*args):
+        raise AssertionError("band stage reached")
+
+    monkeypatch.setattr(quantize, "_bands", no_bands)
+    # one mode, and two modes of which neither alone is above the limit
+    too_high = [y() ** (MAX_DEGREE + 1), y(2, 0) ** 17 * eta(2, 1) ** 16 + eta(2, 0)]
+    for p in too_high:
+        with pytest.raises(ResourceLimitError, match=f"limit {MAX_DEGREE}") as err:
+            weyl_quantize(p, 1.0, 8)
+        assert f"degree {p.degree()}" in str(err.value)
+    with pytest.raises(AssertionError, match="band stage"):
+        weyl_quantize(y() ** MAX_DEGREE, 1.0, 8)
+
+
 def test_quantize_and_eigensolve_do_not_import_scipy():
     code = (
         "import sys, melinlab\n"
@@ -435,3 +453,69 @@ def test_quantize_and_eigensolve_do_not_import_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# Real arithmetic: float64 blocks when every weight c i^|b| is real
+# ---------------------------------------------------------------------------
+
+ETA12_SYMBOL = 0.5 * eta(2, 0) * eta(2, 1) + harmonic_symbol(2)
+
+# (symbol, hbar, n, dtype): the oracle is the dense Kronecker one at d = 2
+# and the symmetrized one at d = 1
+DTYPE_CASES = [
+    (y() ** 4 + 2.0 * (y() * eta()) ** 2 + eta() ** 4 - 0.7 * y() ** 2 + 1.5, 0.6, 12,
+     np.float64),
+    ((y(2, 0) ** 2 + eta(2, 0) ** 2) ** 2 + 0.3 * (y(2, 0) * eta(2, 1)) ** 2 + y(2, 1) ** 4
+     + eta(2, 1) ** 2, 0.8, 6, np.float64),
+    # odd in eta in both modes: two imaginary factors, a real product
+    (ETA12_SYMBOL, 1.0, 8, np.float64),
+    (y(2, 0) * eta(2, 1) + harmonic_symbol(2), 1.0, 6, np.complex128),
+    (y() ** 4 + eta() ** 4 + 0.3 * (y() * eta()) + y() ** 2, 0.7, 12, np.complex128),
+]
+
+
+@pytest.mark.parametrize("p, hbar, n, dtype", DTYPE_CASES)
+def test_block_dtype_follows_the_weights(p, hbar, n, dtype):
+    m = weyl_quantize(p, hbar, n).entries
+    assert m.dtype == dtype
+    if p.d == 2:
+        assert _rel_err(m, kron_quantize_oracle(p, hbar, n)) <= 1e-13
+    else:
+        want = quantize_oracle(p, hbar, n)
+        assert np.abs(m - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_real_block_of_two_odd_factors_keeps_its_sign():
+    # eta1 eta2: each factor band is imaginary, their product is real; taking
+    # the real part of each factor would drop the term and give 2.0
+    want = np.linalg.eigvalsh(kron_quantize_oracle(ETA12_SYMBOL, 1.0, 8))[0]
+    got = lowest_eigenvalue(weyl_quantize(ETA12_SYMBOL, 1.0, 8))
+    assert got == pytest.approx(want, abs=1e-12)
+    assert got == pytest.approx(1.98406, abs=1e-5)
+
+
+def test_real_weight_of_a_complex_symbol_is_still_checked():
+    # 1j y eta has the real weight -1, but its matrix is antisymmetric
+    p = 1j * (y() * eta()) + harmonic_symbol()
+    m = weyl_quantize(p, 1.0, 8)
+    assert m.entries.dtype == np.float64 and not m.hermitian
+    with pytest.raises(NonHermitianError):
+        lowest_eigenvalue(m)
+    with pytest.raises(NonHermitianError):
+        truncation_sweep(p, 1.0, [8, 16])
+
+
+@pytest.mark.parametrize("size", [1, 63, 64, 65, 130, 1024])
+def test_tiled_hermiticity_check_takes_the_exact_maximum(size):
+    rng = np.random.default_rng(size)
+    real = rng.standard_normal((size, size))
+    for m in (real, real + 1j * rng.standard_normal((size, size))):
+        want = np.abs(m - m.conj().T).max()
+        _check_hermitian(m, want, "unused")
+        with pytest.raises(NonHermitianError):
+            _check_hermitian(m, np.nextafter(want, -1.0), "skew")
+        sym = (m + m.conj().T) / 2
+        sym[-1, size // 2] = np.nan
+        with pytest.raises(NonHermitianError, match="nan"):
+            _check_hermitian(sym, 1.0, "nan")
