@@ -21,9 +21,9 @@ The same coupling bound makes the single-mode matrix of y^a eta^b
 banded, with 2(a+b) + 1 nonzero diagonals, so the recursion runs on
 diagonals: O(size * deg^2) per monomial instead of dense O(size^3)
 products.  Every quantized matrix comes from one truncation ladder:
-the bands are peeled once at the top rung's internal size, and each
-rung is one dense N^d x N^d write of the Kronecker products of those
-bands (one per distinct second-mode factor; a single one for d = 1).
+the bands are peeled once at the top rung's internal size, and a rung
+writes the Kronecker products of those bands (one per distinct
+second-mode factor; a single one for d = 1) only when read or solved.
 weyl_quantize is the one-rung ladder.
 
 Real arithmetic.  Each term c y^a eta^b enters the block with the weight
@@ -54,8 +54,9 @@ monomials all have even total degree commutes with (-1)^{N_1 + N_2}.
 The ladder reads this from the exponents and marks each rung with its
 sector index sets (2^d sectors split by the parity of each n_s, or 2
 split by the parity of n_1 + n_2, or none); entries between sectors
-are exactly zero, and lowest_eigenvalue takes the bottom over the
-sector blocks.
+are exactly zero.  Each sector block is written straight from the
+bands (see _block); lowest_eigenvalue solves one of them and certifies
+the others by Cholesky.
 
 Everything here is desk scale: d <= 2 modes and N <= 256 per mode, a
 dense block of at most MAX_DENSE_DIM = 4096 rows (d = 2 up to N = 64),
@@ -69,6 +70,7 @@ exists.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -127,35 +129,35 @@ def mode_operators(hbar: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return s * (low + high), 1j * s * (high - low)
 
 
-@dataclass
 class OperatorMatrix:
     """A quantized symbol on the leading N^d Fock block.
 
     Basis ordering is lexicographic over per-mode levels with mode 1
     fastest: flat index = n_1 + N*n_2 + ...  Entries are exact values of
-    the infinite matrix (up to roundoff) thanks to internal padding.
+    the infinite matrix (up to roundoff) thanks to internal padding,
+    float64 when every weight c i^|b| is real (and for number_operator),
+    complex128 otherwise; a quantizer rung builds them on first read.
     """
 
-    d: int
-    n: int
-    hbar: float
-    pad: int
-    # float64 when every term weight c i^|b| is real (and for
-    # number_operator), complex128 otherwise
-    entries: np.ndarray = field(repr=False)
-    # set by the quantizer once the entries passed its 1e-12 check
-    hermitian: bool = field(default=False, init=False, repr=False, compare=False)
-    # set by the quantizer: flat indices of the Fock-parity sectors the
-    # operator leaves invariant (no entry couples two of them)
-    sectors: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False,
-                                                    compare=False)
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
+    def __init__(self, d: int, n: int, hbar: float, pad: int, entries: np.ndarray | None):
+        self.d, self.n, self.hbar, self.pad = d, n, hbar, pad
+        self._entries = entries
+        if entries is not None:
+            entries.setflags(write=False)
+        # set by the quantizer: whether blocks are checked Hermitian to 1e-12 as
+        # they are built (real symbols), the flat indices of the parity sectors
+        # (no entry couples two), their kind and the bands blocks are built from
+        self.hermitian, self.sectors, self._parity, self._bands = False, None, None, None
 
     @property
     def dim(self) -> int:
         return self.n ** self.d
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            self._entries = _block(self._bands, self.d, self.n, check=self.hermitian)
+        return self._entries
 
 
 # Single-mode factor matrices are held in band storage: row W + k of a
@@ -327,32 +329,56 @@ def _bands(p: PolynomialSymbol, hbar: float, size: int) -> list[tuple[np.ndarray
     return bands
 
 
-def _block(d: int, bands: list[tuple[np.ndarray, np.ndarray]], n: int) -> np.ndarray:
-    """Block stage of the ladder: the dense leading n^d block (mode 1
-    fastest), of the summed bands' dtype (float64 for the zero symbol).
-    Each product of a mode-2 and a mode-1 band entry is an entry of their
-    Kronecker product and goes straight to its place."""
-    dim = n ** d
-    out = np.zeros((dim, dim), dtype=bands[0][1].dtype if bands else float)
+def _block(bands: list[tuple[np.ndarray, np.ndarray]], d: int, n: int, kind: str | None = None,
+           v: int = 0, check: bool = False) -> np.ndarray:
+    """Block stage of the ladder: the summed Kronecker products of the
+    (mode-2, mode-1) band pairs on the leading n^d block (mode 1 fastest)
+    or on its parity sector v of the given kind, read-only, of the summed
+    bands' dtype (float64 for no bands).  Sector (p1, p2) = (v & 1, v >> 1)
+    of the per-mode kind is the same write of every second column from p_s
+    and the even band rows (the odd ones are zero); a total-parity sector
+    keeps the products inside it.  With check, it raises
+    NonHermitianError unless the block is Hermitian to 1e-12."""
+    n1, n2 = n, n ** (d - 1)
+    if kind == "mode":
+        p1, p2 = v & 1, v >> 1
+        bands = [(b2[::2, p2::2], b1[::2, p1::2]) for b2, b1 in bands]
+        n1, n2 = len(range(p1, n1, 2)), len(range(p2, n2, 2))
+    dim = size = n1 * n2
+    if kind == "total":  # the local index of each flat index in sector v, else -1
+        sector = _sectors(d, n, kind)[v]
+        size, local = len(sector), np.full(dim, -1)
+        local[sector] = np.arange(size)
+    out = np.zeros((size, size), dtype=bands[0][1].dtype if bands else float)
     flat = out.reshape(-1)
     for band2, band1 in bands:
-        src2, off2 = _block_geometry(band2.shape, n ** (d - 1), n * dim, n)
-        src1, off1 = _block_geometry(band1.shape, n, dim, 1)
-        flat[np.add.outer(off2, off1)] += np.multiply.outer(band2.take(src2), band1.take(src1))
+        src2, off2 = _block_geometry(band2.shape, n2, n1 * dim, n1)
+        src1, off1 = _block_geometry(band1.shape, n1, dim, 1)
+        place = np.add.outer(off2, off1)
+        products = np.multiply.outer(band2.take(src2), band1.take(src1))
+        if kind == "total":
+            row, col = local[place // dim], local[place % dim]
+            inside = (row >= 0) & (col >= 0)
+            place, products = row[inside] * size + col[inside], products[inside]
+        flat[place] += products
+    if check:
+        _check_hermitian(out, HERMITICITY_TOL, "real symbol produced non-Hermitian matrix")
+    out.setflags(write=False)
     return out
 
 
 def _ladder(p: PolynomialSymbol, hbar: float, ns: list[int]) -> Iterator[OperatorMatrix]:
     """Quantize p at each truncation of the strictly increasing ns.
 
-    The band stage runs once, at per-mode size ns[-1] + deg(p); a rung's
-    block is assembled only when the consumer asks for it, so stopping
-    early never allocates a larger dense block.  Blocks are float64 when
-    every term's weight c i^|b| is real, else complex.  Blocks of real
-    symbols are checked Hermitian to 1e-12 and marked so; every block is
-    marked with the parity sectors the symbol conserves.  A top rung of
-    more than MAX_DENSE_DIM rows, or a symbol of degree above MAX_DEGREE,
-    raises ResourceLimitError before any band is peeled.
+    The band stage runs once, at per-mode size ns[-1] + deg(p); a rung
+    builds a block only to read or solve it, so stopping early never
+    allocates a larger one.  Blocks are float64 when every term's weight
+    c i^|b| is real, else complex.  A real symbol with a non-finite term
+    raises NonHermitianError here; otherwise its rungs are marked
+    hermitian and their blocks checked to 1e-12 as they are built.  Every
+    rung is marked with the parity sectors the symbol conserves.  A top
+    rung of more than MAX_DENSE_DIM rows, or a symbol of degree above
+    MAX_DEGREE, raises ResourceLimitError before any band is peeled.
     """
     if p.d > MAX_MODES:
         raise DimensionMismatch(f"quantization supports d <= {MAX_MODES}, got d={p.d}")
@@ -371,16 +397,15 @@ def _ladder(p: PolynomialSymbol, hbar: float, ns: list[int]) -> Iterator[Operato
     degree = max(p.degree(), 0)
     if degree > MAX_DEGREE:
         raise ResourceLimitError(f"symbol degree {degree} is above the limit {MAX_DEGREE}")
+    real = p.is_real()
+    if real and not all(map(cmath.isfinite, p.terms.values())):
+        raise NonHermitianError("real symbol produced non-Hermitian matrix (non-finite term)")
     size = ns[-1] + degree
     bands = _bands(p, hbar, size)
-    real = p.is_real()
     kind = _parity_kind(p)
     for n in ns:
-        entries = _block(p.d, bands, n)
-        if real:
-            _check_hermitian(entries, HERMITICITY_TOL, "real symbol produced non-Hermitian matrix")
-        rung = OperatorMatrix(d=p.d, n=n, hbar=hbar, pad=size - n, entries=entries)
-        rung.hermitian = real
+        rung = OperatorMatrix(d=p.d, n=n, hbar=hbar, pad=size - n, entries=None)
+        rung.hermitian, rung._parity, rung._bands = real, kind, bands
         rung.sectors = _sectors(p.d, n, kind) if kind else None
         yield rung
 
@@ -400,7 +425,7 @@ def weyl_quantize(p: PolynomialSymbol, hbar: float, n: int) -> OperatorMatrix:
     Returns
     -------
     OperatorMatrix with exact entries of the infinite matrix on the
-    block; built internally at per-mode size n + deg(p).
+    block, built on first read from bands at per-mode size n + deg(p).
     """
     return next(_ladder(p, hbar, [n]))
 
@@ -442,19 +467,34 @@ def lowest_eigenvalue(m: OperatorMatrix | np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian operator matrix.
 
     Raises NonHermitianError if the entries deviate from Hermitian
-    symmetry by more than 1e-10; quantized real symbols, already checked
-    to 1e-12, are not checked again.  A quantized matrix marked with
-    parity sectors is block diagonal in them, and its bottom is the
-    minimum of eigvalsh over the sector blocks; any other matrix is
-    solved whole.
+    symmetry by more than 1e-10; quantized real symbols, checked to
+    1e-12 as their blocks are built, are not checked again.  A matrix
+    marked with parity sectors takes eigvalsh of its first sector block,
+    rho, and one Cholesky factorization of B - (rho + eta) I for each
+    other block B, eta = 1e-10 max_i sum_j |B_ij|.  Eta is hundreds of
+    times either solver's backward error dim eps |B| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 10), so success shows
+    that eigvalsh(B) lies above rho; failure sets rho = min(rho,
+    eigvalsh(B)[0]).  The bottom is thus the minimum of eigvalsh over the
+    sector blocks, bit for bit.  Any other matrix is solved whole.
     """
-    entries = m.entries if isinstance(m, OperatorMatrix) else np.asarray(m)
-    if not getattr(m, "hermitian", False):
-        _check_hermitian(entries, 1e-10, "matrix is not Hermitian")
-    sectors = getattr(m, "sectors", None)
-    if not sectors:
-        return float(np.linalg.eigvalsh(entries)[0])
-    return float(min(np.linalg.eigvalsh(entries[np.ix_(idx, idx)])[0] for idx in sectors))
+    checked, values = getattr(m, "hermitian", False), []
+    if getattr(m, "sectors", None):  # each sector block, built from the bands
+        blocks = (_block(m._bands, m.d, m.n, m._parity, v, checked) for v in range(len(m.sectors)))
+    else:
+        blocks = [m.entries if isinstance(m, OperatorMatrix) else np.asarray(m)]
+    for block in blocks:
+        if not checked:
+            _check_hermitian(block, 1e-10, "matrix is not Hermitian")
+        if values:
+            shift = min(values) + 1e-10 * np.abs(block).sum(axis=1).max()
+            try:
+                np.linalg.cholesky(block - shift * np.eye(len(block)))
+                continue
+            except np.linalg.LinAlgError:
+                pass
+        values.append(np.linalg.eigvalsh(block)[0])
+    return float(min(values))
 
 
 @dataclass
@@ -498,14 +538,12 @@ def truncation_sweep(p: PolynomialSymbol, hbar: float, ns: list[int]) -> Truncat
     """Lowest eigenvalue of quantize(p, hbar) at each truncation in ns.
 
     One ladder: the bands are peeled once at the largest N and every rung
-    is a dense block assembled from them; the result keeps the top rung's
-    matrix.
+    solves blocks built from them; the result keeps the top rung's
+    matrix, whose entries are built on first read.
     """
     ns = [int(v) for v in ns]
-    values = []
-    for rung in _ladder(p, hbar, ns):
-        values.append(lowest_eigenvalue(rung))
-    return TruncationSweep(truncations=ns, values=values, matrix=rung)
+    rungs = list(_ladder(p, hbar, ns))
+    return TruncationSweep(ns, [lowest_eigenvalue(rung) for rung in rungs], matrix=rungs[-1])
 
 
 def conjugation_residual(p: GradedSymbol, lam: float, n: int) -> float:

@@ -519,3 +519,93 @@ def test_tiled_hermiticity_check_takes_the_exact_maximum(size):
         sym[-1, size // 2] = np.nan
         with pytest.raises(NonHermitianError, match="nan"):
             _check_hermitian(sym, 1.0, "nan")
+
+
+# ---------------------------------------------------------------------------
+# Sector blocks built from the bands, and the Cholesky certificates
+# ---------------------------------------------------------------------------
+
+# every parity-marked symbol above, plus a float64 one of each kind at d = 2;
+# each ladder starts at an odd size, where the two parities differ in size
+SECTOR_CASES = [(p, [ns[0] - 1, *ns]) for p, ns, count in PARITY_CASES if count] + [
+    (DTYPE_CASES[1][0], [5, 8]),
+    (ETA12_SYMBOL, [5, 8]),
+]
+
+
+def _counting_eigvalsh(monkeypatch) -> list[int]:
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def _sector_bottoms(m) -> list[float]:
+    return [np.linalg.eigvalsh(m.entries[idx][:, idx])[0] for idx in m.sectors]
+
+
+@pytest.mark.parametrize("p, ns", SECTOR_CASES)
+def test_sector_blocks_are_the_slices_of_the_entries_bit_for_bit(p, ns):
+    for rung in _ladder(p, 0.7, ns):
+        full = rung.entries
+        assert _rel_err(full, kron_quantize_oracle(p, 0.7, rung.n)) <= 1e-13
+        label = np.empty(rung.dim, dtype=int)
+        for v, idx in enumerate(rung.sectors):
+            label[idx] = v
+            block = quantize._block(rung._bands, p.d, rung.n, rung._parity, v)
+            want = full[idx][:, idx]
+            assert block.dtype == want.dtype and block.tobytes() == want.tobytes()
+        assert not full[label[:, None] != label[None, :]].any()
+
+
+@pytest.mark.parametrize("p, ns",
+                         [c for c in SECTOR_CASES if quantize._parity_kind(c[0]) == "mode"])
+def test_solving_a_mode_rung_never_builds_its_dense_block(p, ns, monkeypatch):
+    build = quantize._block
+
+    def sectors_only(bands, d, n, kind=None, *args, **kwargs):
+        if kind is None:
+            raise AssertionError(f"dense block of {rung.dim} rows built")
+        return build(bands, d, n, kind, *args, **kwargs)
+
+    for rung in _ladder(p, 0.7, ns):
+        monkeypatch.setattr(quantize, "_block", sectors_only)
+        value = lowest_eigenvalue(rung)
+        monkeypatch.setattr(quantize, "_block", build)
+        assert value == min(_sector_bottoms(rung))
+
+
+def test_certificates_fall_back_where_the_bottom_is_not_in_sector_0(monkeypatch):
+    h = harmonic_symbol()
+    h1, h2 = y(2, 0) ** 2 + eta(2, 0) ** 2, y(2, 1) ** 2 + eta(2, 1) ** 2
+    # (symbol, N, sector bottoms, eigvalsh calls): h^2 - 6h has its bottom
+    # -8 in the odd sector; (h1 + h2 - 4)^2 has 2 in both mixed sectors, to
+    # within roundoff, so each of them falls back
+    cases = [
+        (h * h - 6.0 * h, 32, [-4.0, -8.000000000000004], 2),
+        ((h1 + h2 - 4.0) ** 2, 16, [6.0, 1.9999999999999978, 1.9999999999999973, 6.0], 3),
+    ]
+    for p, n, bottoms, solves in cases:
+        m = weyl_quantize(p, 1.0, n)
+        want = _sector_bottoms(m)
+        assert [float(v) for v in want] == pytest.approx(bottoms, abs=1e-12)
+        calls = _counting_eigvalsh(monkeypatch)
+        assert lowest_eigenvalue(m) == min(want)
+        assert len(calls) == solves
+        monkeypatch.undo()
+
+
+def test_one_eigvalsh_per_rung_of_a_two_mode_model(monkeypatch):
+    quad = y(2, 0) ** 2 + 1.2 * eta(2, 0) ** 2 + 0.8 * y(2, 1) ** 2 + eta(2, 1) ** 2
+    p = quad * quad + 0.4 * y(2, 0) ** 2 * y(2, 1) ** 2 + 0.9 * harmonic_symbol(2)
+    calls = _counting_eigvalsh(monkeypatch)
+    sweep = truncation_sweep(p, 1.0, [8, 16, 32])
+    # one solve per rung, on its first sector block
+    assert calls == [16, 64, 256]
+    monkeypatch.undo()
+    for n, value in zip(sweep.truncations, sweep.values):
+        assert value == min(_sector_bottoms(weyl_quantize(p, 1.0, n)))
