@@ -39,7 +39,7 @@ from .localize import (
     localized_symbol,
     unit_sphere_grid,
 )
-from .models import harmonic_symbol, quadratic_model, quartic_model
+from .models import harmonic_symbol, quadratic_form_symbol, quadratic_model, quartic_model
 from .quantize import (
     OperatorMatrix,
     TruncationSweep,
@@ -61,7 +61,6 @@ from .sweep import (
     lambda_sweep,
     melin_phase_diagram,
     parse_report,
-    quadratic_form_symbol,
     render_report,
 )
 from .symbols import (
@@ -102,7 +101,6 @@ __all__ = [
     # verifier
     "ModelSpec", "SweepRow", "SweepReport", "lambda_sweep", "PhasePoint", "PhaseReport",
     "melin_phase_diagram", "emit_report", "render_report", "parse_report",
-    "quadratic_form_symbol",
     # canonical models
-    "harmonic_symbol", "quadratic_model", "quartic_model",
+    "harmonic_symbol", "quadratic_form_symbol", "quadratic_model", "quartic_model",
 ]

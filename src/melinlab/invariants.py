@@ -13,6 +13,7 @@ the quantized model at hbar = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,8 +93,8 @@ def trace_plus(q: QuadraticData | np.ndarray) -> float:
     """
     q = _coerce(q)
     h = q.hessian
-    norm = float(np.linalg.norm(h, 2))
     eig_h = np.linalg.eigvalsh(h)
+    norm = float(max(-eig_h[0], eig_h[-1]))  # the spectral norm of the symmetric h
     if eig_h[0] < -PSD_TOL * max(norm, 1e-300):
         raise PositivityError(
             f"Hessian is not positive semidefinite (lowest eigenvalue {eig_h[0]:.3e})"
@@ -134,10 +135,10 @@ class MetricPoint:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float).ravel()
-        if self.a < 1:
-            raise ValueError(f"scale parameter a must be >= 1, got {self.a}")
-        if self.lam < 1:
-            raise ValueError(f"Lambda must be >= 1, got {self.lam}")
+        if not 1 <= self.a < math.inf:
+            raise ValueError(f"scale parameter a must be a finite number >= 1, got {self.a}")
+        if not 1 <= self.lam < math.inf:
+            raise ValueError(f"Lambda must be a finite number >= 1, got {self.lam}")
 
 
 @dataclass
@@ -158,8 +159,8 @@ def metric_report(point: MetricPoint, b: float | None = None) -> MetricReport:
     """
     if b is None:
         b = point.a
-    if b < 1:
-        raise ValueError(f"scale parameter b must be >= 1, got {b}")
+    if not 1 <= b < math.inf:
+        raise ValueError(f"scale parameter b must be a finite number >= 1, got {b}")
     d_a = float(np.linalg.norm(point.x)) + point.a
     d_b = float(np.linalg.norm(point.x)) + b
     inv_lam = 1.0 / point.lam

@@ -145,7 +145,7 @@ def unit_sphere_grid(d: int) -> np.ndarray:
 class HypothesisDiagnosis:
     """Outcome of the three standing hypotheses for one graded symbol.
 
-    `ok` is the conjunction; the check itself never raises.
+    `ok` is the conjunction; a failed hypothesis is reported here, not raised.
     """
 
     vanishing_ok: bool
@@ -185,8 +185,10 @@ class HypothesisDiagnosis:
 def hypothesis_check(p: GradedSymbol,
                      ns: tuple[int, ...] = DEFAULT_TRUNCATIONS) -> HypothesisDiagnosis:
     """Diagnose the vanishing-order, ellipticity, and positivity
-    hypotheses for a graded symbol.  Never raises on a bad model; keeps
-    the localized operator of the positivity check as `localized`."""
+    hypotheses for a graded symbol.  A failed hypothesis is reported, not
+    raised; a ladder past the quantizer's limits still raises
+    ResourceLimitError (a d = 2 model on the default ladder).  Keeps the
+    localized operator of the positivity check as `localized`."""
     violations: dict[int, list[str]] = {}
     for j, q in p.levels.items():
         if j > p.k:

@@ -6,6 +6,7 @@ from .symbols import GradedSymbol, PolynomialSymbol
 
 __all__ = [
     "harmonic_symbol",
+    "quadratic_form_symbol",
     "quadratic_model",
     "quartic_model",
 ]
@@ -22,11 +23,15 @@ def harmonic_symbol(d: int = 1) -> PolynomialSymbol:
     return PolynomialSymbol(d, terms)
 
 
+def quadratic_form_symbol(alpha: float, beta: float, gamma: float) -> PolynomialSymbol:
+    """The d = 1 quadratic form alpha y^2 + 2 beta y eta + gamma eta^2."""
+    return PolynomialSymbol(1, {(2, 0): alpha, (1, 1): 2.0 * beta, (0, 2): gamma})
+
+
 def quadratic_model(alpha: float, beta: float, gamma: float, s: float = 0.0) -> GradedSymbol:
     """Codimension-order-1 model: quadratic form at level 0, the
     subprincipal constant s at level 1."""
-    level0 = PolynomialSymbol(1, {(2, 0): alpha, (1, 1): 2.0 * beta, (0, 2): gamma})
-    levels = {0: level0}
+    levels = {0: quadratic_form_symbol(alpha, beta, gamma)}
     if s != 0.0:
         levels[1] = PolynomialSymbol.constant(1, s)
     return GradedSymbol(1, 1, levels)

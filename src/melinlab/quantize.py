@@ -236,12 +236,6 @@ def _scaled_band(ypow: int, epow: int, hbar: float, size: int) -> np.ndarray:
     return (hbar / 2.0) ** (width / 2.0) * _real_band(ypow, epow, size)
 
 
-def _mode_band(ypow: int, epow: int, hbar: float, size: int) -> np.ndarray:
-    """Exact single-mode Weyl matrix of y^ypow eta^epow, in complex band
-    storage: i^epow (hbar/2)^(W/2) times the cached real band."""
-    return np.multiply(_PHASES[epow % 4], _scaled_band(ypow, epow, hbar, size), dtype=complex)
-
-
 @functools.lru_cache(maxsize=64)
 def _block_geometry(band_shape: tuple[int, int], n: int, row_stride: int, col_stride: int):
     """(source, offsets) of the entries of a band that fall in its leading
@@ -553,12 +547,11 @@ def conjugation_residual(p: GradedSymbol, lam: float, n: int) -> float:
     quantize(scale_symbol(p) folded at Lambda, hbar=1) on the exact
     block; the identity is algebraic, so the residual is pure roundoff.
     """
-    if lam < 1:
-        raise ValueError(f"Lambda must be >= 1, got {lam}")
+    if not 1 <= lam < math.inf:
+        raise ValueError(f"Lambda must be a finite number >= 1, got {lam}")
     left = weyl_quantize(p.fold(lam), 1.0 / lam, n).entries
     right = weyl_quantize(scale_symbol(p).fold(lam), 1.0, n).entries
-    scale = max(np.abs(left).max() if left.size else 0.0,
-                np.abs(right).max() if right.size else 0.0)
+    scale = max(np.abs(left).max(), np.abs(right).max())
     if scale == 0.0:
         return 0.0
     return float(np.abs(left - right).max() / scale)

@@ -29,8 +29,9 @@ import numpy as np
 from .errors import MelinLabError
 from .invariants import QuadraticData, melin_quantity
 from .localize import hypothesis_check
+from .models import quadratic_form_symbol
 from .quantize import MAX_TRUNCATION, TruncationSweep, _ladder, lowest_eigenvalue, weyl_quantize
-from .symbols import GradedSymbol, PolynomialSymbol
+from .symbols import GradedSymbol
 
 __all__ = [
     "ModelSpec",
@@ -41,7 +42,6 @@ __all__ = [
     "PhaseReport",
     "melin_phase_diagram",
     "emit_report",
-    "quadratic_form_symbol",
 ]
 
 CONVERGENCE_REL = 1e-8
@@ -129,6 +129,16 @@ class SweepReport:
         return _from_record(cls, {**data, "rows": rows})
 
 
+def _map_rows(one, items: list, workers: int) -> list:
+    """[one(item) for item in items], run in a pool of `workers` threads
+    when there is more than one worker and more than one item; the result
+    is the same either way."""
+    if workers == 1 or len(items) == 1:
+        return [one(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(one, items))
+
+
 def _converged_lowest(symbol: GradedSymbol, lam: float,
                       ladder: list[int]) -> tuple[float, int, str | None]:
     """Lowest eigenvalue at auto-escalating truncation.
@@ -201,16 +211,12 @@ def lambda_sweep(spec: ModelSpec, workers: int = 1) -> SweepReport:
             reference=reference,
         ), note
 
-    if workers == 1 or len(spec.lambdas) == 1:
-        results = [one(lam) for lam in spec.lambdas]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, spec.lambdas))
+    results = _map_rows(one, spec.lambdas, workers)
     rows = [r for r, _ in results]
     notes = [n for _, n in results if n]
 
     fit = [(math.log(r.lam), math.log(abs(r.lambda_min)))
-           for r in rows if r.lambda_min != 0.0 and r.lam > 0]
+           for r in rows if r.lambda_min != 0.0]
     if len(fit) >= 2:
         xs, ys = zip(*fit)
         slope = float(np.polyfit(xs, ys, 1)[0])
@@ -243,11 +249,6 @@ def lambda_sweep(spec: ModelSpec, workers: int = 1) -> SweepReport:
 # ---------------------------------------------------------------------------
 # Quadratic phase diagram
 # ---------------------------------------------------------------------------
-
-
-def quadratic_form_symbol(alpha: float, beta: float, gamma: float) -> PolynomialSymbol:
-    """The d = 1 quadratic form alpha y^2 + 2 beta y eta + gamma eta^2."""
-    return PolynomialSymbol(1, {(2, 0): alpha, (1, 1): 2.0 * beta, (0, 2): gamma})
 
 
 @dataclass
@@ -301,15 +302,9 @@ def melin_phase_diagram(alphas, betas, gammas, svals, truncation: int = PHASE_TR
             pts.append(PhasePoint(a, b, g, s, melin, lam_min, abs(lam_min - melin)))
         return pts, None
 
-    if workers == 1 or len(forms) == 1:
-        results = [one(f) for f in forms]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, forms))
-
     points: list[PhasePoint] = []
     skipped: list[str] = []
-    for pts, note in results:
+    for pts, note in _map_rows(one, forms, workers):
         if note:
             skipped.append(note)
         else:

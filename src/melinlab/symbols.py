@@ -514,8 +514,8 @@ class GradedSymbol:
 
     def fold(self, lam: float) -> PolynomialSymbol:
         """Numeric symbol sum_j Lambda^(m-j) q_j at a concrete Lambda >= 1."""
-        if lam < 1:
-            raise ValueError(f"Lambda must be >= 1, got {lam}")
+        if not 1 <= lam < math.inf:
+            raise ValueError(f"Lambda must be a finite number >= 1, got {lam}")
         return _weighted_sum(self.d, ((float(lam) ** float(self.m - j), q)
                                       for j, q in self.levels.items()))
 
@@ -595,8 +595,8 @@ class HalfGradedPolynomial:
         self.terms = {k: v for k, v in clean.items() if v != 0}
 
     def fold(self, lam: float) -> PolynomialSymbol:
-        if lam < 1:
-            raise ValueError(f"Lambda must be >= 1, got {lam}")
+        if not 1 <= lam < math.inf:
+            raise ValueError(f"Lambda must be a finite number >= 1, got {lam}")
         out: dict[MultiIndex, complex] = {}
         for (idx, e2), c in sorted(self.terms.items()):
             w = c * float(lam) ** (e2 / 2.0)

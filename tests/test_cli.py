@@ -257,6 +257,15 @@ def test_sweep_negative_control_exit_code(tmp_path, capsys):
     assert out.exists()
 
 
+def test_sweep_slope_failure_exit_code(tmp_path, capsys):
+    # one Lambda leaves no slope to fit
+    model = write_model(tmp_path, sweep={"lambdas": [64], "truncations": [16, 32]})
+    assert main(["sweep", model, "--out", str(tmp_path / "report.csv")]) == 4
+    stdout = capsys.readouterr().out
+    assert "verdict: fail" in stdout
+    assert "fitted slope nan differs from -k = -2" in stdout
+
+
 def test_sweep_requires_section(tmp_path, capsys):
     model = write_model(tmp_path)
     assert main(["sweep", model, "--out", str(tmp_path / "r.csv")]) == 2

@@ -178,3 +178,17 @@ def test_metric_point_validation():
         MetricPoint(np.zeros(2), 1.0, 0.5)
     with pytest.raises(ValueError):
         metric_report(MetricPoint(np.zeros(2), 1.0, 4.0), b=0.25)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_metric_point_rejects_non_finite_scales(bad):
+    with pytest.raises(ValueError, match="a must be a finite number >= 1"):
+        MetricPoint(np.zeros(2), bad, 4.0)
+    with pytest.raises(ValueError, match="Lambda must be a finite number >= 1"):
+        MetricPoint(np.zeros(2), 1.0, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_metric_report_rejects_non_finite_b(bad):
+    with pytest.raises(ValueError, match="b must be a finite number >= 1"):
+        metric_report(MetricPoint(np.zeros(2), 1.0, 4.0), b=bad)

@@ -1,9 +1,10 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from melinlab.errors import NonHermitianError, VanishingOrderError
+from melinlab.errors import GradingError, NonHermitianError, VanishingOrderError
 from melinlab.invariants import QuadraticData, melin_quantity
 from melinlab.localize import (
     hypothesis_check,
@@ -180,3 +181,22 @@ def test_localization_product_check_transverse_pair():
     p = GradedSymbol(1, 1, {0: y() ** 2})
     q = GradedSymbol(1, 1, {0: eta() ** 2})
     assert localization_product_check(p, q, lam=8.0) < 1e-12
+
+
+def test_localization_product_check_rejects_a_wrong_graded_star(monkeypatch):
+    # `melinlab.localize` the attribute is the function, so patch the module
+    module = importlib.import_module("melinlab.localize")
+    true_star = module.graded_star
+
+    def skewed(p, q):
+        g = true_star(p, q)
+        terms = dict(g.levels[0].terms)
+        largest = max(terms, key=lambda idx: abs(terms[idx]))
+        terms[largest] *= 1.0 + 1e-6
+        return GradedSymbol(g.d, g.k, {**g.levels, 0: PolynomialSymbol(g.d, terms)}, m=g.m)
+
+    monkeypatch.setattr(module, "graded_star", skewed)
+    p = quadratic_model(1.0, 0.0, 1.0)
+    q = quadratic_model(2.0, 0.25, 1.0, s=1.0)
+    with pytest.raises(GradingError, match=r"at Lambda=4\.0 \(relative deviation 1\.000e-06\)"):
+        localization_product_check(p, q)

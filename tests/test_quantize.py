@@ -18,8 +18,9 @@ from melinlab.quantize import (
     MAX_DENSE_DIM,
     TruncationSweep,
     _check_hermitian,
+    _PHASES,
     _ladder,
-    _mode_band,
+    _scaled_band,
     conjugation_residual,
     ladder,
     lowest_eigenvalue,
@@ -234,6 +235,12 @@ def test_conjugation_residual_is_roundoff():
         conjugation_residual(g, 0.5, 12)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_conjugation_residual_rejects_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="Lambda must be a finite number >= 1"):
+        conjugation_residual(quartic_model(sub_coeff=1.0), lam, 8)
+
+
 # ---------------------------------------------------------------------------
 # Banded peeling against the dense Jordan product
 # ---------------------------------------------------------------------------
@@ -243,6 +250,12 @@ MONOMIALS_UP_TO_8 = [(a, w - a) for w in range(9) for a in range(w + 1)]
 
 def _rel_err(got, want):
     return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+
+def _phased_band(a, b, hbar, size):
+    """Single-mode Weyl matrix of y^a eta^b in complex band storage: the
+    phase i^b that the quantizer moves into the term weight, times the band."""
+    return np.multiply(_PHASES[b % 4], _scaled_band(a, b, hbar, size), dtype=complex)
 
 
 def _dense(band, size):
@@ -259,7 +272,7 @@ def _dense(band, size):
 def test_mode_band_matches_dense_jordan(size):
     for hbar in ((1.0, 0.3) if size < 100 else (0.3,)):
         for a, b in MONOMIALS_UP_TO_8:
-            got = _dense(_mode_band(a, b, hbar, size), size)
+            got = _dense(_phased_band(a, b, hbar, size), size)
             want = jordan_mode_oracle(a, b, hbar, size)
             assert _rel_err(got, want) <= 1e-13, (a, b, size, hbar)
 
@@ -269,7 +282,7 @@ def test_band_cache_serves_every_hbar_from_one_peel():
     quantize._real_band.cache_clear()
     for hbar in (1.0, 0.3):
         for a, b in MONOMIALS_UP_TO_8[1:]:
-            got = _dense(_mode_band(a, b, hbar, 12), 12)
+            got = _dense(_phased_band(a, b, hbar, 12), 12)
             assert _rel_err(got, jordan_mode_oracle(a, b, hbar, 12)) <= 1e-13, (a, b, hbar)
     info = quantize._real_band.cache_info()
     assert info.misses == len(MONOMIALS_UP_TO_8) - 1
@@ -279,7 +292,7 @@ def test_band_cache_serves_every_hbar_from_one_peel():
     with pytest.raises(ValueError):
         cached[0, 0] = 1.0
     # callers get a fresh scaled copy, never the cached array
-    assert not np.shares_memory(_mode_band(2, 1, 1.0, 12), cached)
+    assert not np.shares_memory(_scaled_band(2, 1, 1.0, 12), cached)
 
 
 def test_phase_grid_peels_each_form_monomial_once():

@@ -99,6 +99,28 @@ def test_sweep_negative_control_fails_with_reasons():
     assert any("localized positivity" in r for r in rep.reasons)
 
 
+SEXTIC = quartic_model(sub_coeff=1.0, sextic=1.0)
+
+
+@pytest.mark.parametrize("symbol, options, reason", [
+    (SEXTIC, {"limit_tol": 1e-9}, "at Lambda=256 misses the localized reference 3 beyond 1e-09"),
+    (SEXTIC, {"slope_tol": 1e-9}, "fitted slope -2.0117 differs from -k = -2 beyond 1e-09"),
+    (SEXTIC, {"lambdas": [64.0]}, "fitted slope nan differs from -k = -2 beyond 0.05"),
+    (GradedSymbol(1, 1, {0: y() ** 4}), {},
+     "localized reference is zero; no limit to compare against"),
+    (GradedSymbol(1, 2, {0: quartic_model().levels[0], 1: y()}), {},
+     "hypothesis failure: vanishing orders (i)"),
+    (GradedSymbol(1, 2, {0: y() ** 4}), {}, "hypothesis failure: transverse ellipticity (ii)"),
+])
+def test_sweep_verdict_names_each_failure(symbol, options, reason):
+    spec = ModelSpec(symbol, **{"lambdas": [16.0, 64.0, 256.0], "truncations": [16, 32],
+                                **options})
+    rep = lambda_sweep(spec)
+    assert rep.verdict == "fail"
+    assert any(reason in r for r in rep.reasons), rep.reasons
+    assert rep.hypothesis_ok == (symbol is SEXTIC)
+
+
 def test_sweep_normalizes_overall_order():
     plain = lambda_sweep(quartic_spec())
     shifted = ModelSpec(

@@ -222,6 +222,12 @@ def test_graded_fold_weights():
         g.fold(0.5)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_graded_fold_rejects_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match=">= 1"):
+        quartic_model(1.0).fold(lam)
+
+
 def test_graded_fold_honors_fractional_order():
     g = GradedSymbol(1, 0, {0: y()}, m=Fraction(1, 2))
     assert g.fold(16.0).terms[(1, 0)] == pytest.approx(4.0, rel=1e-15)
@@ -296,6 +302,13 @@ def test_half_graded_rejects_non_integer_doubled_exponent():
 def test_half_graded_fold_halves_exponent():
     h = HalfGradedPolynomial(1, {((1, 0), -1): 2.0})
     assert h.fold(4.0).terms[(1, 0)] == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_half_graded_fold_rejects_non_finite_lambda(lam):
+    h = HalfGradedPolynomial(1, {((1, 0), -1): 2.0})
+    with pytest.raises(ValueError, match=">= 1"):
+        h.fold(lam)
 
 
 # ---------------------------------------------------------------------------
