@@ -45,6 +45,8 @@ class QuadraticData:
     subprincipal: float = 0.0
 
     def __post_init__(self):
+        if self.d < 1:
+            raise DimensionMismatch(f"transverse dimension must be >= 1, got d={self.d}")
         h = np.asarray(self.hessian, dtype=float)
         if h.shape != (2 * self.d, 2 * self.d):
             raise DimensionMismatch(

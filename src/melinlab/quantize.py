@@ -263,7 +263,7 @@ def _parity_kind(p: PolynomialSymbol) -> str | None:
     """The Fock parities the Weyl operator of p conserves: "mode" if
     every monomial has even degree in each mode, else "total" if every
     monomial has even total degree, else None."""
-    degrees = [[idx[s] + idx[p.d + s] for s in range(p.d)] for idx, _ in p.iter_terms()]
+    degrees = [[idx[s] + idx[p.d + s] for s in range(p.d)] for idx in p.terms]
     if all(deg % 2 == 0 for mono in degrees for deg in mono):
         return "mode"
     if all(sum(mono) % 2 == 0 for mono in degrees):

@@ -28,7 +28,9 @@ splitting.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -94,17 +96,20 @@ class PolynomialSymbol:
                     clean[idx] = clean.get(idx, 0.0) + c
         self._adopt(d, clean)
 
-    def _adopt(self, d: int, terms: Mapping[MultiIndex, complex]) -> "PolynomialSymbol":
+    def _adopt(self, d: int, terms: dict[MultiIndex, complex]) -> "PolynomialSymbol":
         """The trusted end of construction: keys are already tuples of 2d
-        nonnegative ints and values Python complex, so only the zeros
-        (including any that cancelled while accumulating) are dropped."""
-        self.d = d
-        self.terms = {k: v for k, v in terms.items() if v != 0}
+        nonnegative ints and values Python complex.  The symbol takes
+        ownership of `terms`, which is kept as it is unless a zero (one
+        that cancelled while accumulating) has to be dropped."""
+        if 0 in terms.values():
+            terms = {k: v for k, v in terms.items() if v != 0}
+        self.d, self.terms = d, terms
         return self
 
     @classmethod
-    def _trusted(cls, d: int, terms: Mapping[MultiIndex, complex]) -> "PolynomialSymbol":
-        """A symbol from terms the algebra built out of valid symbols."""
+    def _trusted(cls, d: int, terms: dict[MultiIndex, complex]) -> "PolynomialSymbol":
+        """A symbol from terms the algebra built out of valid symbols; the
+        caller hands over a fresh dict and must not touch it afterwards."""
         return cls.__new__(cls)._adopt(d, terms)
 
     # -- constructors ------------------------------------------------
@@ -177,11 +182,13 @@ class PolynomialSymbol:
     def __mul__(self, other):
         if isinstance(other, PolynomialSymbol):
             self._require_same_d(other)
+            # sorting both operands fixes the accumulation order, hence the last bits
             out: dict[MultiIndex, complex] = {}
+            get, add, right = out.get, operator.add, sorted(other.terms.items())
             for ka, va in sorted(self.terms.items()):
-                for kb, vb in sorted(other.terms.items()):
-                    key = tuple(a + b for a, b in zip(ka, kb))
-                    out[key] = out.get(key, 0.0) + va * vb
+                for kb, vb in right:
+                    key = tuple(map(add, ka, kb))
+                    out[key] = get(key, 0.0) + va * vb
             return PolynomialSymbol._trusted(self.d, out)
         if isinstance(other, (int, float, complex)):
             c = complex(other)
@@ -332,60 +339,52 @@ def eta(d: int = 1, mode: int = 0) -> PolynomialSymbol:
 # ---------------------------------------------------------------------------
 
 
-def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
+@functools.lru_cache(maxsize=256)
+def _compositions(total: int, slots: int) -> tuple[tuple[int, ...], ...]:
     """All tuples of `slots` nonnegative integers summing to `total`."""
     if slots == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, slots - 1):
-            yield (head,) + rest
-
-
-def _multi_factorial(alpha: Iterable[int]) -> int:
-    out = 1
-    for a in alpha:
-        out *= math.factorial(a)
-    return out
+        return ((total,),)
+    return tuple((head,) + rest for head in range(total + 1)
+                 for rest in _compositions(total - head, slots - 1))
 
 
 def _weighted_sum(d: int, pairs: Iterable[tuple[complex, PolynomialSymbol]]) -> PolynomialSymbol:
     """sum_i w_i p_i, added into one dict in the order given and built once."""
     out: dict[MultiIndex, complex] = {}
+    get = out.get
     for w, p in pairs:
         for k, v in p.terms.items():
-            out[k] = out.get(k, 0.0) + v * w
+            out[k] = get(k, 0.0) + v * w
     return PolynomialSymbol._trusted(d, out)
 
 
-def _add_partials(table: dict[MultiIndex, PolynomialSymbol], order: int) -> None:
-    """Add the nonzero mixed partials of total order `order` to a table
-    {gamma: d^gamma p} holding those of order - 1; each is one derivative,
-    along its first nonzero axis, of a table entry."""
-    for gamma in _compositions(order, len(next(iter(table)))):
-        axis = next(i for i, g in enumerate(gamma) if g > 0)
-        parent = table.get(gamma[:axis] + (gamma[axis] - 1,) + gamma[axis + 1 :])
-        if parent is not None and not (part := parent.derivative(axis)).is_zero():
-            table[gamma] = part
+def _partials(a: PolynomialSymbol, order: int) -> dict[MultiIndex, PolynomialSymbol]:
+    """The nonzero mixed partials {gamma: d^gamma a} of total order up to
+    min(order, deg a); each is one derivative, along its first nonzero
+    axis, of a lower-order entry."""
+    table = {(0,) * (2 * a.d): a}
+    for r in range(1, min(order, a.degree()) + 1):
+        for gamma in _compositions(r, 2 * a.d):
+            axis = next(i for i, g in enumerate(gamma) if g > 0)
+            parent = table.get(gamma[:axis] + (gamma[axis] - 1,) + gamma[axis + 1 :])
+            if parent is not None and not (part := parent.derivative(axis)).is_zero():
+                table[gamma] = part
+    return table
 
 
-def _star_series(a: PolynomialSymbol, b: PolynomialSymbol, hbar: float,
-                 first: int = 0) -> Iterator[tuple[int, complex, PolynomialSymbol]]:
+def _star_series(a: PolynomialSymbol, b: PolynomialSymbol, hbar: float, first: int = 0,
+                 tables: tuple | None = None) -> Iterator[tuple[int, complex, PolynomialSymbol]]:
     """Yield (r, (i*hbar/2)^r / r!, B^r(a, b)) for r = first .. min(deg a, deg b).
 
     B^r vanishes beyond the smaller degree, so this is the whole Moyal
-    series.  Each mixed partial of a and of b is taken once and shared
-    by every order that uses it.
+    series.  `tables` are the _partials of a and b up to the last order
+    yielded, built here unless a caller that reuses them passes them in.
     """
     a._require_same_d(b)
     d = a.d
-    partials_a, partials_b = {(0,) * (2 * d): a}, {(0,) * (2 * d): b}
-    for r in range(min(a.degree(), b.degree()) + 1):
-        if r > 0:
-            _add_partials(partials_a, r)
-            _add_partials(partials_b, r)
-        if r < first:
-            continue
+    top = min(a.degree(), b.degree())
+    partials_a, partials_b = tables or (_partials(a, top), _partials(b, top))
+    for r in range(first, top + 1):
         rfact = math.factorial(r)
         pairs = []
         for ra in range(r + 1):
@@ -394,7 +393,7 @@ def _star_series(a: PolynomialSymbol, b: PolynomialSymbol, hbar: float,
                     da = partials_a.get(alpha + beta)
                     db = partials_b.get(beta + alpha)
                     if da is not None and db is not None:
-                        weight = rfact // (_multi_factorial(alpha) * _multi_factorial(beta))
+                        weight = rfact // math.prod(map(math.factorial, alpha + beta))
                         pairs.append((-weight if (r - ra) % 2 else weight, da * db))
         yield r, (1j * hbar / 2) ** r / rfact, _weighted_sum(d, pairs)
 
@@ -409,7 +408,7 @@ def bidifferential_power(a: PolynomialSymbol, b: PolynomialSymbol, j: int) -> Po
     """
     if j < 0:
         raise ValueError(f"bidifferential order must be >= 0, got {j}")
-    for _, _, term in _star_series(a, b, 1.0, first=j):
+    for _, _, term in _star_series(a, b, 1.0, first=j, tables=(_partials(a, j), _partials(b, j))):
         return term
     return PolynomialSymbol.zero(a.d)
 
@@ -556,14 +555,18 @@ def graded_star(p: GradedSymbol, q: GradedSymbol) -> GradedSymbol:
     the bidifferential lowers the transverse degree by 2 and deepens the
     Lambda-grading by one, because the star parameter is hbar = 1/Lambda.
     Folding the result at any Lambda therefore reproduces
-    moyal_star(p.fold(Lambda), q.fold(Lambda), 1/Lambda).
+    moyal_star(p.fold(Lambda), q.fold(Lambda), 1/Lambda).  Each level's
+    mixed partials are taken once, up to the other symbol's top degree,
+    and shared by every level pair it enters.
     """
     if p.d != q.d:
         raise DimensionMismatch(f"cannot compose symbols with d={p.d} and d={q.d}")
+    right = [(jq, b, _partials(b, p.max_degree())) for jq, b in q.levels.items()]
     pairs: dict[int, list[tuple[complex, PolynomialSymbol]]] = {}
     for jp, a in p.levels.items():
-        for jq, b in q.levels.items():
-            for r, coeff, term in _star_series(a, b, 1.0):
+        table_a = _partials(a, q.max_degree())
+        for jq, b, table_b in right:
+            for r, coeff, term in _star_series(a, b, 1.0, tables=(table_a, table_b)):
                 pairs.setdefault(jp + jq + r, []).append((coeff, term))
     levels = {J: _weighted_sum(p.d, terms) for J, terms in pairs.items()}
     return GradedSymbol(p.d, p.k + q.k, levels, m=p.m + q.m)

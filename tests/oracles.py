@@ -169,6 +169,18 @@ def bidifferential_oracle(a_terms, b_terms, d, j):
     return out
 
 
+def product_oracle(a_terms, b_terms):
+    """The product of two term dicts by a plain double loop over both
+    operands' keys in sorted order, accumulating into a dict with the
+    cancelled zeros dropped at the end."""
+    out = {}
+    for ka in sorted(a_terms):
+        for kb in sorted(b_terms):
+            key = tuple(x + z for x, z in zip(ka, kb))
+            out[key] = out.get(key, 0.0) + a_terms[ka] * b_terms[kb]
+    return {k: v for k, v in out.items() if v != 0}
+
+
 def random_polynomial(rng, d, max_degree, n_terms=6, real=True):
     """Random polynomial symbol with small integer-ish coefficients."""
     terms = {}

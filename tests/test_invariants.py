@@ -117,6 +117,19 @@ def test_quadratic_data_validation():
             QuadraticData(1, np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
+def test_quadratic_data_rejects_d_zero_before_numpy():
+    with pytest.raises(DimensionMismatch, match=">= 1, got d=0"):
+        QuadraticData(0, np.zeros((0, 0)))
+    with pytest.raises(DimensionMismatch, match=">= 1, got d=0"):
+        trace_plus(np.zeros((0, 0)))
+
+
+def test_quadratic_data_rejects_negative_d():
+    # the shape check alone would name an impossible shape (-2, -2)
+    with pytest.raises(DimensionMismatch, match=">= 1, got d=-1"):
+        QuadraticData(-1, np.eye(2))
+
+
 def test_melin_quantity():
     q = QuadraticData(1, np.array([[2.0, 0.0], [0.0, 2.0]]), subprincipal=-1.0)
     assert melin_quantity(q) == pytest.approx(0.0, abs=1e-12)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from melinlab.symbols import (
     y,
 )
 
-from oracles import bidifferential_oracle, random_polynomial
+from oracles import bidifferential_oracle, product_oracle, random_polynomial
 
 
 def coeff_distance(a, b):
@@ -381,6 +382,64 @@ def test_graded_star_levels_match_monomial_oracle():
         for level, weighted in expect.items():
             got = g.levels.get(level, PolynomialSymbol.zero(d))
             assert oracle_distance(got, oracle_sum(weighted)) <= 1e-13, (d, level)
+
+
+def partial_table_cost(a, order):
+    """derivative calls that take the mixed partials of a up to total order
+    min(order, deg a), each as one derivative of its parent (one order
+    lower along its first nonzero axis): one call per multi-index whose
+    parent is a nonzero partial, i.e. lies below some exponent of a."""
+    top = min(order, a.degree())
+    calls = 0
+    for gamma in itertools.product(range(top + 1), repeat=2 * a.d):
+        if 1 <= sum(gamma) <= top:
+            axis = next(i for i, g in enumerate(gamma) if g)
+            parent = gamma[:axis] + (gamma[axis] - 1,) + gamma[axis + 1:]
+            calls += any(all(e >= g for e, g in zip(k, parent)) for k in a.terms)
+    return calls
+
+
+def test_graded_star_takes_each_level_partials_once(monkeypatch):
+    """Each level's table is built once, up to the other symbol's top
+    degree, and shared by every level pair it enters."""
+    calls = []
+    derivative = PolynomialSymbol.derivative
+
+    def counted(self, axis):
+        calls.append(axis)
+        return derivative(self, axis)
+
+    monkeypatch.setattr(PolynomialSymbol, "derivative", counted)
+    rng = np.random.default_rng(13)
+    for d, expect in ((1, 61), (2, 207)):
+        p = GradedSymbol(d, 2, {0: seeded_symbol(rng, d, 6), 1: seeded_symbol(rng, d, 4)})
+        q = GradedSymbol(d, 1, {0: seeded_symbol(rng, d, 5), 2: seeded_symbol(rng, d, 3)})
+        cost = (sum(partial_table_cost(a, q.max_degree()) for a in p.levels.values())
+                + sum(partial_table_cost(b, p.max_degree()) for b in q.levels.values()))
+        calls.clear()
+        graded_star(p, q)
+        assert len(calls) == cost == expect, d
+
+
+# ---------------------------------------------------------------------------
+# The commutative product's accumulation order
+# ---------------------------------------------------------------------------
+
+
+def hex_terms(terms):
+    """Keys in dict order with each coefficient as float hex."""
+    return [(k, c.real.hex(), c.imag.hex()) for k, c in terms.items()]
+
+
+def test_product_matches_sorted_double_loop_bit_for_bit():
+    for a, b in star_oracle_pairs(16):
+        for left, right in ((a, b), (b, a), (a, a)):
+            expect = product_oracle(left.terms, right.terms)
+            assert hex_terms((left * right).terms) == hex_terms(expect), a.d
+    # the y*eta terms cancel exactly and are dropped
+    plus, minus = y() + 0.3 * eta(), y() - 0.3 * eta()
+    assert hex_terms((plus * minus).terms) == hex_terms(product_oracle(plus.terms, minus.terms))
+    assert (1, 1) not in (plus * minus).terms
 
 
 # ---------------------------------------------------------------------------
