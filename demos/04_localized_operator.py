@@ -7,7 +7,14 @@ sharp constant of the scaling law, and the hypothesis diagnosis checks
 the assumptions that make that true.
 """
 
-from melinlab import hypothesis_check, localize, localized_symbol, quartic_model
+from melinlab import (
+    GradedSymbol,
+    harmonic_symbol,
+    hypothesis_check,
+    localize,
+    localized_symbol,
+    quartic_model,
+)
 
 print("-- a quartic model with subprincipal term --")
 g = quartic_model(sub_coeff=1.0, sextic=2.0)
@@ -32,3 +39,12 @@ for line in hypothesis_check(bad).summary_lines():
     print("  " + line)
 print("lambda_min(P) =", localize(bad).lambda_min,
       " -> the model operator is genuinely unbounded below at scale Lambda^-k.")
+
+print("\n-- two modes: the isotropic model h^2 + c h on S^3 --")
+d, c = 2, 0.5
+h = harmonic_symbol(d)
+diag = hypothesis_check(GradedSymbol(d, 2, {0: h ** 2, 1: c * h}), ns=(16, 32))
+for line in diag.summary_lines():
+    print("  " + line)
+print("lambda_min(P) =", diag.lambda_min)
+print(f"closed form: Weyl(h^2) = H^2 + d, so the bottom is d^2 + d + c d = {d * d + d + c * d}")

