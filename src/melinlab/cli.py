@@ -3,8 +3,9 @@
 Subcommands: traceplus | localize | sweep | phase | star.
 
 Exit codes: 0 success / verification pass, 2 invalid input, 3 hypothesis
-failure, 4 verification failure.  MELIN_LAB_WORKERS sets the default
-worker count for sweeps; row order and file bytes do not depend on it.
+failure, 4 verification failure.  Sweeps run their rows in order;
+--workers and MELIN_LAB_WORKERS are validated (>= 1) and kept for
+compatibility, and no output depends on them.
 """
 
 from __future__ import annotations
@@ -258,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report output path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel rows (default: MELIN_LAB_WORKERS or 1)")
+                   help="validated, kept for compatibility; rows run in order")
     p.add_argument("--json", action="store_true", help="machine-readable console summary")
     p.set_defaults(func=cmd_sweep)
 
@@ -267,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="optional table output path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel grid columns (default: MELIN_LAB_WORKERS or 1)")
+                   help="validated, kept for compatibility; forms run in order")
     p.add_argument("--json", action="store_true", help="machine-readable console summary")
     p.set_defaults(func=cmd_phase)
 

@@ -24,7 +24,7 @@ products.  Every quantized matrix comes from one truncation ladder:
 the bands are peeled once at the top rung's internal size, and a rung
 writes the Kronecker products of those bands (one per distinct
 second-mode factor; a single one for d = 1) only when read or solved.
-weyl_quantize is the one-rung ladder.
+weyl_quantize is the one-rung ladder, and _walk alone solves rungs.
 
 Real arithmetic.  Each term c y^a eta^b enters the block with the weight
 c i^|b| (|b| the total eta-degree) times the real hbar-scaled bands of
@@ -105,6 +105,8 @@ MAX_DEGREE = 32
 _BAND_CACHE_SIZE = 128
 HERMITICITY_TOL = 1e-12
 MONOTONICITY_TOL = 1e-10
+CONVERGENCE_REL = 1e-8
+CONVERGENCE_ABS = 1e-12
 
 
 def ladder(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -361,6 +363,15 @@ def _block(bands: list[tuple[np.ndarray, np.ndarray]], d: int, n: int, kind: str
     return out
 
 
+def _check_truncations(ns: list[int]) -> None:
+    """The ladder rule: at least one truncation, each in [2, MAX_TRUNCATION],
+    strictly increasing; ValueError otherwise."""
+    if not ns or any(not 2 <= n <= MAX_TRUNCATION for n in ns):
+        raise ValueError(f"truncations must satisfy 2 <= n <= {MAX_TRUNCATION}, got {ns}")
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"truncations must be strictly increasing, got {ns}")
+
+
 def _ladder(p: PolynomialSymbol, hbar: float, ns: list[int]) -> Iterator[OperatorMatrix]:
     """Quantize p at each truncation of the strictly increasing ns.
 
@@ -378,10 +389,7 @@ def _ladder(p: PolynomialSymbol, hbar: float, ns: list[int]) -> Iterator[Operato
         raise DimensionMismatch(f"quantization supports d <= {MAX_MODES}, got d={p.d}")
     if not 0 < hbar < math.inf:
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
-    if not ns or ns[0] < 2 or ns[-1] > MAX_TRUNCATION:
-        raise ValueError(f"truncations must satisfy 2 <= n <= {MAX_TRUNCATION}, got {ns}")
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError(f"truncations must be strictly increasing, got {ns}")
+    _check_truncations(ns)
     dim = ns[-1] ** p.d
     if dim > MAX_DENSE_DIM:
         raise ResourceLimitError(
@@ -436,8 +444,7 @@ def number_operator(k: int, d: int, n: int) -> OperatorMatrix:
         raise ValueError(f"k must be >= 0, got {k}")
     if not 1 <= d <= MAX_MODES:
         raise DimensionMismatch(f"need 1 <= d <= {MAX_MODES}, got d={d}")
-    if not 2 <= n <= MAX_TRUNCATION:
-        raise ValueError(f"truncation must satisfy 2 <= n <= {MAX_TRUNCATION}, got {n}")
+    _check_truncations([n])
 
     def rising(levels: np.ndarray, a: int) -> np.ndarray:
         out = np.ones_like(levels, dtype=float)
@@ -528,6 +535,38 @@ class TruncationSweep:
         return self.values[-1]
 
 
+def _walk(p: PolynomialSymbol, hbar: float, ns: list[int],
+          escalate: bool = False) -> tuple[TruncationSweep, bool]:
+    """The one truncation walk: the lowest eigenvalue of quantize(p, hbar)
+    at the rungs of one ladder, as (sweep, converged).
+
+    Without escalate it solves every rung of ns (converged is True).
+    With escalate, ns is extended by doubling up to MAX_TRUNCATION and
+    the walk stops at the first rung whose value lies within
+    CONVERGENCE_REL |lambda| + CONVERGENCE_ABS of the previous rung's.
+    A gap only counts when the two truncations differ by more than the
+    symbol degree: the matrix couples Fock levels at most deg apart, so
+    closer pairs can sit on a parity plateau that mimics convergence.
+    converged is False when the cap is reached first.  The bands are
+    peeled once, at the top of the extended ladder, and no rung past the
+    stop is built.  The visited rungs pass the monotonicity gate of
+    TruncationSweep, which keeps the last one's matrix.
+    """
+    ns = [int(v) for v in ns]
+    while escalate and ns[-1] * 2 <= MAX_TRUNCATION:
+        ns.append(ns[-1] * 2)
+    span = max(p.degree(), 0) + 1
+    values, converged = [], not escalate
+    for i, rung in enumerate(_ladder(p, hbar, ns)):
+        values.append(lowest_eigenvalue(rung))
+        if (escalate and i and ns[i] - ns[i - 1] >= span
+                and abs(values[i] - values[i - 1])
+                < CONVERGENCE_REL * abs(values[i]) + CONVERGENCE_ABS):
+            converged = True
+            break
+    return TruncationSweep(ns[:i + 1], values, matrix=rung), converged
+
+
 def truncation_sweep(p: PolynomialSymbol, hbar: float, ns: list[int]) -> TruncationSweep:
     """Lowest eigenvalue of quantize(p, hbar) at each truncation in ns.
 
@@ -535,9 +574,7 @@ def truncation_sweep(p: PolynomialSymbol, hbar: float, ns: list[int]) -> Truncat
     solves blocks built from them; the result keeps the top rung's
     matrix, whose entries are built on first read.
     """
-    ns = [int(v) for v in ns]
-    rungs = list(_ladder(p, hbar, ns))
-    return TruncationSweep(ns, [lowest_eigenvalue(rung) for rung in rungs], matrix=rungs[-1])
+    return _walk(p, hbar, ns)[0]
 
 
 def conjugation_residual(p: GradedSymbol, lam: float, n: int) -> float:

@@ -21,7 +21,6 @@ import functools
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ from .errors import MelinLabError
 from .invariants import QuadraticData, melin_quantity
 from .localize import hypothesis_check
 from .models import quadratic_form_symbol
-from .quantize import MAX_TRUNCATION, TruncationSweep, _ladder, lowest_eigenvalue, weyl_quantize
+from .quantize import _check_truncations, _walk, lowest_eigenvalue, weyl_quantize
 from .symbols import GradedSymbol
 
 __all__ = [
@@ -44,8 +43,6 @@ __all__ = [
     "emit_report",
 ]
 
-CONVERGENCE_REL = 1e-8
-CONVERGENCE_ABS = 1e-12
 PHASE_TRUNCATION = 64
 
 
@@ -76,13 +73,7 @@ class ModelSpec:
         if not _power_fits(self.lambdas[-1], self.symbol.k):
             raise ValueError(f"Lambda^k overflows a double at Lambda={self.lambdas[-1]:g}, "
                              f"k={self.symbol.k}")
-        if not self.truncations:
-            raise ValueError("need at least one truncation")
-        if any(not 2 <= v <= MAX_TRUNCATION for v in self.truncations):
-            raise ValueError(f"truncations must lie in [2, {MAX_TRUNCATION}], "
-                             f"got {self.truncations}")
-        if any(b <= a for a, b in zip(self.truncations, self.truncations[1:])):
-            raise ValueError(f"truncations must be strictly increasing, got {self.truncations}")
+        _check_truncations(self.truncations)
         for name in ("limit_tol", "slope_tol"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
@@ -129,59 +120,17 @@ class SweepReport:
         return _from_record(cls, {**data, "rows": rows})
 
 
-def _map_rows(one, items: list, workers: int) -> list:
-    """[one(item) for item in items], run in a pool of `workers` threads
-    when there is more than one worker and more than one item; the result
-    is the same either way."""
-    if workers == 1 or len(items) == 1:
-        return [one(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, items))
-
-
-def _converged_lowest(symbol: GradedSymbol, lam: float,
-                      ladder: list[int]) -> tuple[float, int, str | None]:
-    """Lowest eigenvalue at auto-escalating truncation.
-
-    Walks the given ladder, then keeps doubling (cap 256) until the gap
-    between successive truncations drops below 1e-8 |lambda| + 1e-12.
-    A gap only counts when the two truncations differ by more than the
-    symbol degree: the matrix couples Fock levels at most deg apart, so
-    closer pairs can sit on a parity plateau that mimics convergence.
-    The symbol is folded with m = 0 and its bands are peeled once, at
-    the cap; rungs are assembled from them one at a time, and none past
-    the converged one.  Returns (value, n_used, note) with a note when
-    the cap is hit first; the visited rungs pass the same monotonicity
-    gate as every TruncationSweep (MonotonicityError if a value rose).
-    """
-    folded = GradedSymbol(symbol.d, symbol.k, symbol.levels, m=0).fold(lam)
-    ns = list(ladder)
-    while ns[-1] * 2 <= MAX_TRUNCATION:
-        ns.append(ns[-1] * 2)
-    span = max(folded.degree(), 0) + 1
-    visited, values = [], []
-    note = f"Lambda={lam:g}: truncation cap {ns[-1]} hit before convergence"
-    for rung in _ladder(folded, 1.0 / lam, ns):
-        visited.append(rung.n)
-        values.append(lowest_eigenvalue(rung))
-        if (len(values) > 1 and visited[-1] - visited[-2] >= span
-                and abs(values[-1] - values[-2])
-                < CONVERGENCE_REL * abs(values[-1]) + CONVERGENCE_ABS):
-            note = None
-            break
-    TruncationSweep(visited, values)
-    return values[-1], visited[-1], note
-
-
 def lambda_sweep(spec: ModelSpec, workers: int = 1) -> SweepReport:
     """Run the scaling sweep for a model.
 
-    Rows are computed per Lambda (optionally in a thread pool; row order
-    and values are independent of the worker count).  The verdict is
-    "pass" iff the hypothesis diagnosis passes, the rescaled value at
-    the largest Lambda matches the localized reference within limit_tol,
-    and the fitted slope of log |lambda_min| against log Lambda matches
-    -k within slope_tol.
+    Each row folds the symbol with m = 0 at its Lambda and takes the
+    escalating truncation walk of quantize._walk, with a note when the
+    cap is reached first.  The verdict is "pass" iff the hypothesis
+    diagnosis passes, the rescaled value at the largest Lambda matches
+    the localized reference within limit_tol, and the fitted slope of
+    log |lambda_min| against log Lambda matches -k within slope_tol.
+    Rows run in order; workers (>= 1) is validated and kept for
+    compatibility, and no output depends on it.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -201,19 +150,15 @@ def lambda_sweep(spec: ModelSpec, workers: int = 1) -> SweepReport:
         reasons.append("hypothesis failure: " + ", ".join(parts))
     del diagnosis  # the rows need neither it nor its localized matrix
 
-    def one(lam: float) -> tuple[SweepRow, str | None]:
-        val, n_used, note = _converged_lowest(symbol, lam, spec.truncations)
-        return SweepRow(
-            lam=lam,
-            n_used=n_used,
-            lambda_min=val,
-            scaled=float(lam) ** k * val,
-            reference=reference,
-        ), note
-
-    results = _map_rows(one, spec.lambdas, workers)
-    rows = [r for r, _ in results]
-    notes = [n for _, n in results if n]
+    base = GradedSymbol(symbol.d, k, symbol.levels, m=0)
+    rows, notes = [], []
+    for lam in spec.lambdas:
+        walk, converged = _walk(base.fold(lam), 1.0 / lam, spec.truncations, escalate=True)
+        val, n_used = walk.lambda_min, walk.truncations[-1]
+        rows.append(SweepRow(lam=lam, n_used=n_used, lambda_min=val,
+                             scaled=float(lam) ** k * val, reference=reference))
+        if not converged:
+            notes.append(f"Lambda={lam:g}: truncation cap {n_used} hit before convergence")
 
     fit = [(math.log(r.lam), math.log(abs(r.lambda_min)))
            for r in rows if r.lambda_min != 0.0]
@@ -281,34 +226,28 @@ def melin_phase_diagram(alphas, betas, gammas, svals, truncation: int = PHASE_TR
 
     Indefinite points (alpha gamma - beta^2 <= 0) are skipped with a
     note.  The eigenvalue is computed once per (alpha, beta, gamma) and
-    shifted by s, which is exact for the comparison.
+    shifted by s, which is exact for the comparison.  The truncation is
+    checked on entry.  Forms run in order; workers (>= 1) is validated
+    and kept for compatibility, and no output depends on it.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_truncations([truncation])
     forms = [(float(a), float(b), float(g)) for a in alphas for b in betas for g in gammas]
     svals = [float(s) for s in svals]
-
-    def one(form: tuple[float, float, float]):
-        a, b, g = form
+    points: list[PhasePoint] = []
+    skipped: list[str] = []
+    for a, b, g in forms:
         if a * g - b * b <= 0.0 or a <= 0.0:
-            return None, f"skipped indefinite point (alpha={a:g}, beta={b:g}, gamma={g:g})"
+            skipped.append(f"skipped indefinite point (alpha={a:g}, beta={b:g}, gamma={g:g})")
+            continue
         hessian = np.array([[2.0 * a, 2.0 * b], [2.0 * b, 2.0 * g]])
         base = lowest_eigenvalue(weyl_quantize(quadratic_form_symbol(a, b, g), 1.0, truncation))
         tr_half = melin_quantity(QuadraticData(d=1, hessian=hessian))
-        pts = []
         for s in svals:
             melin = tr_half + s
             lam_min = base + s
-            pts.append(PhasePoint(a, b, g, s, melin, lam_min, abs(lam_min - melin)))
-        return pts, None
-
-    points: list[PhasePoint] = []
-    skipped: list[str] = []
-    for pts, note in _map_rows(one, forms, workers):
-        if note:
-            skipped.append(note)
-        else:
-            points.extend(pts)
+            points.append(PhasePoint(a, b, g, s, melin, lam_min, abs(lam_min - melin)))
     max_error = max((p.error for p in points), default=0.0)
     return PhaseReport(points=points, skipped=skipped, max_error=max_error)
 

@@ -294,6 +294,22 @@ def test_sweep_workers_flag_and_env(tmp_path, capsys, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_sweep_prints_a_note_per_row_that_hits_the_cap(tmp_path, capsys):
+    # level 0 is (r y^2 + eta^2 / r)^2 + y^6 / 2 with r^2 = 300, expanded
+    model = quartic_model_dict(sweep={"lambdas": [16, 64], "truncations": [16, 32]})
+    model["levels"][0]["terms"] = [
+        {"c": [c, 0], "y": [ypow], "eta": [epow]}
+        for c, ypow, epow in ((300.0, 4, 0), (2.0, 2, 2), (1.0 / 300.0, 0, 4), (0.5, 6, 0))]
+    path = tmp_path / "squeezed.json"
+    path.write_text(json.dumps(model))
+    assert main(["sweep", str(path), "--out", str(tmp_path / "r.csv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if ln.startswith("note:")] == [
+        "note: Lambda=16: truncation cap 256 hit before convergence",
+        "note: Lambda=64: truncation cap 256 hit before convergence"]
+    assert "verdict: pass" in lines
+
+
 def test_sweep_invalid_workers_env(tmp_path, capsys, monkeypatch):
     model = write_model(tmp_path, sweep=SWEEP_SECTION)
     monkeypatch.setenv("MELIN_LAB_WORKERS", "zero")
@@ -325,7 +341,7 @@ def test_sweep_rejects_lambda_power_overflow_before_any_row(tmp_path, capsys, mo
     def no_rows(*args):
         raise AssertionError("a sweep row ran")
 
-    monkeypatch.setattr("melinlab.sweep._converged_lowest", no_rows)
+    monkeypatch.setattr("melinlab.sweep._walk", no_rows)
     model = write_model(tmp_path, sweep={"lambdas": [16, 1e200], "truncations": [16, 32]})
     assert main(["sweep", model, "--out", str(tmp_path / "r.csv")]) == 2
     err = capsys.readouterr().err

@@ -40,6 +40,11 @@ def test_localized_symbol_ignores_levels_beyond_k():
                             2: 100.0 * y() ** 8,
                             3: PolynomialSymbol.constant(1, 99.0)})
     assert localized_symbol(g) == harmonic_symbol()
+    # the vanishing-order check skips them too, even one of degree 1
+    diag = hypothesis_check(GradedSymbol(1, 1, {0: harmonic_symbol(), 2: y()}), ns=(8, 16))
+    assert diag.vanishing_ok and diag.vanishing_violations == {}
+    assert diag.localized.symbol == harmonic_symbol()
+    assert diag.lambda_min == pytest.approx(1.0, abs=1e-12)
 
 
 def test_localized_symbol_strict_vanishing_error_names_level():
@@ -185,6 +190,11 @@ def test_hypothesis_check_reports_vanishing_violations():
     assert 0 in diag.vanishing_violations
     assert any("y^2" in s for s in diag.vanishing_violations[0])
     assert not diag.ok
+    # a level-1 term of degree 1 < 2k - 2 is named in the summary
+    g = GradedSymbol(1, 2, {0: harmonic_symbol() ** 2, 1: y()})
+    diag = hypothesis_check(g, ns=(8, 16))
+    assert diag.vanishing_violations == {1: ["y"]}
+    assert "      level 1 offending monomials: y" in diag.summary_lines()
 
 
 def test_hypothesis_check_reports_non_hermitian_localized_operator():

@@ -209,6 +209,8 @@ def test_truncation_sweep_converges_instantly_for_quartic():
     sweep = truncation_sweep(g.fold(1.0), 1.0, [8, 16])
     assert sweep.lambda_min == pytest.approx(-1.0, abs=1e-12)
     assert sweep.last_gap < 1e-12
+    # one rung has no gap to measure
+    assert truncation_sweep(g.fold(1.0), 1.0, [8]).last_gap == math.inf
 
 
 def test_truncation_sweep_validation():
@@ -216,6 +218,8 @@ def test_truncation_sweep_validation():
         truncation_sweep(harmonic_symbol(), 1.0, [8, 8])
     with pytest.raises(ValueError):
         TruncationSweep([4, 8], [1.0])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        TruncationSweep([8, 4], [1.0, 1.0])
     with pytest.raises(MonotonicityError):
         TruncationSweep([4, 8], [1.0, 1.5])
 
@@ -231,6 +235,8 @@ def test_conjugation_residual_is_roundoff():
         assert conjugation_residual(quartic_model(sub_coeff=1.0), lam, 12) < 1e-10
     g = GradedSymbol(1, 1, {0: harmonic_symbol(), 1: PolynomialSymbol.constant(1, -1.0)})
     assert conjugation_residual(g, 16.0, 12) < 1e-12
+    # both sides of the zero symbol are the zero matrix
+    assert conjugation_residual(GradedSymbol(1, 1, {0: PolynomialSymbol.zero(1)}), 16.0, 12) == 0.0
     with pytest.raises(ValueError):
         conjugation_residual(g, 0.5, 12)
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from melinlab import sweep
+from melinlab import quantize
 from melinlab.errors import MelinLabError, MonotonicityError
 from melinlab.models import quartic_model
 from melinlab.sweep import (
@@ -59,8 +59,10 @@ def test_model_spec_validation():
 
 def test_sweep_rows_pass_the_monotonicity_gate(monkeypatch):
     # a row whose rungs rise is an exactness bug, as in every TruncationSweep
-    rising = iter(range(100))
-    monkeypatch.setattr(sweep, "lowest_eigenvalue", lambda m: float(next(rising)))
+    # (the localized reference, at hbar = 1, is solved as usual)
+    rising, solve = iter(range(100)), quantize.lowest_eigenvalue
+    monkeypatch.setattr(quantize, "lowest_eigenvalue",
+                        lambda m: float(next(rising)) if m.hbar < 1.0 else solve(m))
     with pytest.raises(MonotonicityError, match="padding exactness"):
         lambda_sweep(quartic_spec(lambdas=(16.0,)))
 
@@ -144,6 +146,23 @@ def test_sweep_escalates_past_parity_plateau():
         assert row.scaled == pytest.approx(rep.reference, rel=1e-9)
 
 
+def squeezed_spec() -> ModelSpec:
+    # level 0 is (r y^2 + eta^2 / r)^2 + y^6 / 2 with r^2 = 300: its ground
+    # state is squeezed far along eta, so no ladder up to the cap converges
+    r = math.sqrt(300.0)
+    level0 = (r * y() ** 2 + (1.0 / r) * eta() ** 2) ** 2 + 0.5 * y() ** 6
+    g = GradedSymbol(1, 2, {0: level0, 1: y() ** 2 + eta() ** 2})
+    return ModelSpec(g, lambdas=[16.0, 64.0], truncations=[16, 32])
+
+
+def test_sweep_notes_the_truncation_cap():
+    rep = lambda_sweep(squeezed_spec())
+    assert [row.n_used for row in rep.rows] == [256, 256]
+    assert rep.verdict == "pass"
+    assert rep.notes == ["Lambda=16: truncation cap 256 hit before convergence",
+                         "Lambda=64: truncation cap 256 hit before convergence"]
+
+
 def test_sweep_workers_do_not_change_results():
     spec = quartic_spec(sextic=0.25)
     a = lambda_sweep(spec, workers=1)
@@ -214,6 +233,13 @@ def test_phase_diagram_skips_indefinite_points():
     assert len(rep.skipped) == 1
     assert "indefinite" in rep.skipped[0]
     assert rep.max_error == 0.0
+
+
+def test_phase_diagram_checks_the_truncation_on_entry():
+    # every point of this grid is indefinite, so no form is ever quantized
+    for truncation in (1, 1000):
+        with pytest.raises(ValueError, match="256"):
+            melin_phase_diagram([1.0], [2.0], [1.0], [0.0], truncation=truncation)
 
 
 def test_phase_diagram_workers_and_json():
