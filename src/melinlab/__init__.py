@@ -44,9 +44,7 @@ from .quantize import (
     OperatorMatrix,
     TruncationSweep,
     conjugation_residual,
-    ladder,
     lowest_eigenvalue,
-    mode_operators,
     number_operator,
     truncation_sweep,
     weyl_quantize,
@@ -90,7 +88,7 @@ __all__ = [
     "moyal_star", "bidifferential_power", "poisson_bracket", "graded_star",
     "taylor_transverse", "scale_symbol",
     # quantization
-    "ladder", "mode_operators", "OperatorMatrix", "weyl_quantize", "number_operator",
+    "OperatorMatrix", "weyl_quantize", "number_operator",
     "lowest_eigenvalue", "TruncationSweep", "truncation_sweep", "conjugation_residual",
     # invariants
     "QuadraticData", "symplectic_form_matrix", "fundamental_matrix", "trace_plus",

@@ -70,7 +70,6 @@ exists.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -87,8 +86,6 @@ from .errors import (
 from .symbols import GradedSymbol, PolynomialSymbol, _compositions, scale_symbol
 
 __all__ = [
-    "ladder",
-    "mode_operators",
     "OperatorMatrix",
     "weyl_quantize",
     "number_operator",
@@ -107,28 +104,6 @@ HERMITICITY_TOL = 1e-12
 MONOTONICITY_TOL = 1e-10
 CONVERGENCE_REL = 1e-8
 CONVERGENCE_ABS = 1e-12
-
-
-def ladder(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowering and raising matrices on the first n Fock levels.
-
-    lower[m-1, m] = sqrt(m); raise is the conjugate transpose.
-    """
-    if n < 2:
-        raise ValueError(f"need at least 2 Fock levels, got n={n}")
-    lower = np.zeros((n, n), dtype=complex)
-    for m in range(1, n):
-        lower[m - 1, m] = math.sqrt(m)
-    return lower, lower.conj().T
-
-
-def mode_operators(hbar: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Single-mode coordinate matrices (yhat, etahat) at parameter hbar."""
-    if not 0 < hbar < math.inf:
-        raise ValueError(f"hbar must be positive and finite, got {hbar}")
-    low, high = ladder(n)
-    s = math.sqrt(hbar / 2.0)
-    return s * (low + high), 1j * s * (high - low)
 
 
 class OperatorMatrix:
@@ -265,10 +240,10 @@ def _parity_kind(p: PolynomialSymbol) -> str | None:
     """The Fock parities the Weyl operator of p conserves: "mode" if
     every monomial has even degree in each mode, else "total" if every
     monomial has even total degree, else None."""
-    degrees = [[idx[s] + idx[p.d + s] for s in range(p.d)] for idx in p.terms]
-    if all(deg % 2 == 0 for mono in degrees for deg in mono):
+    degrees = p._exps[:, :p.d] + p._exps[:, p.d:]
+    if not (degrees % 2).any():
         return "mode"
-    if all(sum(mono) % 2 == 0 for mono in degrees):
+    if not (degrees.sum(axis=1) % 2).any():
         return "total"
     return None
 
@@ -400,7 +375,7 @@ def _ladder(p: PolynomialSymbol, hbar: float, ns: list[int]) -> Iterator[Operato
     if degree > MAX_DEGREE:
         raise ResourceLimitError(f"symbol degree {degree} is above the limit {MAX_DEGREE}")
     real = p.is_real()
-    if real and not all(map(cmath.isfinite, p.terms.values())):
+    if real and not np.isfinite(p._coef).all():
         raise NonHermitianError("real symbol produced non-Hermitian matrix (non-finite term)")
     size = ns[-1] + degree
     bands = _bands(p, hbar, size)

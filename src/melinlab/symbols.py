@@ -2,18 +2,45 @@
 
 Symbols are polynomials in the transverse variables (y, eta) of
 R^d x R^d; any tangential dependence is frozen at the base point and
-never represented.  The monomial structure is exact: a symbol is a
-mapping from integer exponent tuples to complex coefficients, and
-addition, multiplication, and differentiation never truncate it.
-Floating point enters only through the coefficient values.
+never represented.  The monomial structure is exact: addition,
+multiplication, and differentiation never truncate a symbol.  Floating
+point enters only through the coefficient values.
 
 A multi-index is a tuple of 2d nonnegative integers, the first d
-entries for powers of y, the last d for powers of eta.  Public input is
+entries for powers of y, the last d for powers of eta.
+
+Storage.  A PolynomialSymbol holds two arrays: an int64 exponent
+matrix, one row per monomial with the rows sorted as tuples, and the
+complex128 coefficients, none of them zero.  The algebra reads and
+builds only these arrays.  `terms`, the {multi-index: coefficient}
+dict, is a view built on first read for the public boundary (`to_dict`,
+`str`, `==` and `hash` read it); a product lists its monomials in the
+order they first occur in the sorted double loop.  Public input is
 validated: PolynomialSymbol(d, terms), monomial, from_dict and
-HalfGradedPolynomial(...) check every multi-index and convert every
-coefficient to complex.  Results built from valid symbols (*, +, -,
-conjugate, derivative, the star series, fold, taylor_transverse) go
-through the trusted PolynomialSymbol._trusted, which only drops zeros.
+HalfGradedPolynomial(...) check every multi-index (an exponent must fit
+in int64) and convert every coefficient to complex.
+
+Accumulation order.  Every result is a sum of contributions grouped by
+monomial, and each monomial's contributions are added from 0 in a fixed
+order with np.add.at, which is unbuffered and adds in index order: a
+product adds a_i b_j in the sorted double loop (i over the monomials of
+a, j over those of b), each B^r adds its products in series order, a
+series adds its B^r in order, and a fold or weighted sum adds its parts
+in the order given.  Multiplications follow Python's complex formula in
+separate float operations (numpy's complex multiply may fuse a multiply
+and an add); where a product only feeds a sum that starts at 0, the sign
+of a zero part, which no such sum keeps, is left free.  So every
+coefficient is bit for bit the one a loop over Python complex numbers
+gives, inf and NaN included, and like that loop the algebra raises no
+floating-point warning.  GradedSymbol.fold merges its levels on its
+first call, so a sweep's folds of one symbol sort them once.
+
+Keys.  Grouping sorts one int64 key per row: the exponents packed in
+base (largest exponent + 1), which orders the rows as tuples, when the
+packed range (times the number of result levels) stays below 2^62.
+When it does not (d = 4 with exponents above 1000, say), a row's key is
+its rank among the distinct rows (np.unique over rows), which orders
+them the same way.  An exponent sum beyond int64 raises OverflowError.
 
 The module also provides the Moyal star product
 
@@ -23,16 +50,16 @@ with B(a, b) = sum_s (dy_s a * deta_s b - deta_s a * dy_s b), the
 convention pinned by star(y, eta) - star(eta, y) = i*hbar, and the
 graded-symbol machinery: levels q_{m-j} with Lambda-weights
 Lambda^(m-j), scaling to the unit model scale, and transverse Taylor
-splitting.
+splitting.  graded_star, moyal_star and bidifferential_power run one
+batched kernel (_star_sum) per call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,6 +82,8 @@ __all__ = [
 
 MultiIndex = tuple  # tuple[int, ...] of length 2d: (y-powers, eta-powers)
 
+_ROOM = 2 ** 62  # every key and sort code stays below this
+
 
 def _check_index(index: Sequence[int], d: int) -> MultiIndex:
     idx = tuple(int(p) for p in index)
@@ -67,12 +96,168 @@ def _check_index(index: Sequence[int], d: int) -> MultiIndex:
     return idx
 
 
+# ---------------------------------------------------------------------------
+# Array kernels
+# ---------------------------------------------------------------------------
+
+
+def _silent(func):
+    """func with numpy's overflow and invalid-value warnings off, as in
+    Python's complex arithmetic, which the algebra reproduces: inf and NaN
+    propagate without a word.  One errstate per function, so nesting is safe
+    on every numpy."""
+    return np.errstate(over="ignore", invalid="ignore")(func)
+
+
+def _parts(c: np.ndarray) -> np.ndarray:
+    """Complex values as (2, n) rows of real and imaginary parts: a view,
+    so a write to it writes c."""
+    return c.view(np.float64).reshape(len(c), 2).T
+
+
+def _complex(parts: np.ndarray) -> np.ndarray:
+    out = np.empty(parts.shape[1], dtype=complex)
+    out.real, out.imag = parts
+    return out
+
+
+@_silent
+def _times(parts: np.ndarray, other) -> np.ndarray:
+    """(re, im) rows times (re', im') rows (or scalars) as Python's complex
+    multiply computes them, bit for bit: (re re' - im im', re im' + im re'),
+    each product rounded on its own (numpy's complex multiply may fuse a
+    multiply and an add)."""
+    out = parts * other[0]
+    cross = parts[::-1] * other[1]
+    cross[0] *= -1.0
+    out += cross
+    return out
+
+
+@_silent
+def _times_real(parts: np.ndarray, f) -> np.ndarray:
+    """(re, im) rows times real f as Python's complex multiply computes
+    (re f - im 0, re 0 + im f), except for the sign of a zero part: a
+    non-finite part still turns the other one into NaN.  Fit only where
+    the result is added to a sum that starts at 0, or gets 0 added."""
+    out = parts[::-1] * 0.0
+    out += parts
+    out *= f
+    return out
+
+
+def _keys(rows: np.ndarray, lead: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """int64 keys ordering the rows of an exponent matrix as the tuples
+    (lead, *row), and a bound above every key: the rows packed in base
+    (largest exponent + 1) when that fits below 2^62, else each row's
+    rank among the distinct rows."""
+    n, width = rows.shape
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), 1
+    if rows.min() < 0:
+        raise OverflowError("an exponent sum left the int64 range")
+    base = int(rows.max()) + 1
+    size, span = base ** width, 1 if lead is None else int(lead.max()) + 1
+    if size * span <= _ROOM:
+        keys = rows @ (base ** np.arange(width - 1, -1, -1, dtype=np.int64))
+        return (keys if lead is None else keys + lead * size), size * span
+    if lead is not None:
+        rows = np.column_stack((lead, rows))
+    distinct, keys = np.unique(rows, axis=0, return_inverse=True)
+    return keys.reshape(-1), len(distinct)
+
+
+def _stable_order(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, keys[order]) of the stable sort of keys in no particular
+    order, each below bound."""
+    n = len(keys)
+    if bound <= _ROOM // max(n, 1):  # distinct codes sort faster than a stable sort
+        keys, order = np.divmod(np.sort(keys * n + np.arange(n)), n)
+        return order, keys
+    order = np.argsort(keys, kind="stable")
+    return order, keys[order]
+
+
+def _starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """True where a run of equal sorted keys starts."""
+    new = np.ones(len(sorted_keys), dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+    return new
+
+
+def _ranges(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For consecutive ranges of the given lengths: the range each element
+    belongs to and its position inside it."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (counts.cumsum() - counts)[owner]
+
+
+@_silent
+def _add_runs(parts: np.ndarray, runs: np.ndarray, count: int) -> np.ndarray:
+    """The complex sums of the (re, im) columns over `count` runs, each
+    from 0 in column order."""
+    out = np.zeros(count, dtype=complex)
+    np.add.at(out.real, runs, parts[0])
+    np.add.at(out.imag, runs, parts[1])
+    return out
+
+
+@_silent
+def _merge(d: int, levels: list) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct monomials of the symbols and each symbol's
+    (re, im) rows on them, 0 where it lacks one, as (L, 2, U), with the
+    weight-free half of _times_real already applied."""
+    rows = np.concatenate([q._exps for q in levels] or [np.zeros((0, 2 * d), np.int64)])
+    keys = _keys(rows)[0]
+    order = keys.argsort(kind="stable")  # rows come in sorted runs, which timsort merges
+    new = _starts(keys.take(order))
+    where = np.empty_like(order)
+    where[order] = new.cumsum() - 1
+    level = np.repeat(np.arange(len(levels)), [len(q._coef) for q in levels])
+    parts = np.zeros((len(levels), 2, int(new.sum())))
+    coef = np.concatenate([q._coef for q in levels] or [np.zeros(0, complex)])
+    parts[level, :, where] = coef.view(np.float64).reshape(-1, 2)
+    parts += parts[:, ::-1] * 0.0
+    return rows.take(order[new], axis=0), parts
+
+
+@_silent
+def _fold(d: int, merged: tuple[np.ndarray, np.ndarray], weights: list[float]) -> "PolynomialSymbol":
+    """sum_l w_l q_l for the symbols of a _merge and finite real w_l: each
+    monomial adds its c_l w_l from 0, in level order.  A symbol that lacks
+    the monomial adds a zero there, which changes no sum."""
+    rows, mixed = merged
+    total = np.zeros(len(rows), dtype=complex)
+    sums = _parts(total)
+    for term in mixed * np.asarray(weights)[:, None, None]:  # the rest of _times_real
+        sums += term
+    return PolynomialSymbol._arrays(d, rows, total)
+
+
+def _disjoint_sum(d: int, symbols: list) -> "PolynomialSymbol":
+    """The sum of symbols no two of which share a monomial: one sort, and
+    each coefficient 0 + c * 1, as a weighted sum with weights 1 gives it."""
+    rows = np.concatenate([q._exps for q in symbols] or [np.zeros((0, 2 * d), np.int64)])
+    coef = np.concatenate([q._coef for q in symbols] or [np.zeros(0, complex)])
+    order = _keys(rows)[0].argsort()
+    coef = _complex(_times_real(_parts(coef.take(order)), 1.0) + 0.0)
+    return PolynomialSymbol._arrays(d, rows.take(order, axis=0), coef)
+
+
+def _split(d: int, labels: np.ndarray, rows: np.ndarray, coef: np.ndarray) -> dict:
+    """{label: symbol} of sorted rows grouped by their sorted labels."""
+    cuts = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), len(labels)]
+    return {int(labels[lo]): PolynomialSymbol._arrays(d, rows[lo:hi], coef[lo:hi])
+            for lo, hi in zip(cuts, cuts[1:]) if hi > lo}
+
+
 class PolynomialSymbol:
     """A complex polynomial in (y_1..y_d, eta_1..eta_d).
 
-    Terms are stored sparsely as {multi-index: coefficient}; zero
-    coefficients are dropped so equal polynomials compare equal.
-    Instances are treated as immutable after construction.
+    Stored as sorted exponent rows and their nonzero coefficients, so
+    equal polynomials compare equal; `terms` is the {multi-index:
+    coefficient} view.  Instances are treated as immutable after
+    construction.
 
     Example
     -------
@@ -81,7 +266,7 @@ class PolynomialSymbol:
     2
     """
 
-    __slots__ = ("d", "terms")
+    __slots__ = ("d", "_exps", "_coef", "_order", "_view")
 
     def __init__(self, d: int, terms: Mapping[MultiIndex, complex] | None = None):
         if d < 1:
@@ -94,23 +279,43 @@ class PolynomialSymbol:
                 c = complex(coeff)
                 if c != 0:
                     clean[idx] = clean.get(idx, 0.0) + c
-        self._adopt(d, clean)
-
-    def _adopt(self, d: int, terms: dict[MultiIndex, complex]) -> "PolynomialSymbol":
-        """The trusted end of construction: keys are already tuples of 2d
-        nonnegative ints and values Python complex.  The symbol takes
-        ownership of `terms`, which is kept as it is unless a zero (one
-        that cancelled while accumulating) has to be dropped."""
-        if 0 in terms.values():
-            terms = {k: v for k, v in terms.items() if v != 0}
-        self.d, self.terms = d, terms
-        return self
+        clean = {k: v for k, v in clean.items() if v != 0}
+        items = sorted(clean.items())
+        self.d, self._order, self._view = d, None, clean
+        self._exps = np.array([k for k, _ in items], dtype=np.int64).reshape(len(items), 2 * d)
+        self._coef = np.array([c for _, c in items], dtype=complex)
 
     @classmethod
-    def _trusted(cls, d: int, terms: dict[MultiIndex, complex]) -> "PolynomialSymbol":
-        """A symbol from terms the algebra built out of valid symbols; the
-        caller hands over a fresh dict and must not touch it afterwards."""
-        return cls.__new__(cls)._adopt(d, terms)
+    def _arrays(cls, d: int, exps: np.ndarray, coef: np.ndarray,
+                first: np.ndarray | None = None) -> "PolynomialSymbol":
+        """A symbol from sorted, distinct exponent rows the algebra built
+        out of valid symbols, dropping zero coefficients.  `first` ranks the
+        rows for the dict view (where a product's monomials first occur)."""
+        keep = coef != 0
+        if not keep.all():
+            exps, coef = exps[keep], coef[keep]
+            first = None if first is None else first[keep]
+        self = cls.__new__(cls)
+        self.d, self._exps, self._coef, self._view = d, exps, coef, None
+        self._order = None if first is None else np.argsort(first)
+        return self
+
+    def _take(self, rows: np.ndarray) -> "PolynomialSymbol":
+        """The monomials that the mask or sorted indices `rows` select."""
+        out = PolynomialSymbol.__new__(PolynomialSymbol)
+        out.d, out._exps, out._coef = self.d, self._exps[rows], self._coef[rows]
+        out._order = out._view = None
+        return out
+
+    @property
+    def terms(self) -> dict[MultiIndex, complex]:
+        """{multi-index: coefficient}, built on first read; treat it as read-only."""
+        if self._view is None:
+            exps, coef = self._exps, self._coef
+            if self._order is not None:
+                exps, coef = exps[self._order], coef[self._order]
+            self._view = dict(zip(map(tuple, exps.tolist()), coef.tolist()))
+        return self._view
 
     # -- constructors ------------------------------------------------
 
@@ -129,23 +334,24 @@ class PolynomialSymbol:
     # -- basic queries -----------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self._coef)
 
     def is_real(self) -> bool:
         """True iff every coefficient has exactly zero imaginary part."""
-        return all(c.imag == 0.0 for c in self.terms.values())
+        return not self._coef.imag.any()
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(k) for k in self.terms), default=-1)
+        return int(self._exps.sum(axis=1).max(initial=-1))
 
     def min_degree(self) -> int:
         """Smallest total degree present; -1 for the zero polynomial."""
-        return min((sum(k) for k in self.terms), default=-1)
+        return int(self._exps.sum(axis=1).min()) if len(self._coef) else -1
 
     def iter_terms(self) -> Iterator[tuple[MultiIndex, complex]]:
         """Terms in the canonical order (by total degree, then index)."""
-        return iter(sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])))
+        terms = zip(map(tuple, self._exps.tolist()), self._coef.tolist())
+        return iter(sorted(terms, key=lambda kv: sum(kv[0])))  # stable: rows are sorted
 
     # -- ring operations ---------------------------------------------
 
@@ -153,13 +359,21 @@ class PolynomialSymbol:
         if self.d != other.d:
             raise DimensionMismatch(f"cannot combine symbols with d={self.d} and d={other.d}")
 
+    @_silent
     def __add__(self, other):
         if isinstance(other, PolynomialSymbol):
             self._require_same_d(other)
-            out = dict(self.terms)
-            for k, v in other.terms.items():
-                out[k] = out.get(k, 0.0) + v
-            return PolynomialSymbol._trusted(self.d, out)
+            # a monomial of self keeps its coefficient, one only in other starts at 0 + c
+            rows = np.concatenate((self._exps, other._exps))
+            keys = _keys(rows)[0]
+            order = keys.argsort(kind="stable")
+            new = _starts(keys.take(order))
+            run = np.empty(len(order), dtype=np.int64)
+            run[order] = new.cumsum() - 1
+            coef = np.zeros(int(new.sum()), dtype=complex)
+            coef[run[:len(self._coef)]] = self._coef
+            np.add.at(coef, run[len(self._coef):], other._coef)
+            return PolynomialSymbol._arrays(self.d, rows[order[new]], coef)
         if isinstance(other, (int, float, complex)):
             return self + PolynomialSymbol.constant(self.d, other)
         return NotImplemented
@@ -167,7 +381,7 @@ class PolynomialSymbol:
     __radd__ = __add__
 
     def __neg__(self):
-        return PolynomialSymbol._trusted(self.d, {k: -v for k, v in self.terms.items()})
+        return PolynomialSymbol._arrays(self.d, self._exps, -self._coef)
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -182,17 +396,20 @@ class PolynomialSymbol:
     def __mul__(self, other):
         if isinstance(other, PolynomialSymbol):
             self._require_same_d(other)
-            # sorting both operands fixes the accumulation order, hence the last bits
-            out: dict[MultiIndex, complex] = {}
-            get, add, right = out.get, operator.add, sorted(other.terms.items())
-            for ka, va in sorted(self.terms.items()):
-                for kb, vb in right:
-                    key = tuple(map(add, ka, kb))
-                    out[key] = get(key, 0.0) + va * vb
-            return PolynomialSymbol._trusted(self.d, out)
+            # both operands are sorted, so row i * len(other) + j is a_i b_j of the sorted double loop
+            rows = (self._exps[:, None, :] + other._exps[None, :, :]).reshape(-1, 2 * self.d)
+            a = np.repeat(_parts(self._coef), len(other._coef), axis=1)
+            b = np.tile(_parts(other._coef), len(self._coef))
+            keys = _keys(rows)[0]
+            order = keys.argsort(kind="stable")  # sorted runs again
+            new = _starts(keys.take(order))
+            sums = _add_runs(_times(a, b).take(order, axis=1), new.cumsum() - 1, int(new.sum()))
+            head = order[new]
+            return PolynomialSymbol._arrays(self.d, rows.take(head, axis=0), sums, head)
         if isinstance(other, (int, float, complex)):
             c = complex(other)
-            return PolynomialSymbol._trusted(self.d, {k: v * c for k, v in self.terms.items()})
+            coef = _complex(_times(_parts(self._coef), (c.real, c.imag)))
+            return PolynomialSymbol._arrays(self.d, self._exps, coef)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -220,17 +437,16 @@ class PolynomialSymbol:
         (0..d-1 are y_1..y_d, d..2d-1 are eta_1..eta_d)."""
         if not 0 <= axis < 2 * self.d:
             raise ValueError(f"axis {axis} out of range for d={self.d}")
-        out: dict[MultiIndex, complex] = {}
-        for k, v in self.terms.items():
-            p = k[axis]
-            if p == 0:
-                continue
-            kk = k[:axis] + (p - 1,) + k[axis + 1 :]
-            out[kk] = out.get(kk, 0.0) + v * p
-        return PolynomialSymbol._trusted(self.d, out)
+        keep = self._exps[:, axis] > 0
+        exps = self._exps[keep]
+        power = exps[:, axis].copy()
+        exps[:, axis] -= 1  # rows stay sorted and distinct
+        # the old loop's 0 + v * p: adding 0 settles the sign of every zero part
+        coef = _complex(_times_real(_parts(self._coef[keep]), power) + 0.0)
+        return PolynomialSymbol._arrays(self.d, exps, coef)
 
     def conjugate(self) -> "PolynomialSymbol":
-        return PolynomialSymbol._trusted(self.d, {k: v.conjugate() for k, v in self.terms.items()})
+        return PolynomialSymbol._arrays(self.d, self._exps, self._coef.conj())
 
     def evaluate(self, yv: np.ndarray, ev: np.ndarray) -> np.ndarray:
         """Evaluate at sample points.
@@ -247,9 +463,9 @@ class PolynomialSymbol:
         """
         yv = np.atleast_2d(np.asarray(yv, dtype=float))
         ev = np.atleast_2d(np.asarray(ev, dtype=float))
-        if yv.shape[1] != self.d or ev.shape[1] != self.d:
+        if yv.shape[1] != self.d or ev.shape != yv.shape:
             raise DimensionMismatch(
-                f"sample arrays must have {self.d} columns, got {yv.shape} and {ev.shape}"
+                f"sample arrays must both have shape (M, {self.d}), got {yv.shape} and {ev.shape}"
             )
         cols = [yv[:, s] for s in range(self.d)] + [ev[:, s] for s in range(self.d)]
         return self._evaluate(yv.shape[0], lambda s, e: cols[s] ** e)
@@ -300,7 +516,7 @@ class PolynomialSymbol:
         return "*".join(parts)
 
     def __str__(self):
-        if not self.terms:
+        if self.is_zero():
             return "0"
         chunks = []
         for k, c in self.iter_terms():
@@ -354,54 +570,153 @@ def _compositions(total: int, slots: int) -> tuple[tuple[int, ...], ...]:
                  for rest in _compositions(total - head, slots - 1))
 
 
-def _weighted_sum(d: int, pairs: Iterable[tuple[complex, PolynomialSymbol]]) -> PolynomialSymbol:
-    """sum_i w_i p_i, added into one dict in the order given and built once."""
-    out: dict[MultiIndex, complex] = {}
-    get = out.get
-    for w, p in pairs:
-        for k, v in p.terms.items():
-            out[k] = get(k, 0.0) + v * w
-    return PolynomialSymbol._trusted(d, out)
+class _Plan(NamedTuple):
+    """Index arrays of the star series up to order `top` in d modes."""
+
+    gammas: np.ndarray   # (M, 2d) every multi-index of order <= top, by order
+    orders: np.ndarray   # (M,) |gamma|
+    axis: np.ndarray     # (top, M) axis of the s-th derivative taking d^gamma
+    offset: np.ndarray   # (top, M) how far that axis is already lowered
+    r: np.ndarray        # per series term: its order r
+    ga: np.ndarray       # the partial alpha + beta of a it takes
+    gb: np.ndarray       # the partial beta + alpha of b
+    weight: np.ndarray   # r! / (alpha! beta!) (-1)^|beta|, as float
+    starts: np.ndarray   # (top + 2,) first term of each order
 
 
-def _partials(a: PolynomialSymbol, order: int) -> dict[MultiIndex, PolynomialSymbol]:
-    """The nonzero mixed partials {gamma: d^gamma a} of total order up to
-    min(order, deg a); each is one derivative, along its first nonzero
-    axis, of a lower-order entry."""
-    table = {(0,) * (2 * a.d): a}
-    for r in range(1, min(order, a.degree()) + 1):
-        for gamma in _compositions(r, 2 * a.d):
-            axis = next(i for i, g in enumerate(gamma) if g > 0)
-            parent = table.get(gamma[:axis] + (gamma[axis] - 1,) + gamma[axis + 1 :])
-            if parent is not None and not (part := parent.derivative(axis)).is_zero():
-                table[gamma] = part
-    return table
+@functools.lru_cache(maxsize=64)
+def _series_plan(d: int, top: int) -> _Plan:
+    """The plan of B^0 .. B^top, terms in the order the expansion adds them.
 
-
-def _star_series(a: PolynomialSymbol, b: PolynomialSymbol, hbar: float, first: int = 0,
-                 tables: tuple | None = None) -> Iterator[tuple[int, complex, PolynomialSymbol]]:
-    """Yield (r, (i*hbar/2)^r / r!, B^r(a, b)) for r = first .. min(deg a, deg b).
-
-    B^r vanishes beyond the smaller degree, so this is the whole Moyal
-    series.  `tables` are the _partials of a and b up to the last order
-    yielded, built here unless a caller that reuses them passes them in.
-    """
-    a._require_same_d(b)
-    d = a.d
-    top = min(a.degree(), b.degree())
-    partials_a, partials_b = tables or (_partials(a, top), _partials(b, top))
-    for r in range(first, top + 1):
+    Each partial d^gamma is one derivative, along the first nonzero axis
+    of gamma, of d^(gamma - e_axis); unrolled, the derivatives run from
+    the last axis to the first, and the s-th along an axis multiplies by
+    the exponent minus s."""
+    width = 2 * d
+    gammas = [g for r in range(top + 1) for g in _compositions(r, width)]
+    index = {g: i for i, g in enumerate(gammas)}
+    chain = [[(a, s) for a in reversed(range(width)) for s in range(g[a])]
+             + [(0, 0)] * (top - sum(g)) for g in gammas]
+    chain = np.array(chain, dtype=np.int64).reshape(len(gammas), top, 2).transpose(2, 1, 0)
+    terms = []
+    for r in range(top + 1):
         rfact = math.factorial(r)
-        pairs = []
         for ra in range(r + 1):
             for alpha in _compositions(ra, d):
                 for beta in _compositions(r - ra, d):
-                    da = partials_a.get(alpha + beta)
-                    db = partials_b.get(beta + alpha)
-                    if da is not None and db is not None:
-                        weight = rfact // math.prod(map(math.factorial, alpha + beta))
-                        pairs.append((-weight if (r - ra) % 2 else weight, da * db))
-        yield r, (1j * hbar / 2) ** r / rfact, _weighted_sum(d, pairs)
+                    weight = rfact // math.prod(map(math.factorial, alpha + beta))
+                    terms.append((r, index[alpha + beta], index[beta + alpha],
+                                  -weight if (r - ra) % 2 else weight))
+    r, ga, gb, weight = (np.array(col) for col in zip(*terms))
+    return _Plan(np.array(gammas, dtype=np.int64), np.array([sum(g) for g in gammas]),
+                 np.ascontiguousarray(chain[0]), np.ascontiguousarray(chain[1]),
+                 r, ga, gb, weight.astype(float), np.searchsorted(r, np.arange(top + 2)))
+
+
+@_silent
+def _partial_table(levels: list[PolynomialSymbol], plan: _Plan):
+    """Every nonzero mixed partial d^gamma q of every level q, at once.
+
+    Returns (exps, parts, starts, counts): the partial of level l at gamma
+    g is columns starts[g, l] .. + counts[g, l] of exps and of the (re, im)
+    rows `parts`, monomials in sorted order.  Each coefficient takes one
+    derivative at a time, c * power, as the derivative of its parent
+    partial computes it (up to the sign of zero parts)."""
+    exps = np.concatenate([q._exps for q in levels])
+    below = exps[:, 0] >= plan.gammas[:, :1]  # (M, N): gamma <= row
+    for axis in range(1, exps.shape[1]):
+        below &= exps[:, axis] >= plan.gammas[:, axis:axis + 1]
+    g, t = np.divmod(np.flatnonzero(below), len(exps))
+    parts = _parts(np.concatenate([q._coef for q in levels])).take(t, axis=1)
+    factors = (exps.take(plan.axis.take(g, axis=1) + t * exps.shape[1])
+               - plan.offset.take(g, axis=1))
+    firsts = np.searchsorted(plan.orders.take(g), np.arange(len(plan.axis)), side="right")
+    for step, lo in enumerate(firsts.tolist()):  # columns lo.. take at least step + 1 derivatives
+        part = parts[:, lo:]  # times the factor, in place, as _times_real
+        part += part[::-1] * 0.0
+        part *= factors[step, lo:]
+    level = np.repeat(np.arange(len(levels)), [len(q._coef) for q in levels])
+    counts = np.bincount(g * len(levels) + level[t], minlength=len(plan.gammas) * len(levels))
+    counts = counts.reshape(len(plan.gammas), len(levels))
+    reduced = exps.take(t, axis=0) - plan.gammas.take(g, axis=0)
+    return reduced, parts, counts.cumsum().reshape(counts.shape) - counts, counts
+
+
+def _star_sum(d: int, left, right, hbar: float | None = None, merge: bool = False,
+              first: int = 0, last: int | None = None) -> dict[int, PolynomialSymbol]:
+    """The Moyal series of every level pair, in one batched kernel.
+
+    left and right are (j, symbol) levels.  For each pair (a, b) in loop
+    order and each first <= r <= min(last, deg a, deg b), B^r(a, b) is
+    weighted by (i hbar/2)^r / r! and filed under level j_a + j_b + r (under
+    0 with merge); with hbar None it is filed unweighted, which needs one
+    (pair, r) per level.  Per monomial, a product adds a_i b_j in the sorted
+    double loop, B^r adds its products in series order, and a level adds
+    its B^r in (pair, r) order, each sum from 0.  Returns {level: symbol}.
+    """
+    left = [(j, a) for j, a in left if not a.is_zero()]
+    right = [(j, b) for j, b in right if not b.is_zero()]
+    if not left or not right:
+        return {}
+    deg_a = np.array([a.degree() for _, a in left])
+    deg_b = np.array([b.degree() for _, b in right])
+    top = int(min(deg_a.max(), deg_b.max()))
+    if last is not None:
+        top = min(top, last)
+    if top < first:
+        return {}
+    plan = _series_plan(d, top)
+    exps_a, parts_a, start_a, count_a = _partial_table([a for _, a in left], plan)
+    exps_b, parts_b, start_b, count_b = _partial_table([b for _, b in right], plan)
+
+    # the series terms of each level pair, and the products among them whose partials exist
+    la, lb = np.divmod(np.arange(len(left) * len(right)), len(right))
+    pair_top = np.minimum(np.minimum(deg_a[la], deg_b[lb]), top)
+    pair, term = _ranges((plan.starts[pair_top + 1] - plan.starts[first]).clip(min=0))
+    term += plan.starts[first]
+    ga, gb, la, lb = plan.ga[term], plan.gb[term], la[pair], lb[pair]
+    n_a, n_b = count_a[ga, la], count_b[gb, lb]
+    keep = (n_a > 0) & (n_b > 0)
+    pair, term, ga, gb, la, lb, n_a, n_b = (x[keep] for x in (pair, term, ga, gb, la, lb, n_a, n_b))
+    r = plan.r[term]
+    series = pair * (top + 1) + r
+    level = (np.zeros_like(r) if merge else
+             np.array([j for j, _ in left])[la] + np.array([j for j, _ in right])[lb] + r)
+
+    # every a_i b_j of every product, products in series order
+    prod, local = _ranges(n_a * n_b)
+    if not len(prod):
+        return {}
+    ia = start_a[ga, la][prod] + local // n_b[prod]
+    ib = start_b[gb, lb][prod] + local % n_b[prod]
+    rows = exps_a.take(ia, axis=0) + exps_b.take(ib, axis=0)
+    keys, bound = _keys(rows, level[prod])
+    order, sorted_keys = _stable_order(keys, bound)
+    sorted_prod = prod[order]
+    new_level = _starts(sorted_keys)  # a monomial of a level starts
+    new_prod, new_series = new_level.copy(), new_level.copy()
+    new_prod[1:] |= sorted_prod[1:] != sorted_prod[:-1]
+    sorted_series = series[sorted_prod]
+    new_series[1:] |= sorted_series[1:] != sorted_series[:-1]
+
+    # products, then each B^r from its products, then each level from its B^r
+    vals = _times(parts_a.take(ia, axis=1), parts_b.take(ib, axis=1))
+    runs = new_prod.cumsum() - 1
+    sums = _add_runs(vals.take(order, axis=1), runs, int(runs[-1]) + 1)
+    head = np.flatnonzero(new_prod)
+    runs = new_series.cumsum() - 1
+    weights = plan.weight[term[sorted_prod[head]]]
+    sums = _add_runs(_times_real(_parts(sums), weights), runs[head], int(runs[-1]) + 1)
+    head = np.flatnonzero(new_series)
+    if hbar is not None:
+        coeffs = _parts(np.array([(1j * hbar / 2) ** k / math.factorial(k)
+                                  for k in range(top + 1)]))
+        runs = new_level.cumsum() - 1
+        weights = coeffs.take(r[sorted_prod[head]], axis=1)
+        sums = _add_runs(_times(_parts(sums), weights), runs[head], int(runs[-1]) + 1)
+        head = np.flatnonzero(new_level)
+
+    return _split(d, level[sorted_prod[head]], rows.take(order[head], axis=0), sums)
 
 
 def bidifferential_power(a: PolynomialSymbol, b: PolynomialSymbol, j: int) -> PolynomialSymbol:
@@ -414,9 +729,9 @@ def bidifferential_power(a: PolynomialSymbol, b: PolynomialSymbol, j: int) -> Po
     """
     if j < 0:
         raise ValueError(f"bidifferential order must be >= 0, got {j}")
-    for _, _, term in _star_series(a, b, 1.0, first=j, tables=(_partials(a, j), _partials(b, j))):
-        return term
-    return PolynomialSymbol.zero(a.d)
+    a._require_same_d(b)
+    levels = _star_sum(a.d, [(0, a)], [(0, b)], first=j, last=j)
+    return levels.get(j, PolynomialSymbol.zero(a.d))
 
 
 def poisson_bracket(a: PolynomialSymbol, b: PolynomialSymbol) -> PolynomialSymbol:
@@ -435,7 +750,8 @@ def moyal_star(a: PolynomialSymbol, b: PolynomialSymbol, hbar: float) -> Polynom
         raise ValueError(f"hbar must be finite and >= 0, got {hbar}")
     if hbar == 0:
         return a * b
-    return _weighted_sum(a.d, ((coeff, term) for _, coeff, term in _star_series(a, b, hbar)))
+    levels = _star_sum(a.d, [(0, a)], [(0, b)], hbar=hbar, merge=True)
+    return levels.get(0, PolynomialSymbol.zero(a.d))
 
 
 # ---------------------------------------------------------------------------
@@ -453,19 +769,14 @@ def taylor_transverse(p: PolynomialSymbol, order: int,
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    lead: dict[MultiIndex, complex] = {}
-    rest: dict[MultiIndex, complex] = {}
-    for k, c in p.terms.items():
-        deg = sum(k)
-        if deg == order:
-            lead[k] = c
-        elif deg > order:
-            rest[k] = c
-        elif strict:
-            raise VanishingOrderError(
-                f"monomial {k} has degree {deg} < required transverse order {order}"
-            )
-    return PolynomialSymbol._trusted(p.d, lead), PolynomialSymbol._trusted(p.d, rest)
+    deg = p._exps.sum(axis=1)
+    if strict and (deg < order).any():
+        low = int(np.argmax(deg < order))
+        raise VanishingOrderError(
+            f"monomial {tuple(p._exps[low].tolist())} has degree {deg[low]} "
+            f"< required transverse order {order}"
+        )
+    return p._take(deg == order), p._take(deg > order)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +794,7 @@ class GradedSymbol:
     least 2k - 2j.
     """
 
-    __slots__ = ("d", "m", "k", "levels")
+    __slots__ = ("d", "m", "k", "levels", "_merged")
 
     def __init__(self, d: int, k: int, levels: Mapping[int, PolynomialSymbol] | None = None,
                  m: Fraction | int | float = 0):
@@ -507,6 +818,7 @@ class GradedSymbol:
                 if not q.is_zero():
                     lv[jj] = q
         self.levels = dict(sorted(lv.items()))
+        self._merged = None
 
     def __eq__(self, other):
         if not isinstance(other, GradedSymbol):
@@ -518,11 +830,14 @@ class GradedSymbol:
         return f"GradedSymbol(d={self.d}, m={self.m}, k={self.k}, levels={{{lv}}})"
 
     def fold(self, lam: float) -> PolynomialSymbol:
-        """Numeric symbol sum_j Lambda^(m-j) q_j at a concrete Lambda >= 1."""
+        """Numeric symbol sum_j Lambda^(m-j) q_j at a concrete Lambda >= 1.
+        The levels are merged on the first fold and kept (they never
+        change), so the rows of a sweep merge one symbol once."""
         if not 1 <= lam < math.inf:
             raise ValueError(f"Lambda must be a finite number >= 1, got {lam}")
-        return _weighted_sum(self.d, ((float(lam) ** float(self.m - j), q)
-                                      for j, q in self.levels.items()))
+        if self._merged is None:
+            self._merged = _merge(self.d, list(self.levels.values()))
+        return _fold(self.d, self._merged, [float(lam) ** float(self.m - j) for j in self.levels])
 
     def max_degree(self) -> int:
         return max((q.degree() for q in self.levels.values()), default=-1)
@@ -561,20 +876,12 @@ def graded_star(p: GradedSymbol, q: GradedSymbol) -> GradedSymbol:
     the bidifferential lowers the transverse degree by 2 and deepens the
     Lambda-grading by one, because the star parameter is hbar = 1/Lambda.
     Folding the result at any Lambda therefore reproduces
-    moyal_star(p.fold(Lambda), q.fold(Lambda), 1/Lambda).  Each level's
-    mixed partials are taken once, up to the other symbol's top degree,
-    and shared by every level pair it enters.
+    moyal_star(p.fold(Lambda), q.fold(Lambda), 1/Lambda).  One kernel call
+    takes the mixed partials of all levels of each operand at once.
     """
     if p.d != q.d:
         raise DimensionMismatch(f"cannot compose symbols with d={p.d} and d={q.d}")
-    right = [(jq, b, _partials(b, p.max_degree())) for jq, b in q.levels.items()]
-    pairs: dict[int, list[tuple[complex, PolynomialSymbol]]] = {}
-    for jp, a in p.levels.items():
-        table_a = _partials(a, q.max_degree())
-        for jq, b, table_b in right:
-            for r, coeff, term in _star_series(a, b, 1.0, tables=(table_a, table_b)):
-                pairs.setdefault(jp + jq + r, []).append((coeff, term))
-    levels = {J: _weighted_sum(p.d, terms) for J, terms in pairs.items()}
+    levels = _star_sum(p.d, p.levels.items(), q.levels.items(), hbar=1.0)
     return GradedSymbol(p.d, p.k + q.k, levels, m=p.m + q.m)
 
 
@@ -582,35 +889,35 @@ class HalfGradedPolynomial:
     """A polynomial with half-integer Lambda-exponents on its terms.
 
     Terms map (multi-index, e2) -> coefficient where e2 = 2e stores the
-    exponent e of Lambda^e exactly as an integer.  Produced by
+    exponent e of Lambda^e exactly as an integer; they are held as one
+    PolynomialSymbol per e2 (`levels`, ascending e2).  Produced by
     scale_symbol; folding at a numeric Lambda returns a plain
     PolynomialSymbol.
     """
 
-    __slots__ = ("d", "terms")
+    __slots__ = ("d", "levels")
 
     def __init__(self, d: int, terms: Mapping[tuple[MultiIndex, int], complex] | None = None):
         self.d = int(d)
-        clean: dict[tuple[MultiIndex, int], complex] = {}
-        if terms:
-            for (index, e2), coeff in terms.items():
-                if not isinstance(e2, int):
-                    raise GradingError(f"exponent 2e={e2!r} is not an integer")
-                idx = _check_index(index, self.d)
-                c = complex(coeff)
-                if c != 0:
-                    key = (idx, e2)
-                    clean[key] = clean.get(key, 0.0) + c
-        self.terms = {k: v for k, v in clean.items() if v != 0}
+        by_e2: dict[int, dict] = {}
+        for (index, e2), coeff in (terms or {}).items():
+            if not isinstance(e2, int):
+                raise GradingError(f"exponent 2e={e2!r} is not an integer")
+            by_e2.setdefault(e2, {})[index] = coeff
+        levels = {e2: PolynomialSymbol(self.d, t) for e2, t in sorted(by_e2.items())}
+        self.levels = {e2: q for e2, q in levels.items() if not q.is_zero()}
+
+    @property
+    def terms(self) -> dict[tuple[MultiIndex, int], complex]:
+        """{(multi-index, e2): coefficient}."""
+        return {(idx, e2): c for e2, q in self.levels.items() for idx, c in q.terms.items()}
 
     def fold(self, lam: float) -> PolynomialSymbol:
         if not 1 <= lam < math.inf:
             raise ValueError(f"Lambda must be a finite number >= 1, got {lam}")
-        out: dict[MultiIndex, complex] = {}
-        for (idx, e2), c in sorted(self.terms.items()):
-            w = c * float(lam) ** (e2 / 2.0)
-            out[idx] = out.get(idx, 0.0) + w
-        return PolynomialSymbol._trusted(self.d, out)
+        # each monomial adds c Lambda^(e2/2) from 0 in e2 order
+        return _fold(self.d, _merge(self.d, list(self.levels.values())),
+                     [float(lam) ** (e2 / 2.0) for e2 in self.levels])
 
     def __eq__(self, other):
         if not isinstance(other, HalfGradedPolynomial):
@@ -636,7 +943,13 @@ def scale_symbol(p: GradedSymbol) -> HalfGradedPolynomial:
     two_m = p.m * 2
     if two_m.denominator != 1:
         raise GradingError(f"order m={p.m} is not a half-integer; exponents 2e leave Z")
-    # (idx, e2) never repeats: for one idx, levels differ in e2
-    return HalfGradedPolynomial(p.d, {(idx, int(two_m) - 2 * j - sum(idx)): c
-                                      for j, q in p.levels.items()
-                                      for idx, c in q.terms.items()})
+    out = HalfGradedPolynomial(p.d)
+    if p.levels:
+        # (idx, e2) never repeats: for one idx, levels differ in e2
+        rows = np.concatenate([q._exps for q in p.levels.values()])
+        e2 = np.concatenate([int(two_m) - 2 * j - q._exps.sum(axis=1) for j, q in p.levels.items()])
+        order = np.lexsort((_keys(rows)[0], e2))
+        coef = np.concatenate([q._coef for q in p.levels.values()])
+        # + 0.0 as the validating constructor's 0 + c
+        out.levels = _split(p.d, e2[order], rows.take(order, axis=0), coef[order] + 0.0)
+    return out

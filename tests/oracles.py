@@ -16,13 +16,24 @@ import scipy.linalg
 from melinlab.symbols import PolynomialSymbol
 
 
-def ladder_pair(n):
-    low = np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(complex)
-    return low, low.conj().T
+def ladder(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowering and raising matrices on the first n Fock levels.
+
+    lower[m-1, m] = sqrt(m); raise is the conjugate transpose.
+    """
+    if n < 2:
+        raise ValueError(f"need at least 2 Fock levels, got n={n}")
+    lower = np.zeros((n, n), dtype=complex)
+    for m in range(1, n):
+        lower[m - 1, m] = math.sqrt(m)
+    return lower, lower.conj().T
 
 
-def coordinate_ops(hbar, n):
-    low, high = ladder_pair(n)
+def mode_operators(hbar: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Single-mode coordinate matrices (yhat, etahat) at parameter hbar."""
+    if not 0 < hbar < math.inf:
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
+    low, high = ladder(n)
     s = math.sqrt(hbar / 2.0)
     return s * (low + high), 1j * s * (high - low)
 
@@ -63,8 +74,8 @@ def quantize_oracle(p, hbar, n):
     d = p.d
     deg = max(p.degree(), 0)
     size = n + deg
-    yops = [embed_mode(coordinate_ops(hbar, size)[0], s, d, size) for s in range(d)]
-    eops = [embed_mode(coordinate_ops(hbar, size)[1], s, d, size) for s in range(d)]
+    yops = [embed_mode(mode_operators(hbar, size)[0], s, d, size) for s in range(d)]
+    eops = [embed_mode(mode_operators(hbar, size)[1], s, d, size) for s in range(d)]
     dim = size ** d
     total = np.zeros((dim, dim), dtype=complex)
     for idx, coeff in p.iter_terms():
@@ -88,7 +99,7 @@ def jordan_mode_oracle(ypow, epow, hbar, size):
     multiplication, no symmetrization; entries near the truncation edge
     carry the truncated ladder, exactly as any size-`size` computation.
     """
-    yop, eop = coordinate_ops(hbar, size)
+    yop, eop = mode_operators(hbar, size)
     m = np.eye(size, dtype=complex)
     for op in [yop] * ypow + [eop] * epow:
         m = (op @ m + m @ op) / 2.0

@@ -22,9 +22,7 @@ from melinlab.quantize import (
     _ladder,
     _scaled_band,
     conjugation_residual,
-    ladder,
     lowest_eigenvalue,
-    mode_operators,
     number_operator,
     truncation_sweep,
     weyl_quantize,
@@ -35,6 +33,8 @@ from melinlab.symbols import GradedSymbol, PolynomialSymbol, eta, moyal_star, y
 from oracles import (
     jordan_mode_oracle,
     kron_quantize_oracle,
+    ladder,
+    mode_operators,
     quantize_oracle,
     random_polynomial,
 )

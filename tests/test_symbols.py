@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from melinlab.errors import DimensionMismatch, GradingError, VanishingOrderError
+from melinlab import symbols
 from melinlab.models import quartic_model
 from melinlab.symbols import (
     GradedSymbol,
@@ -398,41 +399,49 @@ def test_graded_star_levels_match_monomial_oracle():
             assert oracle_distance(got, oracle_sum(weighted)) <= 1e-13, (d, level)
 
 
-def partial_table_cost(a, order):
-    """derivative calls that take the mixed partials of a up to total order
-    min(order, deg a), each as one derivative of its parent (one order
-    lower along its first nonzero axis): one call per multi-index whose
-    parent is a nonzero partial, i.e. lies below some exponent of a."""
+def nonzero_partials(a, order):
+    """The multi-indices gamma, 1 <= |gamma| <= min(order, deg a), of the
+    nonzero mixed partials d^gamma a: those below some exponent of a."""
     top = min(order, a.degree())
-    calls = 0
-    for gamma in itertools.product(range(top + 1), repeat=2 * a.d):
-        if 1 <= sum(gamma) <= top:
-            axis = next(i for i, g in enumerate(gamma) if g)
-            parent = gamma[:axis] + (gamma[axis] - 1,) + gamma[axis + 1:]
-            calls += any(all(e >= g for e, g in zip(k, parent)) for k in a.terms)
-    return calls
+    return {gamma for gamma in itertools.product(range(top + 1), repeat=2 * a.d)
+            if 1 <= sum(gamma) <= top
+            and any(all(e >= g for e, g in zip(k, gamma)) for k in a.terms)}
 
 
 def test_graded_star_takes_each_level_partials_once(monkeypatch):
-    """Each level's table is built once, up to the other symbol's top
-    degree, and shared by every level pair it enters."""
-    calls = []
-    derivative = PolynomialSymbol.derivative
+    """One batched table per operand and call holds every nonzero partial
+    of every level once, up to the other symbol's top degree; no
+    derivative is taken one symbol at a time."""
+    tables, calls = [], []
+    partial_table, derivative = symbols._partial_table, PolynomialSymbol.derivative
+
+    def recorded(levels, plan):
+        tables.append((levels, plan, partial_table(levels, plan)))
+        return tables[-1][2]
 
     def counted(self, axis):
         calls.append(axis)
         return derivative(self, axis)
 
+    monkeypatch.setattr(symbols, "_partial_table", recorded)
     monkeypatch.setattr(PolynomialSymbol, "derivative", counted)
     rng = np.random.default_rng(13)
-    for d, expect in ((1, 61), (2, 207)):
+    for d, expect in ((1, 49), (2, 124)):
         p = GradedSymbol(d, 2, {0: seeded_symbol(rng, d, 6), 1: seeded_symbol(rng, d, 4)})
         q = GradedSymbol(d, 1, {0: seeded_symbol(rng, d, 5), 2: seeded_symbol(rng, d, 3)})
-        cost = (sum(partial_table_cost(a, q.max_degree()) for a in p.levels.values())
-                + sum(partial_table_cost(b, p.max_degree()) for b in q.levels.values()))
-        calls.clear()
+        tables.clear()
         graded_star(p, q)
-        assert len(calls) == cost == expect, d
+        assert [levels for levels, _, _ in tables] == [list(p.levels.values()),
+                                                       list(q.levels.values())]
+        assert not calls
+        found = 0
+        for (levels, plan, (_, _, _, counts)), other in zip(tables, (q, p)):
+            gammas = [tuple(g) for g in plan.gammas.tolist()]
+            for l, a in enumerate(levels):
+                held = {gammas[g] for g in np.flatnonzero(counts[:, l]) if sum(gammas[g])}
+                assert held == nonzero_partials(a, other.max_degree()), (d, l)
+                found += len(held)
+        assert found == expect, d
 
 
 # ---------------------------------------------------------------------------
@@ -504,3 +513,112 @@ def test_public_constructors_validate_keys():
         HalfGradedPolynomial(1, {((1, 0), 0.5): 1.0})
     # the validating constructor still converts keys and coefficients
     assert_canonical(PolynomialSymbol(1, {(np.int64(2), 0): np.float64(1.5), (0, 1): 0}))
+
+
+# ---------------------------------------------------------------------------
+# Keys that do not pack into int64
+# ---------------------------------------------------------------------------
+
+
+def wide_symbol(rng, n_terms=6):
+    """d = 4 with exponents from 1000 to 4000: base (max + 1)^8 is far
+    above 2^62, so keys are ranks of the distinct rows."""
+    terms = {tuple(int(e) for e in rng.integers(1000, 4001, size=8)):
+             complex(rng.normal(), rng.normal()) for _ in range(n_terms)}
+    return PolynomialSymbol(4, terms)
+
+
+def test_unpackable_exponents_sum_like_the_dict_loop():
+    rng = np.random.default_rng(17)
+    a, b = wide_symbol(rng), wide_symbol(rng)
+    assert (2 * 4000 + 1) ** 8 > 2 ** 62
+    for left, right in ((a, b), (b, a), (a, a)):
+        expect = product_oracle(left.terms, right.terms)
+        assert hex_terms((left * right).terms) == hex_terms(expect)
+    total = dict(a.terms)
+    for k, v in b.terms.items():
+        total[k] = total.get(k, 0.0) + v
+    assert hex_map(a + b) == hex_map_of(total)
+    for axis in range(8):
+        expect = {k[:axis] + (k[axis] - 1,) + k[axis + 1:]: 0.0 + v * k[axis]
+                  for k, v in a.terms.items()}
+        assert hex_map(a.derivative(axis)) == hex_map_of(expect)
+    g = GradedSymbol(4, 0, {0: a, 1: b, 3: a * b})
+    folded = {}
+    for j, q in g.levels.items():
+        for k, v in q.terms.items():
+            folded[k] = folded.get(k, 0.0) + v * 4.0 ** -j
+    assert hex_map(g.fold(4.0)) == hex_map_of(folded)
+
+
+def test_unpackable_exponents_hand_values():
+    y1 = (3000,) + (0,) * 7
+    y1_half, y2 = (1500,) + (0,) * 7, (0, 1001) + (0,) * 6
+    a = PolynomialSymbol(4, {y1_half: 2.0, y2: 1j})
+    b = PolynomialSymbol(4, {y2: 3.0, y1_half: 5.0})
+    both = (1500, 1001) + (0,) * 6
+    assert (a * b).terms == {y1: 10.0, both: 6.0 + 5.0j, (0, 2002) + (0,) * 6: 3.0j}
+    assert (a + b).terms == {y1_half: 7.0, y2: 3.0 + 1.0j}
+    assert a.derivative(0).terms == {(1499,) + (0,) * 7: 3000.0}
+    assert GradedSymbol(4, 0, {0: a, 1: b}).fold(2.0).terms == {y1_half: 4.5, y2: 1.5 + 1.0j}
+    # the star kernel's keys (level, row) do not pack either: 301^8 > 2^62
+    tall = PolynomialSymbol(4, {(300, 0, 0, 0, 1, 0, 0, 0): 2.0 + 1.0j, (0, 2, 0, 0, 0, 1, 0, 0): -1.0})
+    low = PolynomialSymbol(4, {(1, 1, 0, 0, 1, 1, 0, 0): 0.5, (0, 0, 0, 0, 2, 0, 0, 0): 3.0j})
+    expect = oracle_sum(((0.15j) ** r / math.factorial(r),
+                         bidifferential_oracle(tall.terms, low.terms, 4, r)) for r in range(5))
+    assert oracle_distance(moyal_star(tall, low, 0.3), expect) <= 1e-13
+    # an exponent sum beyond int64 is refused, not wrapped
+    huge = PolynomialSymbol.monomial(4, (2 ** 62,) + (0,) * 7)
+    with pytest.raises(OverflowError):
+        huge * huge
+
+
+def hex_map_of(terms):
+    return {k: (c.real.hex(), c.imag.hex()) for k, c in terms.items() if c != 0}
+
+
+def hex_map(p):
+    return hex_map_of(p.terms)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [y() + eta(), PolynomialSymbol.zero(1)])
+def test_evaluate_rejects_unequal_row_counts(p):
+    with pytest.raises(DimensionMismatch, match=r"\(5, 1\) and \(3, 1\)"):
+        p.evaluate(np.zeros((5, 1)), np.zeros((3, 1)))
+
+
+def test_non_finite_coefficients_propagate_like_the_dict_loop():
+    """inf and NaN arise and spread as in Python's complex arithmetic, with
+    no numpy warning (pytest turns RuntimeWarning into an error here)."""
+    a = PolynomialSymbol(1, {(1, 0): 1e200, (0, 1): complex(2.0, math.inf), (0, 0): 1.5})
+    b = PolynomialSymbol(1, {(1, 0): 1e200, (1, 1): -3.0, (0, 0): complex(0.5, 1e300)})
+    assert hex_terms((a * b).terms) == hex_terms(product_oracle(a.terms, b.terms))
+    total = dict(a.terms)
+    for k, v in b.terms.items():
+        total[k] = total.get(k, 0.0) + v
+    assert hex_map(a + b) == hex_map_of(total)
+    assert hex_map(a.derivative(1)) == hex_map_of({(0, 0): 0.0 + a.terms[(0, 1)] * 1})
+    folded = {}
+    for j, q in ((0, a), (1, b)):
+        for k, v in q.terms.items():
+            folded[k] = folded.get(k, 0.0) + v * 1e250 ** -j
+    assert hex_map(GradedSymbol(1, 0, {0: a, 1: b}).fold(1e250)) == hex_map_of(folded)
+    for p in (moyal_star(a, b, 0.5), graded_star(GradedSymbol(1, 0, {0: a}),
+                                                 GradedSymbol(1, 0, {0: b})).fold(2.0)):
+        assert not all(math.isfinite(abs(c)) for c in p.terms.values())
+
+
+def test_stable_order_paths_agree():
+    """The kernel sorts distinct codes key * n + i when they fit in 2^62 and
+    falls back to a stable argsort otherwise; both give the stable order."""
+    keys = np.random.default_rng(18).integers(0, 40, size=500)
+    expect = np.argsort(keys, kind="stable")
+    for bound in (40, 2 ** 61):
+        order, sorted_keys = symbols._stable_order(keys, bound)
+        assert order.tolist() == expect.tolist()
+        assert sorted_keys.tolist() == keys[expect].tolist()
