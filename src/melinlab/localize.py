@@ -35,7 +35,8 @@ from .quantize import (
 from .symbols import (
     GradedSymbol,
     PolynomialSymbol,
-    _disjoint_sum,
+    _fold,
+    _merge,
     graded_star,
     moyal_star,
     taylor_transverse,
@@ -72,7 +73,7 @@ def localized_symbol(p: GradedSymbol, strict: bool = True) -> PolynomialSymbol:
             leads.append(taylor_transverse(q, order, strict=strict)[0])
         except VanishingOrderError as exc:
             raise VanishingOrderError(f"level {j}: {exc}") from exc
-    return _disjoint_sum(p.d, leads)  # each lead has its own degree
+    return _fold(p.d, _merge(p.d, leads), [1.0] * len(leads))
 
 
 @dataclass
@@ -264,8 +265,8 @@ def localization_product_check(p: GradedSymbol, q: GradedSymbol,
     direct = moyal_star(p.fold(lam), q.fold(lam), 1.0 / lam)
     diff = folded - direct
     if not diff.is_zero():
-        scale = max(map(abs, folded._coef.tolist()), default=0.0)
-        worst = max(map(abs, diff._coef.tolist()))
+        scale = folded.max_abs()
+        worst = diff.max_abs()
         if worst > GRADING_CHECK_REL_TOL * max(scale, 1e-300):
             raise GradingError(
                 f"graded star disagrees with folded star at Lambda={lam} "

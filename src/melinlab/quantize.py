@@ -240,7 +240,7 @@ def _parity_kind(p: PolynomialSymbol) -> str | None:
     """The Fock parities the Weyl operator of p conserves: "mode" if
     every monomial has even degree in each mode, else "total" if every
     monomial has even total degree, else None."""
-    degrees = p._exps[:, :p.d] + p._exps[:, p.d:]
+    degrees = p.mode_degrees()
     if not (degrees % 2).any():
         return "mode"
     if not (degrees.sum(axis=1) % 2).any():
@@ -375,7 +375,7 @@ def _ladder(p: PolynomialSymbol, hbar: float, ns: list[int]) -> Iterator[Operato
     if degree > MAX_DEGREE:
         raise ResourceLimitError(f"symbol degree {degree} is above the limit {MAX_DEGREE}")
     real = p.is_real()
-    if real and not np.isfinite(p._coef).all():
+    if real and not p.is_finite():
         raise NonHermitianError("real symbol produced non-Hermitian matrix (non-finite term)")
     size = ns[-1] + degree
     bands = _bands(p, hbar, size)

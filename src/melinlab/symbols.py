@@ -17,8 +17,8 @@ dict, is a view built on first read for the public boundary (`to_dict`,
 `str`, `==` and `hash` read it); a product lists its monomials in the
 order they first occur in the sorted double loop.  Public input is
 validated: PolynomialSymbol(d, terms), monomial, from_dict and
-HalfGradedPolynomial(...) check every multi-index (an exponent must fit
-in int64) and convert every coefficient to complex.
+HalfGradedPolynomial(...) check every multi-index and convert every
+coefficient to complex.
 
 Accumulation order.  Every result is a sum of contributions grouped by
 monomial, and each monomial's contributions are added from 0 in a fixed
@@ -40,7 +40,9 @@ base (largest exponent + 1), which orders the rows as tuples, when the
 packed range (times the number of result levels) stays below 2^62.
 When it does not (d = 4 with exponents above 1000, say), a row's key is
 its rank among the distinct rows (np.unique over rows), which orders
-them the same way.  An exponent sum beyond int64 raises OverflowError.
+them the same way.  Every row's total degree fits in int64: building a
+symbol with a larger one, or a product or star series that would make
+one, raises OverflowError, so no exponent sum wraps.
 
 The module also provides the Moyal star product
 
@@ -82,7 +84,8 @@ __all__ = [
 
 MultiIndex = tuple  # tuple[int, ...] of length 2d: (y-powers, eta-powers)
 
-_ROOM = 2 ** 62  # every key and sort code stays below this
+_ROOM = 2 ** 62  # every packed key stays below this
+_INT64_MAX = 2 ** 63 - 1
 
 
 def _check_index(index: Sequence[int], d: int) -> MultiIndex:
@@ -93,7 +96,15 @@ def _check_index(index: Sequence[int], d: int) -> MultiIndex:
         )
     if any(p < 0 for p in idx):
         raise ValueError(f"negative exponent in multi-index {idx}")
+    _check_degree(sum(idx))
     return idx
+
+
+def _check_degree(total: int) -> None:
+    """Refuse a total degree beyond int64, where the exponent rows' sums
+    would wrap."""
+    if total > _INT64_MAX:
+        raise OverflowError(f"total degree {total} does not fit in int64")
 
 
 # ---------------------------------------------------------------------------
@@ -146,36 +157,21 @@ def _times_real(parts: np.ndarray, f) -> np.ndarray:
     return out
 
 
-def _keys(rows: np.ndarray, lead: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+def _keys(rows: np.ndarray, lead: np.ndarray | None = None) -> np.ndarray:
     """int64 keys ordering the rows of an exponent matrix as the tuples
-    (lead, *row), and a bound above every key: the rows packed in base
-    (largest exponent + 1) when that fits below 2^62, else each row's
-    rank among the distinct rows."""
+    (lead, *row): the rows packed in base (largest exponent + 1) when that
+    fits below 2^62, else each row's rank among the distinct rows."""
     n, width = rows.shape
     if n == 0:
-        return np.zeros(0, dtype=np.int64), 1
-    if rows.min() < 0:
-        raise OverflowError("an exponent sum left the int64 range")
+        return np.zeros(0, dtype=np.int64)
     base = int(rows.max()) + 1
     size, span = base ** width, 1 if lead is None else int(lead.max()) + 1
     if size * span <= _ROOM:
         keys = rows @ (base ** np.arange(width - 1, -1, -1, dtype=np.int64))
-        return (keys if lead is None else keys + lead * size), size * span
+        return keys if lead is None else keys + lead * size
     if lead is not None:
         rows = np.column_stack((lead, rows))
-    distinct, keys = np.unique(rows, axis=0, return_inverse=True)
-    return keys.reshape(-1), len(distinct)
-
-
-def _stable_order(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """(order, keys[order]) of the stable sort of keys in no particular
-    order, each below bound."""
-    n = len(keys)
-    if bound <= _ROOM // max(n, 1):  # distinct codes sort faster than a stable sort
-        keys, order = np.divmod(np.sort(keys * n + np.arange(n)), n)
-        return order, keys
-    order = np.argsort(keys, kind="stable")
-    return order, keys[order]
+    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
 
 
 def _starts(sorted_keys: np.ndarray) -> np.ndarray:
@@ -183,6 +179,18 @@ def _starts(sorted_keys: np.ndarray) -> np.ndarray:
     new = np.ones(len(sorted_keys), dtype=bool)
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
     return new
+
+
+def _group(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equal exponent rows grouped: (head, where), where head[g] is the
+    first row of group g, groups in sorted order, and where[i] is row i's
+    group.  np.add.at over `where` adds each group's values in row order."""
+    keys = _keys(rows)
+    order = keys.argsort(kind="stable")  # rows come in sorted runs, which timsort merges
+    new = _starts(keys.take(order))
+    where = np.empty_like(order)
+    where[order] = new.cumsum() - 1
+    return order[new], where
 
 
 def _ranges(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,17 +216,13 @@ def _merge(d: int, levels: list) -> tuple[np.ndarray, np.ndarray]:
     (re, im) rows on them, 0 where it lacks one, as (L, 2, U), with the
     weight-free half of _times_real already applied."""
     rows = np.concatenate([q._exps for q in levels] or [np.zeros((0, 2 * d), np.int64)])
-    keys = _keys(rows)[0]
-    order = keys.argsort(kind="stable")  # rows come in sorted runs, which timsort merges
-    new = _starts(keys.take(order))
-    where = np.empty_like(order)
-    where[order] = new.cumsum() - 1
+    head, where = _group(rows)
     level = np.repeat(np.arange(len(levels)), [len(q._coef) for q in levels])
-    parts = np.zeros((len(levels), 2, int(new.sum())))
+    parts = np.zeros((len(levels), 2, len(head)))
     coef = np.concatenate([q._coef for q in levels] or [np.zeros(0, complex)])
     parts[level, :, where] = coef.view(np.float64).reshape(-1, 2)
     parts += parts[:, ::-1] * 0.0
-    return rows.take(order[new], axis=0), parts
+    return rows.take(head, axis=0), parts
 
 
 @_silent
@@ -232,16 +236,6 @@ def _fold(d: int, merged: tuple[np.ndarray, np.ndarray], weights: list[float]) -
     for term in mixed * np.asarray(weights)[:, None, None]:  # the rest of _times_real
         sums += term
     return PolynomialSymbol._arrays(d, rows, total)
-
-
-def _disjoint_sum(d: int, symbols: list) -> "PolynomialSymbol":
-    """The sum of symbols no two of which share a monomial: one sort, and
-    each coefficient 0 + c * 1, as a weighted sum with weights 1 gives it."""
-    rows = np.concatenate([q._exps for q in symbols] or [np.zeros((0, 2 * d), np.int64)])
-    coef = np.concatenate([q._coef for q in symbols] or [np.zeros(0, complex)])
-    order = _keys(rows)[0].argsort()
-    coef = _complex(_times_real(_parts(coef.take(order)), 1.0) + 0.0)
-    return PolynomialSymbol._arrays(d, rows.take(order, axis=0), coef)
 
 
 def _split(d: int, labels: np.ndarray, rows: np.ndarray, coef: np.ndarray) -> dict:
@@ -348,6 +342,19 @@ class PolynomialSymbol:
         """Smallest total degree present; -1 for the zero polynomial."""
         return int(self._exps.sum(axis=1).min()) if len(self._coef) else -1
 
+    def is_finite(self) -> bool:
+        """True iff every coefficient is finite."""
+        return bool(np.isfinite(self._coef).all())
+
+    def max_abs(self) -> float:
+        """Largest coefficient modulus; 0.0 for the zero polynomial."""
+        return max(map(abs, self._coef.tolist()), default=0.0)
+
+    def mode_degrees(self) -> np.ndarray:
+        """(terms, d) int array: each monomial's degree in each mode s, the
+        power of y_s plus the power of eta_s, monomials in sorted order."""
+        return self._exps[:, :self.d] + self._exps[:, self.d:]
+
     def iter_terms(self) -> Iterator[tuple[MultiIndex, complex]]:
         """Terms in the canonical order (by total degree, then index)."""
         terms = zip(map(tuple, self._exps.tolist()), self._coef.tolist())
@@ -365,15 +372,11 @@ class PolynomialSymbol:
             self._require_same_d(other)
             # a monomial of self keeps its coefficient, one only in other starts at 0 + c
             rows = np.concatenate((self._exps, other._exps))
-            keys = _keys(rows)[0]
-            order = keys.argsort(kind="stable")
-            new = _starts(keys.take(order))
-            run = np.empty(len(order), dtype=np.int64)
-            run[order] = new.cumsum() - 1
-            coef = np.zeros(int(new.sum()), dtype=complex)
-            coef[run[:len(self._coef)]] = self._coef
-            np.add.at(coef, run[len(self._coef):], other._coef)
-            return PolynomialSymbol._arrays(self.d, rows[order[new]], coef)
+            head, where = _group(rows)
+            coef = np.zeros(len(head), dtype=complex)
+            coef[where[:len(self._coef)]] = self._coef
+            np.add.at(coef, where[len(self._coef):], other._coef)
+            return PolynomialSymbol._arrays(self.d, rows.take(head, axis=0), coef)
         if isinstance(other, (int, float, complex)):
             return self + PolynomialSymbol.constant(self.d, other)
         return NotImplemented
@@ -396,15 +399,13 @@ class PolynomialSymbol:
     def __mul__(self, other):
         if isinstance(other, PolynomialSymbol):
             self._require_same_d(other)
+            _check_degree(self.degree() + other.degree())
             # both operands are sorted, so row i * len(other) + j is a_i b_j of the sorted double loop
             rows = (self._exps[:, None, :] + other._exps[None, :, :]).reshape(-1, 2 * self.d)
             a = np.repeat(_parts(self._coef), len(other._coef), axis=1)
             b = np.tile(_parts(other._coef), len(self._coef))
-            keys = _keys(rows)[0]
-            order = keys.argsort(kind="stable")  # sorted runs again
-            new = _starts(keys.take(order))
-            sums = _add_runs(_times(a, b).take(order, axis=1), new.cumsum() - 1, int(new.sum()))
-            head = order[new]
+            head, where = _group(rows)
+            sums = _add_runs(_times(a, b), where, len(head))
             return PolynomialSymbol._arrays(self.d, rows.take(head, axis=0), sums, head)
         if isinstance(other, (int, float, complex)):
             c = complex(other)
@@ -595,9 +596,14 @@ def _series_plan(d: int, top: int) -> _Plan:
     width = 2 * d
     gammas = [g for r in range(top + 1) for g in _compositions(r, width)]
     index = {g: i for i, g in enumerate(gammas)}
-    chain = [[(a, s) for a in reversed(range(width)) for s in range(g[a])]
-             + [(0, 0)] * (top - sum(g)) for g in gammas]
-    chain = np.array(chain, dtype=np.int64).reshape(len(gammas), top, 2).transpose(2, 1, 0)
+    table = np.array(gammas, dtype=np.int64).reshape(len(gammas), width)
+    # step s runs along the first axis whose later axes took at most s steps; the
+    # chain holds small integers, 2 * top bytes per multi-index below top 128
+    after = table[:, ::-1].cumsum(axis=1)[:, ::-1] - table
+    axis, offset = np.zeros((2, top, len(gammas)), dtype=np.min_scalar_type(-max(top, width)))
+    for step in range(top):
+        axis[step] = (after > step).sum(axis=1)
+        offset[step] = step - after[np.arange(len(gammas)), axis[step]]
     terms = []
     for r in range(top + 1):
         rfact = math.factorial(r)
@@ -608,8 +614,7 @@ def _series_plan(d: int, top: int) -> _Plan:
                     terms.append((r, index[alpha + beta], index[beta + alpha],
                                   -weight if (r - ra) % 2 else weight))
     r, ga, gb, weight = (np.array(col) for col in zip(*terms))
-    return _Plan(np.array(gammas, dtype=np.int64), np.array([sum(g) for g in gammas]),
-                 np.ascontiguousarray(chain[0]), np.ascontiguousarray(chain[1]),
+    return _Plan(table, table.sum(axis=1), axis, offset,
                  r, ga, gb, weight.astype(float), np.searchsorted(r, np.arange(top + 2)))
 
 
@@ -660,6 +665,7 @@ def _star_sum(d: int, left, right, hbar: float | None = None, merge: bool = Fals
         return {}
     deg_a = np.array([a.degree() for _, a in left])
     deg_b = np.array([b.degree() for _, b in right])
+    _check_degree(int(deg_a.max()) + int(deg_b.max()))
     top = int(min(deg_a.max(), deg_b.max()))
     if last is not None:
         top = min(top, last)
@@ -690,8 +696,9 @@ def _star_sum(d: int, left, right, hbar: float | None = None, merge: bool = Fals
     ia = start_a[ga, la][prod] + local // n_b[prod]
     ib = start_b[gb, lb][prod] + local % n_b[prod]
     rows = exps_a.take(ia, axis=0) + exps_b.take(ib, axis=0)
-    keys, bound = _keys(rows, level[prod])
-    order, sorted_keys = _stable_order(keys, bound)
+    keys = _keys(rows, level[prod])
+    order = keys.argsort(kind="stable")
+    sorted_keys = keys.take(order)
     sorted_prod = prod[order]
     new_level = _starts(sorted_keys)  # a monomial of a level starts
     new_prod, new_series = new_level.copy(), new_level.copy()
@@ -948,7 +955,7 @@ def scale_symbol(p: GradedSymbol) -> HalfGradedPolynomial:
         # (idx, e2) never repeats: for one idx, levels differ in e2
         rows = np.concatenate([q._exps for q in p.levels.values()])
         e2 = np.concatenate([int(two_m) - 2 * j - q._exps.sum(axis=1) for j, q in p.levels.items()])
-        order = np.lexsort((_keys(rows)[0], e2))
+        order = np.lexsort((_keys(rows), e2))
         coef = np.concatenate([q._coef for q in p.levels.values()])
         # + 0.0 as the validating constructor's 0 + c
         out.levels = _split(p.d, e2[order], rows.take(order, axis=0), coef[order] + 0.0)

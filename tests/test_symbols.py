@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -573,6 +574,47 @@ def test_unpackable_exponents_hand_values():
         huge * huge
 
 
+def test_total_degree_beyond_int64_is_refused():
+    """A row's total degree must fit in int64, or degree() and the star
+    kernel would read a wrapped sum: refused when built, and when a product
+    or star series would produce one."""
+    for build in (lambda: PolynomialSymbol(1, {(2 ** 62, 2 ** 62): 1.0}),
+                  lambda: PolynomialSymbol.monomial(2, (2 ** 63, 0, 0, 0)),
+                  lambda: HalfGradedPolynomial(1, {((2 ** 62, 2 ** 62), 0): 1.0})):
+        with pytest.raises(OverflowError):
+            build()
+    edge = PolynomialSymbol(1, {(2 ** 62, 2 ** 62 - 1): 1.0})
+    assert edge.degree() == edge.min_degree() == 2 ** 63 - 1
+    half = PolynomialSymbol(1, {(2 ** 61, 2 ** 61): 1.0})
+    assert half.degree() == 2 ** 62
+    for op in (lambda: half * half, lambda: moyal_star(half, half, 0.25),
+               lambda: graded_star(GradedSymbol(1, 0, {0: half}), GradedSymbol(1, 0, {0: half})),
+               lambda: bidifferential_power(half, half, 1), lambda: edge * y()):
+        with pytest.raises(OverflowError):
+            op()
+
+
+def test_high_order_star_plan_stays_small():
+    """The star plan of order `top` holds its derivative chain as small
+    integers built with numpy: y1^10 y2^10 # eta1^10 eta2^10 has top 20 and
+    10,626 multi-indices, and its call peaks near 5 MB (a chain built as
+    Python lists of int64 pairs took 23 MB)."""
+    a = PolynomialSymbol.monomial(2, (10, 10, 0, 0))
+    b = PolynomialSymbol.monomial(2, (0, 0, 10, 10))
+    symbols._series_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        p = moyal_star(a, b, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
+    # B^r only pairs y-derivatives of a with eta-derivatives of b: one monomial per alpha <= (10, 10)
+    assert len(p.terms) == 11 * 11
+    # alpha = (10, 10): (i/4)^20 / 20! * 20! / (10! 10!) * (10! 10!)^2
+    assert p.terms[(0, 0, 0, 0)] == pytest.approx(math.factorial(10) ** 2 / 4 ** 20, rel=1e-12)
+
+
 def hex_map_of(terms):
     return {k: (c.real.hex(), c.imag.hex()) for k, c in terms.items() if c != 0}
 
@@ -612,13 +654,3 @@ def test_non_finite_coefficients_propagate_like_the_dict_loop():
                                                  GradedSymbol(1, 0, {0: b})).fold(2.0)):
         assert not all(math.isfinite(abs(c)) for c in p.terms.values())
 
-
-def test_stable_order_paths_agree():
-    """The kernel sorts distinct codes key * n + i when they fit in 2^62 and
-    falls back to a stable argsort otherwise; both give the stable order."""
-    keys = np.random.default_rng(18).integers(0, 40, size=500)
-    expect = np.argsort(keys, kind="stable")
-    for bound in (40, 2 ** 61):
-        order, sorted_keys = symbols._stable_order(keys, bound)
-        assert order.tolist() == expect.tolist()
-        assert sorted_keys.tolist() == keys[expect].tolist()
