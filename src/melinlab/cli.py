@@ -218,7 +218,12 @@ def cmd_star(args: argparse.Namespace) -> int:
     b = load_symbol_literal(args.b)
     if not 0 <= args.hbar < math.inf:
         raise MelinLabError(f"--hbar must be finite and >= 0, got {args.hbar}")
-    result = moyal_star(a, b, args.hbar)
+    try:
+        result = moyal_star(a, b, args.hbar)
+    except OverflowError:  # a weight (i hbar/2)^r / r! or r! / (alpha! beta!) past a double
+        raise MelinLabError(f"the star series weight overflows a double at hbar={args.hbar:g}")
+    if not result.is_finite():
+        raise MelinLabError("a # b has a coefficient that is not finite (it overflows a double)")
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
     else:

@@ -431,7 +431,7 @@ def number_operator(k: int, d: int, n: int) -> OperatorMatrix:
     digits = _fock_digits(d, n)
     diag = np.zeros(dim)
     for total_order in range(k + 1):
-        for alpha in _compositions(total_order, d):
+        for alpha in _compositions(total_order, (k,) * d):
             term = np.full(dim, float(2 ** total_order))
             for s, a in enumerate(alpha):
                 term = term * rising(digits[s], a)

@@ -53,7 +53,10 @@ convention pinned by star(y, eta) - star(eta, y) = i*hbar, and the
 graded-symbol machinery: levels q_{m-j} with Lambda-weights
 Lambda^(m-j), scaling to the unit model scale, and transverse Taylor
 splitting.  graded_star, moyal_star and bidifferential_power run one
-batched kernel (_star_sum) per call.
+batched kernel (_star_sum) per call.  Its cached series plan is keyed
+by (d, top, caps), caps bounding each axis of a term's partial by the
+operands' largest exponents, so its size is set by the operands; one
+term table serves a directly and b half-swapped.
 """
 
 from __future__ import annotations
@@ -293,13 +296,6 @@ class PolynomialSymbol:
         self.d, self._exps, self._coef, self._view = d, exps, coef, None
         self._order = None if first is None else np.argsort(first)
         return self
-
-    def _take(self, rows: np.ndarray) -> "PolynomialSymbol":
-        """The monomials that the mask or sorted indices `rows` select."""
-        out = PolynomialSymbol.__new__(PolynomialSymbol)
-        out.d, out._exps, out._coef = self.d, self._exps[rows], self._coef[rows]
-        out._order = out._view = None
-        return out
 
     @property
     def terms(self) -> dict[MultiIndex, complex]:
@@ -563,88 +559,85 @@ def eta(d: int = 1, mode: int = 0) -> PolynomialSymbol:
 
 
 @functools.lru_cache(maxsize=256)
-def _compositions(total: int, slots: int) -> tuple[tuple[int, ...], ...]:
-    """All tuples of `slots` nonnegative integers summing to `total`."""
-    if slots == 1:
-        return ((total,),)
-    return tuple((head,) + rest for head in range(total + 1)
-                 for rest in _compositions(total - head, slots - 1))
+def _compositions(total: int, caps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """All tuples of nonnegative integers at most `caps` summing to `total`, in order."""
+    if len(caps) == 1:
+        return ((total,),) if total <= caps[0] else ()
+    return tuple((head,) + rest for head in range(min(total, caps[0]) + 1)
+                 for rest in _compositions(total - head, caps[1:]))
 
 
 class _Plan(NamedTuple):
-    """Index arrays of the star series up to order `top` in d modes."""
+    """Index arrays of the star series up to order `top` within per-axis caps."""
 
-    gammas: np.ndarray   # (M, 2d) every multi-index of order <= top, by order
-    orders: np.ndarray   # (M,) |gamma|
-    axis: np.ndarray     # (top, M) axis of the s-th derivative taking d^gamma
-    offset: np.ndarray   # (top, M) how far that axis is already lowered
-    r: np.ndarray        # per series term: its order r
-    ga: np.ndarray       # the partial alpha + beta of a it takes
-    gb: np.ndarray       # the partial beta + alpha of b
+    tables: tuple        # (T, 2d) partial of each term: (alpha, beta) of a, (beta, alpha) of b
+    chains: tuple        # each table's derivative chain (_chain)
+    r: np.ndarray        # per term: its order r = |alpha| + |beta|
     weight: np.ndarray   # r! / (alpha! beta!) (-1)^|beta|, as float
-    starts: np.ndarray   # (top + 2,) first term of each order
 
 
-@functools.lru_cache(maxsize=64)
-def _series_plan(d: int, top: int) -> _Plan:
-    """The plan of B^0 .. B^top, terms in the order the expansion adds them.
-
+def _chain(table: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """(axis, offset), each (top, T): the axis of the s-th derivative taking
+    each partial d^gamma of the table, and how far it is already lowered.
     Each partial d^gamma is one derivative, along the first nonzero axis
     of gamma, of d^(gamma - e_axis); unrolled, the derivatives run from
     the last axis to the first, and the s-th along an axis multiplies by
     the exponent minus s."""
-    width = 2 * d
-    gammas = [g for r in range(top + 1) for g in _compositions(r, width)]
-    index = {g: i for i, g in enumerate(gammas)}
-    table = np.array(gammas, dtype=np.int64).reshape(len(gammas), width)
     # step s runs along the first axis whose later axes took at most s steps; the
-    # chain holds small integers, 2 * top bytes per multi-index below top 128
+    # chain holds small integers, 2 * top bytes per partial below top 128
     after = table[:, ::-1].cumsum(axis=1)[:, ::-1] - table
-    axis, offset = np.zeros((2, top, len(gammas)), dtype=np.min_scalar_type(-max(top, width)))
+    axis, offset = np.zeros((2, top, len(table)), np.min_scalar_type(-max(top, table.shape[1])))
     for step in range(top):
         axis[step] = (after > step).sum(axis=1)
-        offset[step] = step - after[np.arange(len(gammas)), axis[step]]
+        offset[step] = step - after[np.arange(len(table)), axis[step]]
+    return axis, offset
+
+
+@functools.lru_cache(maxsize=64)
+def _series_plan(d: int, top: int, caps: tuple[int, ...]) -> _Plan:
+    """The plan of B^0 .. B^top, terms in the order the expansion adds them,
+    keeping those whose partial (alpha, beta) of a is at most `caps` on every
+    axis; past the caps _star_sum sets, a or b lacks the term's partial."""
     terms = []
     for r in range(top + 1):
         rfact = math.factorial(r)
         for ra in range(r + 1):
-            for alpha in _compositions(ra, d):
-                for beta in _compositions(r - ra, d):
+            for alpha in _compositions(ra, caps[:d]):
+                for beta in _compositions(r - ra, caps[d:]):
                     weight = rfact // math.prod(map(math.factorial, alpha + beta))
-                    terms.append((r, index[alpha + beta], index[beta + alpha],
-                                  -weight if (r - ra) % 2 else weight))
-    r, ga, gb, weight = (np.array(col) for col in zip(*terms))
-    return _Plan(table, table.sum(axis=1), axis, offset,
-                 r, ga, gb, weight.astype(float), np.searchsorted(r, np.arange(top + 2)))
+                    terms.append((alpha + beta, r, -weight if (r - ra) % 2 else weight))
+    table, r, weight = (np.array(col) for col in zip(*terms))
+    tables = (table, np.roll(table, d, axis=1))
+    return _Plan(tables, tuple(_chain(t, top) for t in tables), r, weight.astype(float))
 
 
 @_silent
-def _partial_table(levels: list[PolynomialSymbol], plan: _Plan):
-    """Every nonzero mixed partial d^gamma q of every level q, at once.
+def _partial_table(levels: list[PolynomialSymbol], table: np.ndarray, chain: tuple):
+    """Every mixed partial d^gamma q of every level q at each row of `table`, at once.
 
-    Returns (exps, parts, starts, counts): the partial of level l at gamma
+    Returns (exps, parts, starts, counts): the partial of level l at row
     g is columns starts[g, l] .. + counts[g, l] of exps and of the (re, im)
     rows `parts`, monomials in sorted order.  Each coefficient takes one
     derivative at a time, c * power, as the derivative of its parent
     partial computes it (up to the sign of zero parts)."""
     exps = np.concatenate([q._exps for q in levels])
-    below = exps[:, 0] >= plan.gammas[:, :1]  # (M, N): gamma <= row
+    below = exps[:, 0] >= table[:, :1]  # (T, N): gamma <= row
     for axis in range(1, exps.shape[1]):
-        below &= exps[:, axis] >= plan.gammas[:, axis:axis + 1]
+        below &= exps[:, axis] >= table[:, axis:axis + 1]
     g, t = np.divmod(np.flatnonzero(below), len(exps))
+    gammas = table.take(g, axis=0)
     parts = _parts(np.concatenate([q._coef for q in levels])).take(t, axis=1)
-    factors = (exps.take(plan.axis.take(g, axis=1) + t * exps.shape[1])
-               - plan.offset.take(g, axis=1))
-    firsts = np.searchsorted(plan.orders.take(g), np.arange(len(plan.axis)), side="right")
+    factors = exps.take(chain[0].take(g, axis=1) + t * exps.shape[1]) - chain[1].take(g, axis=1)
+    firsts = np.searchsorted(gammas.sum(axis=1), np.arange(len(chain[0])), side="right")
     for step, lo in enumerate(firsts.tolist()):  # columns lo.. take at least step + 1 derivatives
         part = parts[:, lo:]  # times the factor, in place, as _times_real
         part += part[::-1] * 0.0
         part *= factors[step, lo:]
     level = np.repeat(np.arange(len(levels)), [len(q._coef) for q in levels])
-    counts = np.bincount(g * len(levels) + level[t], minlength=len(plan.gammas) * len(levels))
-    counts = counts.reshape(len(plan.gammas), len(levels))
-    reduced = exps.take(t, axis=0) - plan.gammas.take(g, axis=0)
-    return reduced, parts, counts.cumsum().reshape(counts.shape) - counts, counts
+    counts = np.bincount(g * len(levels) + level[t], minlength=len(table) * len(levels))
+    counts = counts.reshape(len(table), len(levels))
+    starts = counts.cumsum().reshape(counts.shape) - counts
+    return exps.take(t, axis=0) - gammas, parts, starts, counts
 
 
 def _star_sum(d: int, left, right, hbar: float | None = None, merge: bool = False,
@@ -663,27 +656,26 @@ def _star_sum(d: int, left, right, hbar: float | None = None, merge: bool = Fals
     right = [(j, b) for j, b in right if not b.is_zero()]
     if not left or not right:
         return {}
-    deg_a = np.array([a.degree() for _, a in left])
-    deg_b = np.array([b.degree() for _, b in right])
-    _check_degree(int(deg_a.max()) + int(deg_b.max()))
-    top = int(min(deg_a.max(), deg_b.max()))
+    deg_a, deg_b = (max(q.degree() for _, q in side) for side in (left, right))
+    _check_degree(deg_a + deg_b)
+    top = min(deg_a, deg_b)
     if last is not None:
         top = min(top, last)
     if top < first:
         return {}
-    plan = _series_plan(d, top)
-    exps_a, parts_a, start_a, count_a = _partial_table([a for _, a in left], plan)
-    exps_b, parts_b, start_b, count_b = _partial_table([b for _, b in right], plan)
+    # a's partial (alpha, beta) is zero past a's largest exponents, b's (beta, alpha) past b's
+    high = [np.concatenate([q._exps for _, q in side]).max(axis=0) for side in (left, right)]
+    caps = np.minimum(np.minimum(high[0], np.concatenate((high[1][d:], high[1][:d]))), top)
+    plan = _series_plan(d, top, tuple(caps.tolist()))
+    (exps_a, parts_a, start_a, count_a), (exps_b, parts_b, start_b, count_b) = (
+        _partial_table([q for _, q in side], table, chain)
+        for side, table, chain in zip((left, right), plan.tables, plan.chains))
 
-    # the series terms of each level pair, and the products among them whose partials exist
-    la, lb = np.divmod(np.arange(len(left) * len(right)), len(right))
-    pair_top = np.minimum(np.minimum(deg_a[la], deg_b[lb]), top)
-    pair, term = _ranges((plan.starts[pair_top + 1] - plan.starts[first]).clip(min=0))
-    term += plan.starts[first]
-    ga, gb, la, lb = plan.ga[term], plan.gb[term], la[pair], lb[pair]
-    n_a, n_b = count_a[ga, la], count_b[gb, lb]
-    keep = (n_a > 0) & (n_b > 0)
-    pair, term, ga, gb, la, lb, n_a, n_b = (x[keep] for x in (pair, term, ga, gb, la, lb, n_a, n_b))
+    # the series terms from order `first` of each level pair, in loop order, whose partials exist
+    keep = (count_a.T[:, None] > 0) & (count_b.T[None] > 0) & (plan.r >= first)  # (la, lb, term)
+    pair, term = np.divmod(np.flatnonzero(keep), len(plan.r))
+    la, lb = np.divmod(pair, len(right))
+    n_a, n_b = count_a[term, la], count_b[term, lb]
     r = plan.r[term]
     series = pair * (top + 1) + r
     level = (np.zeros_like(r) if merge else
@@ -693,8 +685,8 @@ def _star_sum(d: int, left, right, hbar: float | None = None, merge: bool = Fals
     prod, local = _ranges(n_a * n_b)
     if not len(prod):
         return {}
-    ia = start_a[ga, la][prod] + local // n_b[prod]
-    ib = start_b[gb, lb][prod] + local % n_b[prod]
+    ia = start_a[term, la][prod] + local // n_b[prod]
+    ib = start_b[term, lb][prod] + local % n_b[prod]
     rows = exps_a.take(ia, axis=0) + exps_b.take(ib, axis=0)
     keys = _keys(rows, level[prod])
     order = keys.argsort(kind="stable")
@@ -783,7 +775,8 @@ def taylor_transverse(p: PolynomialSymbol, order: int,
             f"monomial {tuple(p._exps[low].tolist())} has degree {deg[low]} "
             f"< required transverse order {order}"
         )
-    return p._take(deg == order), p._take(deg > order)
+    return tuple(PolynomialSymbol._arrays(p.d, p._exps[rows], p._coef[rows])
+                 for rows in (deg == order, deg > order))
 
 
 # ---------------------------------------------------------------------------

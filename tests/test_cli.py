@@ -430,6 +430,20 @@ def test_non_finite_numbers_are_rejected_at_parse_time(tmp_path, capsys, literal
     assert "numbers must be finite" in err and literal in err
 
 
+@pytest.mark.parametrize("coeff, hbar, reason", [
+    (1, "1e200", "series weight overflows"),  # (i hbar/2)^2 is past a double
+    (1e300, "0.5", "not finite"),             # 1e300 * 1e300 overflows, inf * 0 is NaN
+])
+def test_star_refuses_a_result_past_a_double(capsys, coeff, hbar, reason):
+    a, b = (json.dumps({"d": 1, "terms": [{"c": [coeff, 0], "y": [ey], "eta": [ee]}]})
+            for ey, ee in ((2, 0), (0, 2)))  # coeff y^2, coeff eta^2
+    for mode in ([], ["--json"]):
+        assert main(["star", "--a", a, "--b", b, "--hbar", hbar, *mode]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert reason in err and "Traceback" not in err
+
+
 def test_star_rejects_bad_literal(capsys):
     _, b = yeta_literal()
     for bad in (

@@ -400,24 +400,31 @@ def test_graded_star_levels_match_monomial_oracle():
             assert oracle_distance(got, oracle_sum(weighted)) <= 1e-13, (d, level)
 
 
-def nonzero_partials(a, order):
-    """The multi-indices gamma, 1 <= |gamma| <= min(order, deg a), of the
-    nonzero mixed partials d^gamma a: those below some exponent of a."""
+def nonzero_partials(a, order, caps):
+    """The multi-indices gamma <= caps, 1 <= |gamma| <= min(order, deg a),
+    of the nonzero mixed partials d^gamma a: those below some exponent of a."""
     top = min(order, a.degree())
     return {gamma for gamma in itertools.product(range(top + 1), repeat=2 * a.d)
-            if 1 <= sum(gamma) <= top
+            if 1 <= sum(gamma) <= top and all(g <= c for g, c in zip(gamma, caps))
             and any(all(e >= g for e, g in zip(k, gamma)) for k in a.terms)}
+
+
+def largest_exponents(p):
+    """Per axis, the largest exponent over every level of a graded symbol."""
+    return [max(k[s] for q in p.levels.values() for k in q.terms) for s in range(2 * p.d)]
 
 
 def test_graded_star_takes_each_level_partials_once(monkeypatch):
     """One batched table per operand and call holds every nonzero partial
-    of every level once, up to the other symbol's top degree; no
-    derivative is taken one symbol at a time."""
+    of every level once, up to the other symbol's top degree and within the
+    caps both operands set: a's partial (alpha, beta) is at most a's largest
+    exponents and b's largest of (beta, alpha), and b's the same half-swapped.
+    No derivative is taken one symbol at a time."""
     tables, calls = [], []
     partial_table, derivative = symbols._partial_table, PolynomialSymbol.derivative
 
-    def recorded(levels, plan):
-        tables.append((levels, plan, partial_table(levels, plan)))
+    def recorded(levels, table, chain):
+        tables.append((levels, table, partial_table(levels, table, chain)))
         return tables[-1][2]
 
     def counted(self, axis):
@@ -427,7 +434,7 @@ def test_graded_star_takes_each_level_partials_once(monkeypatch):
     monkeypatch.setattr(symbols, "_partial_table", recorded)
     monkeypatch.setattr(PolynomialSymbol, "derivative", counted)
     rng = np.random.default_rng(13)
-    for d, expect in ((1, 49), (2, 124)):
+    for d, expect in ((1, 47), (2, 112)):
         p = GradedSymbol(d, 2, {0: seeded_symbol(rng, d, 6), 1: seeded_symbol(rng, d, 4)})
         q = GradedSymbol(d, 1, {0: seeded_symbol(rng, d, 5), 2: seeded_symbol(rng, d, 3)})
         tables.clear()
@@ -435,12 +442,15 @@ def test_graded_star_takes_each_level_partials_once(monkeypatch):
         assert [levels for levels, _, _ in tables] == [list(p.levels.values()),
                                                        list(q.levels.values())]
         assert not calls
+        high_p, high_q = largest_exponents(p), largest_exponents(q)
+        caps_p = [min(e, f) for e, f in zip(high_p, high_q[d:] + high_q[:d])]
         found = 0
-        for (levels, plan, (_, _, _, counts)), other in zip(tables, (q, p)):
-            gammas = [tuple(g) for g in plan.gammas.tolist()]
+        for (levels, table, (_, _, _, counts)), other, caps in zip(
+                tables, (q, p), (caps_p, caps_p[d:] + caps_p[:d])):
+            gammas = [tuple(g) for g in table.tolist()]
             for l, a in enumerate(levels):
                 held = {gammas[g] for g in np.flatnonzero(counts[:, l]) if sum(gammas[g])}
-                assert held == nonzero_partials(a, other.max_degree()), (d, l)
+                assert held == nonzero_partials(a, other.max_degree(), caps), (d, l)
                 found += len(held)
         assert found == expect, d
 
@@ -595,24 +605,39 @@ def test_total_degree_beyond_int64_is_refused():
 
 
 def test_high_order_star_plan_stays_small():
-    """The star plan of order `top` holds its derivative chain as small
-    integers built with numpy: y1^10 y2^10 # eta1^10 eta2^10 has top 20 and
-    10,626 multi-indices, and its call peaks near 5 MB (a chain built as
-    Python lists of int64 pairs took 23 MB)."""
-    a = PolynomialSymbol.monomial(2, (10, 10, 0, 0))
-    b = PolynomialSymbol.monomial(2, (0, 0, 10, 10))
-    symbols._series_plan.cache_clear()
-    tracemalloc.start()
-    try:
-        p = moyal_star(a, b, 0.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 12 * 2 ** 20
-    # B^r only pairs y-derivatives of a with eta-derivatives of b: one monomial per alpha <= (10, 10)
-    assert len(p.terms) == 11 * 11
-    # alpha = (10, 10): (i/4)^20 / 20! * 20! / (10! 10!) * (10! 10!)^2
-    assert p.terms[(0, 0, 0, 0)] == pytest.approx(math.factorial(10) ** 2 / 4 ** 20, rel=1e-12)
+    """The star plan holds only the terms whose partials both operands can
+    have, and its derivative chain as small integers built with numpy, so a
+    call stays small at the input limits: y1^10 y2^10 # eta1^10 eta2^10
+    (top 20), y1^32 y2^32 + 0.5 y1 eta2 # eta1^32 eta2^32 + 2 y2 eta1
+    (exponents at the literal limit 32, top 64: 814,385 multi-indices of
+    order <= 64, 2,177 terms whose partials exist) and y1^8 y2^8 y3^8 #
+    eta1^8 eta2^8 eta3^8 (d = 3, top 24)."""
+    f = math.factorial
+    cases = [  # a, b, monomials of a # b at hbar 1/2, one of them, its closed form
+        ({(10, 10, 0, 0): 1.0}, {(0, 0, 10, 10): 1.0}, 11 * 11, (0, 0, 0, 0),
+         # alpha = (10, 10): (i/4)^20 / 20! * 20! / (10! 10!) * (10! 10!)^2
+         f(10) ** 2 / 4 ** 20),
+        ({(32, 32, 0, 0): 1.0, (1, 0, 0, 1): 0.5}, {(0, 0, 32, 32): 1.0, (0, 1, 1, 0): 2.0},
+         1093, (16, 16, 16, 16),
+         # only alpha = (16, 16) of the leading monomials: (i/4)^32 / (16! 16!) * (32! / 16!)^4
+         f(32) ** 4 / f(16) ** 6 / 4 ** 32),
+        ({(8, 8, 8, 0, 0, 0): 1.0}, {(0, 0, 0, 8, 8, 8): 1.0}, 9 ** 3, (0,) * 6,
+         # alpha = (8, 8, 8): (i/4)^24 / 24! * 24! / 8!^3 * (8!^3)^2
+         f(8) ** 3 / 4 ** 24),
+    ]
+    for a, b, size, key, value in cases:
+        d = len(key) // 2
+        a, b = PolynomialSymbol(d, a), PolynomialSymbol(d, b)
+        symbols._series_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            p = moyal_star(a, b, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20, key
+        assert len(p.terms) == size
+        assert p.terms[key] == pytest.approx(value, rel=1e-12)
 
 
 def hex_map_of(terms):
