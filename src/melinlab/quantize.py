@@ -34,7 +34,12 @@ the bands and the block are float64 and eigvalsh runs the real symmetric
 solver; otherwise they are complex.  Real-coefficient symbols even in
 eta take the real path, and so does eta_1 eta_2, whose two imaginary
 factors multiply to a real one (in the Fock basis complex conjugation
-sends Weyl(p(y, eta)) to Weyl(p(y, -eta))).  The Hermiticity check
+sends Weyl(p(y, eta)) to Weyl(p(y, -eta))).  A real-coefficient symbol
+quantizes to blocks that are Hermitian bit for bit, so Hermiticity is
+checked where they come from: _real_band checks each band it peels
+exactly symmetric or antisymmetric, and _ladder bounds the entries once
+per ladder (see there).  Only blocks whose entries may overflow, and
+those of complex-coefficient symbols, are scanned: _check_hermitian
 compares m[I, J] with m[J, I]^H over 64 x 64 tiles with I <= J, so each
 transposed read is one cache-sized tile.
 
@@ -121,10 +126,12 @@ class OperatorMatrix:
         self._entries = entries
         if entries is not None:
             entries.setflags(write=False)
-        # set by the quantizer: whether blocks are checked Hermitian to 1e-12 as
-        # they are built (real symbols), the flat indices of the parity sectors
-        # (no entry couples two), their kind and the bands blocks are built from
-        self.hermitian, self.sectors, self._parity, self._bands = False, None, None, None
+        # set by the quantizer: whether blocks are Hermitian by construction (real
+        # symbols) and, if an entry may overflow, scanned to 1e-12 as they are
+        # built; the flat indices of the parity sectors (no entry couples two),
+        # their kind and the bands blocks are built from
+        self.hermitian, self._scan, self.sectors, self._parity, self._bands = (
+            False, False, None, None, None)
 
     @property
     def dim(self) -> int:
@@ -133,7 +140,7 @@ class OperatorMatrix:
     @property
     def entries(self) -> np.ndarray:
         if self._entries is None:
-            self._entries = _block(self._bands, self.d, self.n, check=self.hermitian)
+            self._entries = _block(self._bands, self.d, self.n, check=self._scan)
         return self._entries
 
 
@@ -166,6 +173,8 @@ _PHASES = (1.0, 1j, -1.0, -1j)
 def _real_band(ypow: int, epow: int, size: int) -> np.ndarray:
     """The real band R of y^ypow eta^epow (W = ypow + epow >= 1); it does
     not depend on hbar, and it is read-only because every caller shares it.
+    R must be exactly symmetric for even epow and antisymmetric for odd
+    epow on its in-matrix positions, else NonHermitianError (a NaN fails).
 
     Jordan peeling quantize(x q) = (xhat Q + Q xhat) / 2 on diagonals,
     O(size W) per step, W steps, with the weights lo[i] = g[i],
@@ -185,7 +194,8 @@ def _real_band(ypow: int, epow: int, size: int) -> np.ndarray:
     col = g(i[None, :] + np.arange(2 * width + 3)[:, None] - width - 1)
     k = np.arange(2 * width + 1)[:, None] - width
     j = i[None, :] + k
-    flip = np.where((j >= 0) & (j < size), (width - k + 1) * (size + 2) + j + 1, 0)
+    inside = (j >= 0) & (j < size)
+    flip = np.where(inside, (width - k + 1) * (size + 2) + j + 1, 0)
     work = np.zeros((2 * width + 3, size + 2))  # band inside a ring of zeros
     band = work[1:-1, 1:-1]
     band[width] = 1.0
@@ -199,6 +209,9 @@ def _real_band(ypow: int, epow: int, size: int) -> np.ndarray:
         etas = step + 1 - ypow
         tau = -1.0 if etas > 0 and etas % 2 else 1.0
         band[...] = 0.5 * (new + tau * work.take(flip))
+    if not (band[inside] == tau * work.take(flip)[inside]).all():  # tau is (-1)^epow
+        raise NonHermitianError(f"the band of y^{ypow} eta^{epow} is not exactly "
+                                f"{'anti' if tau < 0 else ''}symmetric")
     band = band.copy()
     band.setflags(write=False)
     return band
@@ -308,7 +321,8 @@ def _block(bands: list[tuple[np.ndarray, np.ndarray]], d: int, n: int, kind: str
     bands' dtype (float64 for no bands).  Sector (p1, p2) = (v & 1, v >> 1)
     of the per-mode kind is the same write of every second column from p_s
     and the even band rows (the odd ones are zero); a total-parity sector
-    keeps the products inside it.  With check, it raises
+    keeps the products inside it; at d = 1 the mode-2 factor is the
+    constant (1, 1) band, a scale of one gather.  With check, it raises
     NonHermitianError unless the block is Hermitian to 1e-12."""
     n1, n2 = n, n ** (d - 1)
     if kind == "mode":
@@ -323,10 +337,13 @@ def _block(bands: list[tuple[np.ndarray, np.ndarray]], d: int, n: int, kind: str
     out = np.zeros((size, size), dtype=bands[0][1].dtype if bands else float)
     flat = out.reshape(-1)
     for band2, band1 in bands:
-        src2, off2 = _block_geometry(band2.shape, n2, n1 * dim, n1)
         src1, off1 = _block_geometry(band1.shape, n1, dim, 1)
-        place = np.add.outer(off2, off1)
-        products = np.multiply.outer(band2.take(src2), band1.take(src1))
+        if d == 1:  # the mode-2 factor is the constant (1, 1) band
+            place, products = off1, band2[0, 0] * band1.take(src1)
+        else:
+            src2, off2 = _block_geometry(band2.shape, n2, n1 * dim, n1)
+            place = np.add.outer(off2, off1)
+            products = np.multiply.outer(band2.take(src2), band1.take(src1))
         if kind == "total":
             row, col = local[place // dim], local[place % dim]
             inside = (row >= 0) & (col >= 0)
@@ -355,10 +372,15 @@ def _ladder(p: PolynomialSymbol, hbar: float, ns: list[int]) -> Iterator[Operato
     allocates a larger one.  Blocks are float64 when every term's weight
     c i^|b| is real, else complex.  A real symbol with a non-finite term
     raises NonHermitianError here; otherwise its rungs are marked
-    hermitian and their blocks checked to 1e-12 as they are built.  Every
-    rung is marked with the parity sectors the symbol conserves.  A top
-    rung of more than MAX_DENSE_DIM rows, or a symbol of degree above
-    MAX_DEGREE, raises ResourceLimitError before any band is peeled.
+    hermitian, as every block is Hermitian bit for bit: each term's weight
+    c i^(b1+b2) matches the symmetry (-1)^b of its real bands, so mirrored
+    entries are the same sums of exactly negated or conjugated terms.
+    That needs every sum finite, so where the bound sum over band pairs of
+    max|band2| max|band1| is not below finfo(float).max / 2 (or is NaN),
+    each block is still checked to 1e-12 as it is built.  Every rung is
+    marked with the parity sectors the symbol conserves.  A top rung of
+    more than MAX_DENSE_DIM rows, or a symbol of degree above MAX_DEGREE,
+    raises ResourceLimitError before any band is peeled.
     """
     if p.d > MAX_MODES:
         raise DimensionMismatch(f"quantization supports d <= {MAX_MODES}, got d={p.d}")
@@ -379,10 +401,12 @@ def _ladder(p: PolynomialSymbol, hbar: float, ns: list[int]) -> Iterator[Operato
         raise NonHermitianError("real symbol produced non-Hermitian matrix (non-finite term)")
     size = ns[-1] + degree
     bands = _bands(p, hbar, size)
+    bound = sum(float(np.abs(b2).max()) * float(np.abs(b1).max()) for b2, b1 in bands)
+    scan = real and not bound < np.finfo(float).max / 2
     kind = _parity_kind(p)
     for n in ns:
         rung = OperatorMatrix(d=p.d, n=n, hbar=hbar, pad=size - n, entries=None)
-        rung.hermitian, rung._parity, rung._bands = real, kind, bands
+        rung.hermitian, rung._scan, rung._parity, rung._bands = real, scan, kind, bands
         rung.sectors = _sectors(p.d, n, kind) if kind else None
         yield rung
 
@@ -443,8 +467,9 @@ def lowest_eigenvalue(m: OperatorMatrix | np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian operator matrix.
 
     Raises NonHermitianError if the entries deviate from Hermitian
-    symmetry by more than 1e-10; quantized real symbols, checked to
-    1e-12 as their blocks are built, are not checked again.  A matrix
+    symmetry by more than 1e-10.  A quantized real symbol is Hermitian by
+    construction and not scanned here: its blocks are checked to 1e-12 as
+    they are built only when an entry may overflow (see _ladder).  A matrix
     marked with parity sectors takes eigvalsh of its first sector block,
     rho, and one Cholesky factorization of B - (rho + eta) I for each
     other block B, eta = 1e-10 max_i sum_j |B_ij|.  Eta is hundreds of
@@ -456,7 +481,7 @@ def lowest_eigenvalue(m: OperatorMatrix | np.ndarray) -> float:
     """
     checked, values = getattr(m, "hermitian", False), []
     if getattr(m, "sectors", None):  # each sector block, built from the bands
-        blocks = (_block(m._bands, m.d, m.n, m._parity, v, checked) for v in range(len(m.sectors)))
+        blocks = (_block(m._bands, m.d, m.n, m._parity, v, m._scan) for v in range(len(m.sectors)))
     else:
         blocks = [m.entries if isinstance(m, OperatorMatrix) else np.asarray(m)]
     for block in blocks:

@@ -56,7 +56,10 @@ splitting.  graded_star, moyal_star and bidifferential_power run one
 batched kernel (_star_sum) per call.  Its cached series plan is keyed
 by (d, top, caps), caps bounding each axis of a term's partial by the
 operands' largest exponents, so its size is set by the operands; one
-term table serves a directly and b half-swapped.
+term table serves a directly and b half-swapped.  Its terms are counted
+from the caps before any is listed, and a series whose plan and partial
+tables would take more than MAX_STAR_BYTES = 1 GiB (estimated from that
+count) raises ResourceLimitError before anything of that size exists.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, GradingError, VanishingOrderError
+from .errors import DimensionMismatch, GradingError, ResourceLimitError, VanishingOrderError
 
 __all__ = [
     "MultiIndex",
@@ -89,6 +92,7 @@ MultiIndex = tuple  # tuple[int, ...] of length 2d: (y-powers, eta-powers)
 
 _ROOM = 2 ** 62  # every packed key stays below this
 _INT64_MAX = 2 ** 63 - 1
+MAX_STAR_BYTES = 2 ** 30  # the series plan and a partial table, estimated (_star_bytes)
 
 
 def _check_index(index: Sequence[int], d: int) -> MultiIndex:
@@ -594,6 +598,27 @@ def _chain(table: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=64)
+def _plan_terms(top: int, caps: tuple[int, ...]) -> int:
+    """The number of terms of _series_plan(d, top, caps), without listing
+    them: the per-axis ranges 0..cap convolved, up to order top."""
+    counts = [1]
+    for cap in caps:
+        counts = [sum(counts[max(0, k - cap):k + 1]) for k in range(min(len(counts) + cap, top + 1))]
+    return sum(counts)
+
+
+def _star_bytes(top: int, caps: tuple[int, ...], monomials: int) -> int:
+    """Bytes of the series plan of (top, caps) and of the partial table of
+    an operand side with `monomials` monomials, estimated from the plan's T
+    terms: per term two int64 table rows, two (top,) chain columns per
+    table, r and weight; per partial (at most T per monomial) two int64
+    (top,) factor columns, two chain reads, its exponents and parts."""
+    terms, chain = _plan_terms(top, caps), np.min_scalar_type(-max(top, len(caps))).itemsize
+    return terms * (16 * len(caps) + 4 * chain * top + 16
+                    + monomials * ((16 + 2 * chain) * top + 8 * len(caps) + 32))
+
+
+@functools.lru_cache(maxsize=64)
 def _series_plan(d: int, top: int, caps: tuple[int, ...]) -> _Plan:
     """The plan of B^0 .. B^top, terms in the order the expansion adds them,
     keeping those whose partial (alpha, beta) of a is at most `caps` on every
@@ -666,7 +691,13 @@ def _star_sum(d: int, left, right, hbar: float | None = None, merge: bool = Fals
     # a's partial (alpha, beta) is zero past a's largest exponents, b's (beta, alpha) past b's
     high = [np.concatenate([q._exps for _, q in side]).max(axis=0) for side in (left, right)]
     caps = np.minimum(np.minimum(high[0], np.concatenate((high[1][d:], high[1][:d]))), top)
-    plan = _series_plan(d, top, tuple(caps.tolist()))
+    caps = tuple(caps.tolist())
+    size = _star_bytes(top, caps, max(sum(len(q._coef) for _, q in side) for side in (left, right)))
+    if size > MAX_STAR_BYTES:
+        raise ResourceLimitError(
+            f"the star series up to order {top} needs about {size / 2 ** 30:.1f} GiB for its "
+            f"plan and partials, above the limit {MAX_STAR_BYTES / 2 ** 30:g} GiB")
+    plan = _series_plan(d, top, caps)
     (exps_a, parts_a, start_a, count_a), (exps_b, parts_b, start_b, count_b) = (
         _partial_table([q for _, q in side], table, chain)
         for side, table, chain in zip((left, right), plan.tables, plan.chains))

@@ -1,5 +1,6 @@
 import importlib
 import json
+import resource
 import subprocess
 import sys
 
@@ -442,6 +443,21 @@ def test_star_refuses_a_result_past_a_double(capsys, coeff, hbar, reason):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert reason in err and "Traceback" not in err
+
+
+def test_star_refuses_a_series_past_its_byte_budget():
+    # y1^32 y2^32 eta1^32 eta2^32 with itself, every exponent at the literal
+    # limit: 1,185,921 series terms to order 128.  The child has 2.5 GB of
+    # address space, where building that plan dies with a traceback.
+    lit = json.dumps({"d": 2, "terms": [{"c": [1, 0], "y": [32, 32], "eta": [32, 32]}]})
+    limit = 2_500_000 * 1024
+    proc = subprocess.run(
+        [sys.executable, "-m", "melinlab", "star", "--json", "--hbar", "0.5", "--a", lit, "--b", lit],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "above the limit 1 GiB" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_star_rejects_bad_literal(capsys):

@@ -541,6 +541,93 @@ def test_tiled_hermiticity_check_takes_the_exact_maximum(size):
 
 
 # ---------------------------------------------------------------------------
+# Hermitian by construction: each band checked when peeled, no block scanned
+# ---------------------------------------------------------------------------
+
+
+def test_every_real_band_is_exactly_symmetric_or_antisymmetric():
+    quantize._real_band.cache_clear()
+    for size in (9, 40, 262):
+        for a, b in [(a, w - a) for w in range(1, 13) for a in range(w + 1)]:
+            band = quantize._real_band(a, b, size)  # peeled, and checked, here
+            dense = np.zeros((size, size))
+            for k in range(-(a + b), a + b + 1):
+                i = np.arange(max(0, -k), min(size, size - k))
+                dense[i, i + k] = band[a + b + k, i]
+            assert np.array_equal(dense.T, (-1) ** b * dense), (a, b, size)
+
+
+def _seeded_real_symbol(rng, d, parity, odd_eta):
+    """Eight real terms of degree <= 3 per exponent, each of even degree in
+    every mode ("mode"), of even total degree ("total") or any (None), one
+    of them the given term odd in eta, whose weight c i^|b| is imaginary."""
+    terms = {odd_eta: 0.5}
+    while len(terms) < 8:
+        idx = tuple(int(v) for v in rng.integers(0, 4, size=2 * d))
+        degrees = np.add(idx[:d], idx[d:])
+        odd = {"mode": degrees % 2, "total": degrees.sum() % 2, None: 0}[parity]
+        if not np.any(odd):
+            terms[idx] = float(rng.integers(-4, 5)) or 1.0
+    return PolynomialSymbol(d, terms)
+
+
+@pytest.mark.parametrize("d, parity, odd_eta, count", [
+    (1, "mode", (1, 1), 2),           # y eta
+    (2, "mode", (1, 0, 1, 0), 4),     # y1 eta1
+    (2, "total", (1, 0, 0, 1), 2),    # y1 eta2
+    (1, None, (2, 1), 0),             # y^2 eta
+    (2, None, (1, 1, 0, 1), 0),       # y1 y2 eta2
+])
+def test_real_symbol_blocks_are_hermitian_bit_for_bit(d, parity, odd_eta, count):
+    rng = np.random.default_rng(181 + 10 * d + count)
+    for _ in range(3):
+        p = _seeded_real_symbol(rng, d, parity, odd_eta)
+        for n in (7, 16):
+            rung = weyl_quantize(p, 0.7, n)
+            assert rung.hermitian and not rung._scan
+            assert len(rung.sectors or ()) == count
+            blocks = [quantize._block(rung._bands, d, n, rung._parity, v) for v in range(count)]
+            for block in blocks + [rung.entries]:
+                assert block.dtype == np.complex128
+                assert np.abs(block - block.conj().T).max() == 0.0
+
+
+def test_real_symbols_are_solved_without_a_hermiticity_scan(monkeypatch):
+    def scan(*args):
+        raise AssertionError("a block of a real symbol was scanned")
+
+    monkeypatch.setattr(quantize, "_check_hermitian", scan)
+    # a folded scaling model, y eta term included, and a coupled two-mode model;
+    # the values are those the per-block scan gave, to the roundoff of the solver
+    q = 4.2 * y() ** 2 + 0.3 * (y() * eta()) + 0.25 * eta() ** 2
+    scaling = q * q + 0.6 * y() ** 6 + (0.9 / 64) * harmonic_symbol(1)
+    assert truncation_sweep(scaling, 1 / 64, [16, 32, 64, 128]).values == pytest.approx(
+        [0.0009387329566156954, 0.000937485438248875, 0.0009374854227698993,
+         0.0009374854227696115], rel=1e-12)
+    quad = 1.1 * y(2, 0) ** 2 + 0.8 * eta(2, 0) ** 2 + 0.9 * y(2, 1) ** 2 + 1.3 * eta(2, 1) ** 2
+    mode2 = quad * quad + 0.4 * y(2, 0) ** 2 * y(2, 1) ** 2 + 0.7 * harmonic_symbol(2)
+    assert truncation_sweep(mode2, 1.0, [8, 16, 32]).values == pytest.approx(
+        [7.6495220696584685, 7.649521774099894, 7.6495217740998935], rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself warns
+def test_entries_near_overflow_keep_the_per_block_scan():
+    for p in (PolynomialSymbol(1, {(8, 0): 1e307, (0, 2): 1.0}),
+              PolynomialSymbol(1, {(2, 0): 1.7e308, (0, 2): 1.7e308})):
+        assert weyl_quantize(p, 1.0, 16)._scan
+        with pytest.raises(NonHermitianError, match="deviation nan"):
+            lowest_eigenvalue(weyl_quantize(p, 1.0, 16))
+        with pytest.raises(NonHermitianError, match="deviation nan"):
+            weyl_quantize(p, 1.0, 16).entries
+    # finite entries near 1e306 pass the scan, as they always did
+    p = PolynomialSymbol(2, {(4, 4, 0, 0): 1e300, (0, 0, 2, 2): 1.0})
+    assert lowest_eigenvalue(weyl_quantize(p, 1.0, 16)) == pytest.approx(
+        6.600267142500937e+296, rel=1e-12)
+    m = weyl_quantize(p, 1.0, 16).entries
+    assert np.abs(m - m.T).max() == 0.0
+
+
+# ---------------------------------------------------------------------------
 # Sector blocks built from the bands, and the Cholesky certificates
 # ---------------------------------------------------------------------------
 

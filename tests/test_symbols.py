@@ -6,7 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from melinlab.errors import DimensionMismatch, GradingError, VanishingOrderError
+from melinlab.errors import (
+    DimensionMismatch,
+    GradingError,
+    ResourceLimitError,
+    VanishingOrderError,
+)
 from melinlab import symbols
 from melinlab.models import quartic_model
 from melinlab.symbols import (
@@ -638,6 +643,26 @@ def test_high_order_star_plan_stays_small():
         assert peak < 12 * 2 ** 20, key
         assert len(p.terms) == size
         assert p.terms[key] == pytest.approx(value, rel=1e-12)
+
+
+def test_star_plan_is_counted_before_it_is_built():
+    """_plan_terms counts a plan's terms from its caps alone, and a series
+    whose plan and partials would pass MAX_STAR_BYTES is refused before
+    anything of that size is allocated: y1^32 y2^32 eta1^32 eta2^32 with
+    itself (1,185,921 terms to order 128)."""
+    for d, top, caps in ((1, 10, (2, 7)), (2, 5, (3, 2, 4, 1)), (2, 64, (32, 32, 0, 1)),
+                         (3, 7, (3, 0, 3, 1, 2, 3))):
+        assert symbols._plan_terms(top, caps) == len(symbols._series_plan(d, top, caps).r)
+    assert symbols._plan_terms(128, (32,) * 4) == 33 ** 4
+    p = PolynomialSymbol(2, {(32, 32, 32, 32): 1.0})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="order 128 needs about .* GiB"):
+            moyal_star(p, p, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def hex_map_of(terms):
