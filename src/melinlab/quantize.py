@@ -61,7 +61,16 @@ sector index sets (2^d sectors split by the parity of each n_s, or 2
 split by the parity of n_1 + n_2, or none); entries between sectors
 are exactly zero.  Each sector block is written straight from the
 bands (see _block); lowest_eigenvalue solves one of them and certifies
-the others by Cholesky.
+the others by Cholesky.  A sector lists its rows by flat index
+n_1 + N n_2, in runs of equal n_2, and two rows couple only when their
+n_2 differ by at most W_2, the largest mode-2 band width.  So the
+certificate is a right-looking block Cholesky (Golub and Van Loan,
+Matrix Computations, 4th ed., 4.3-4.5) over super-blocks of whole runs,
+at least _SUPER_BLOCK = 32 rows each (chosen by timing 16 to 128 on
+the 256- and 1024-row sectors of two-mode models): a super-block's
+panel, and the window its update touches, end at the last row within
+W_2 levels of it, since no entry and no fill-in lies farther out.  A
+sector of one super-block, every d = 1 sector, is factored whole.
 
 Everything here is desk scale: d <= 2 modes and N <= 256 per mode, a
 dense block of at most MAX_DENSE_DIM = 4096 rows (d = 2 up to N = 64),
@@ -105,6 +114,7 @@ MAX_TRUNCATION = 256
 MAX_DENSE_DIM = 4096
 MAX_DEGREE = 32
 _BAND_CACHE_SIZE = 128
+_SUPER_BLOCK = 32
 HERMITICITY_TOL = 1e-12
 MONOTONICITY_TOL = 1e-10
 CONVERGENCE_REL = 1e-8
@@ -275,6 +285,41 @@ def _sectors(d: int, n: int, kind: str) -> tuple[np.ndarray, ...]:
     for idx in sectors:
         idx.setflags(write=False)
     return sectors
+
+
+@functools.lru_cache(maxsize=64)
+def _super_blocks(d: int, n: int, kind: str, v: int, width: int) -> tuple[tuple[int, int, int], ...]:
+    """(start, stop, end) row bounds of the super-blocks of parity sector v:
+    its runs of equal n_2, grouped in order into blocks of at least
+    _SUPER_BLOCK rows (the last may hold fewer), each with the end of its
+    window, the last row with n_2 <= n_2(stop - 1) + width (the mode-2
+    band width)."""
+    level = _sectors(d, n, kind)[v] // n  # n_2 of each row; 0 at d = 1
+    plan, start = [], 0
+    for stop in [*(np.flatnonzero(np.diff(level)) + 1).tolist(), len(level)]:
+        if stop - start >= _SUPER_BLOCK or stop == len(level):
+            end = int(np.searchsorted(level, level[stop - 1] + width, side="right"))
+            plan.append((start, stop, end))
+            start = stop
+    return tuple(plan)
+
+
+def _factors(block: np.ndarray, shift: float, plan: tuple[tuple[int, int, int], ...]) -> bool:
+    """Whether block - shift I has a Cholesky factor, by right-looking block
+    Cholesky over the super-blocks of plan: factor the diagonal block,
+    solve for the coupled panel to its right, subtract its Gram matrix
+    from the trailing window.  A one-block plan factors the block whole."""
+    work = block.copy()
+    work.flat[::len(work) + 1] -= shift
+    try:
+        for start, stop, end in plan:
+            factor = np.linalg.cholesky(work[start:stop, start:stop])
+            if end > stop:
+                panel = np.linalg.solve(factor, work[start:stop, stop:end])
+                work[stop:end, stop:end] -= panel.conj().T @ panel
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _check_hermitian(m: np.ndarray, tol: float, what: str) -> None:
@@ -472,28 +517,29 @@ def lowest_eigenvalue(m: OperatorMatrix | np.ndarray) -> float:
     they are built only when an entry may overflow (see _ladder).  A matrix
     marked with parity sectors takes eigvalsh of its first sector block,
     rho, and one Cholesky factorization of B - (rho + eta) I for each
-    other block B, eta = 1e-10 max_i sum_j |B_ij|.  Eta is hundreds of
-    times either solver's backward error dim eps |B| (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., ch. 10), so success shows
-    that eigvalsh(B) lies above rho; failure sets rho = min(rho,
-    eigvalsh(B)[0]).  The bottom is thus the minimum of eigvalsh over the
-    sector blocks, bit for bit.  Any other matrix is solved whole.
+    other block B, eta = 1e-10 max_i sum_j |B_ij|, by super-blocks of
+    consecutive mode-2 levels (_factors; see the module docstring).  The
+    block factorization is backward stable like the dense one, with an
+    error of about dim eps |B| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 10), and so is eigvalsh; eta is
+    hundreds of times that, so success shows that eigvalsh(B) lies above
+    rho; failure sets rho = min(rho, eigvalsh(B)[0]).  The bottom is thus
+    the minimum of eigvalsh over the sector blocks, bit for bit: the
+    certificates only decide which blocks need no eigvalsh.  Any other
+    matrix is solved whole.
     """
     checked, values = getattr(m, "hermitian", False), []
     if getattr(m, "sectors", None):  # each sector block, built from the bands
-        blocks = (_block(m._bands, m.d, m.n, m._parity, v, m._scan) for v in range(len(m.sectors)))
+        width = max(((b2.shape[0] - 1) // 2 for b2, _ in m._bands), default=0)
+        blocks = ((_block(m._bands, m.d, m.n, m._parity, v, m._scan),
+                   _super_blocks(m.d, m.n, m._parity, v, width)) for v in range(len(m.sectors)))
     else:
-        blocks = [m.entries if isinstance(m, OperatorMatrix) else np.asarray(m)]
-    for block in blocks:
+        blocks = [(m.entries if isinstance(m, OperatorMatrix) else np.asarray(m), None)]
+    for block, plan in blocks:
         if not checked:
             _check_hermitian(block, 1e-10, "matrix is not Hermitian")
-        if values:
-            shift = min(values) + 1e-10 * np.abs(block).sum(axis=1).max()
-            try:
-                np.linalg.cholesky(block - shift * np.eye(len(block)))
-                continue
-            except np.linalg.LinAlgError:
-                pass
+        if values and _factors(block, min(values) + 1e-10 * np.abs(block).sum(axis=1).max(), plan):
+            continue
         values.append(np.linalg.eigvalsh(block)[0])
     return float(min(values))
 

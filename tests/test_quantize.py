@@ -708,10 +708,59 @@ def test_certificates_fall_back_where_the_bottom_is_not_in_sector_0(monkeypatch)
 def test_one_eigvalsh_per_rung_of_a_two_mode_model(monkeypatch):
     quad = y(2, 0) ** 2 + 1.2 * eta(2, 0) ** 2 + 0.8 * y(2, 1) ** 2 + eta(2, 1) ** 2
     p = quad * quad + 0.4 * y(2, 0) ** 2 * y(2, 1) ** 2 + 0.9 * harmonic_symbol(2)
-    calls = _counting_eigvalsh(monkeypatch)
-    sweep = truncation_sweep(p, 1.0, [8, 16, 32])
-    # one solve per rung, on its first sector block
-    assert calls == [16, 64, 256]
+    calls, factored, cholesky = _counting_eigvalsh(monkeypatch), [], np.linalg.cholesky
+
+    def counted(a, *args, **kwargs):
+        factored.append(len(a))
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    sweep = truncation_sweep(p, 1.0, [8, 16, 32, 64])
+    # one solve per rung, on its first sector block; the certificates of the
+    # 256- and 1024-row sectors factor super-blocks, never a whole sector
+    assert calls == [16, 64, 256, 1024]
+    assert factored and max(factored) <= 2 * quantize._SUPER_BLOCK
     monkeypatch.undo()
     for n, value in zip(sweep.truncations, sweep.values):
         assert value == min(_sector_bottoms(weyl_quantize(p, 1.0, n)))
+
+
+def _seeded_two_mode(seed: int, extra) -> PolynomialSymbol:
+    """A quartic two-mode model with seeded coefficients plus extra(rng)."""
+    rng = np.random.default_rng(seed)
+    a1, g1, a2, g2, cross = rng.uniform(0.7, 1.4, 5)
+    quad = a1 * y(2, 0) ** 2 + g1 * eta(2, 0) ** 2 + a2 * y(2, 1) ** 2 + g2 * eta(2, 1) ** 2
+    return quad * quad + cross * y(2, 0) ** 2 * y(2, 1) ** 2 + harmonic_symbol(2) + extra(rng)
+
+
+# (symbol, parity kind, dtype): real per-mode, real total-parity (odd in each
+# mode) and complex per-mode (y_s eta_s has weight i)
+CERTIFICATE_CASES = [
+    (_seeded_two_mode(191, lambda rng: rng.uniform(0.1, 0.4) * y(2, 0) ** 4), "mode", np.float64),
+    (_seeded_two_mode(193, lambda rng: rng.uniform(0.1, 0.4) * y(2, 0) ** 3 * y(2, 1)
+                      + rng.uniform(0.1, 0.4) * y(2, 0) * y(2, 1)), "total", np.float64),
+    (_seeded_two_mode(197, lambda rng: rng.uniform(0.1, 0.3) * (y(2, 0) * eta(2, 0))
+                      + rng.uniform(0.1, 0.3) * (y(2, 1) * eta(2, 1))), "mode", np.complex128),
+]
+
+
+@pytest.mark.parametrize("p, kind, dtype", CERTIFICATE_CASES)
+def test_block_cholesky_certificate_decides_within_a_tenth_of_its_margin(p, kind, dtype):
+    # the certificate of lowest_eigenvalue shifts by 1e-10 max row sum; it must
+    # fail 1e-11 of that above each sector's bottom and succeed 1e-11 below it,
+    # on super-blocks of unequal size (N = 31) and many of them (N = 32, 64)
+    sizes = set()
+    for rung in _ladder(p, 1.0, [31, 32, 64]):
+        assert rung._parity == kind
+        width = max((b2.shape[0] - 1) // 2 for b2, _ in rung._bands)
+        for v in range(1, len(rung.sectors)):
+            block = quantize._block(rung._bands, 2, rung.n, kind, v)
+            plan = quantize._super_blocks(2, rung.n, kind, v, width)
+            assert block.dtype == dtype and len(plan) > 1
+            assert [s[0] for s in plan] + [len(block)] == [0] + [s[1] for s in plan]
+            sizes.update(stop - start for start, stop, _ in plan)
+            lam = np.linalg.eigvalsh(block)[0]
+            nrm = np.abs(block).sum(axis=1).max()
+            assert not quantize._factors(block, lam + 1e-11 * nrm, plan)
+            assert quantize._factors(block, lam - 1e-11 * nrm, plan)
+    assert len(sizes) > 1 and max(sizes) <= 2 * quantize._SUPER_BLOCK
