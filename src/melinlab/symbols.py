@@ -469,12 +469,17 @@ class PolynomialSymbol:
                 f"sample arrays must both have shape (M, {self.d}), got {yv.shape} and {ev.shape}"
             )
         cols = [yv[:, s] for s in range(self.d)] + [ev[:, s] for s in range(self.d)]
-        return self._evaluate(yv.shape[0], lambda s, e: cols[s] ** e)
+        return self._evaluate(yv.shape[0], lambda s, e: cols[s] ** e).astype(complex, copy=False)
 
     def _evaluate(self, m: int, power) -> np.ndarray:
-        """Sum of the terms at m points; power(s, e) is variable s (y, then eta) to the e."""
-        out = np.zeros(m, dtype=complex)
+        """Sum of the terms at m points; power(s, e) is variable s (y, then eta) to the e.
+        float64 when every coefficient is real (the real parts of the complex sum, bit
+        for bit), complex otherwise."""
+        real = self.is_real()
+        out = np.zeros(m, dtype=float if real else complex)
         for k, c in self.iter_terms():
+            if real:
+                c = c.real
             mono = np.ones(m)
             for s in range(self.d):
                 if k[s]:
