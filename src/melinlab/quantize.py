@@ -34,14 +34,13 @@ the bands and the block are float64 and eigvalsh runs the real symmetric
 solver; otherwise they are complex.  Real-coefficient symbols even in
 eta take the real path, and so does eta_1 eta_2, whose two imaginary
 factors multiply to a real one (in the Fock basis complex conjugation
-sends Weyl(p(y, eta)) to Weyl(p(y, -eta))).  A real-coefficient symbol
-quantizes to blocks that are Hermitian bit for bit, so Hermiticity is
-checked where they come from: _real_band checks each band it peels
-exactly symmetric or antisymmetric, and _ladder bounds the entries once
-per ladder (see there).  Only blocks whose entries may overflow, and
-those of complex-coefficient symbols, are scanned: _check_hermitian
-compares m[I, J] with m[J, I]^H over 64 x 64 tiles with I <= J, so each
-transposed read is one cache-sized tile.
+sends Weyl(p(y, eta)) to Weyl(p(y, -eta))).
+
+Hermiticity is decided on the symbol, never on a block: Weyl(p)^* =
+Weyl(conj p) and quantization is injective (Folland, Harmonic Analysis
+in Phase Space, 1989, ch. 2), so Weyl(p) is self-adjoint exactly when
+every coefficient of p is real.  _ladder applies that rule once per
+ladder; only a plain matrix handed to lowest_eigenvalue is scanned.
 
 Band cache.  The Weyl matrix of y^a eta^b is (hbar/2)^((a+b)/2) i^b R
 with a real band R that does not depend on hbar, so R is peeled once
@@ -83,16 +82,12 @@ with one BLAS thread on the first sectors of two-mode models, eigvalsh
 took 0.07-0.17 ms at 64 rows (two super-blocks), 0.19-0.40 ms at 100,
 0.65 ms at 128 and 1.8-3.1 ms at 256, against 0.14, 0.23, 0.27 and
 0.64 ms for the iteration, certificate included, so smaller blocks stay
-dense.  The shift is the hint less eta / 2, half the certificate margin
-of lowest_eigenvalue, and the Rayleigh quotient theta is taken once it
-stops changing at roundoff; it counts only if B - (theta - eta) I has a
-Cholesky factor too, which the factorization at the shift already shows
-when theta - eta lies below it, as on a converged ladder.  That rules
-out an eigenvalue more than eta below theta, such as a ground state the
-iteration missed; the accuracy of theta beyond that rests on the
-iteration having converged.  A shift that does not factor (the bottom
-dropped by more than eta / 2), a failed certificate or the iteration cap
-fall back to eigvalsh.
+dense.  The Rayleigh quotient theta counts only if B - (theta - eta) I
+has a Cholesky factor, eta the certificate margin of lowest_eigenvalue.
+That rules out an eigenvalue more than eta below theta, such as a
+ground state the iteration missed; the accuracy of theta beyond that
+rests on the iteration having converged.  A shift that does not factor,
+a failed certificate or the iteration cap fall back to eigvalsh.
 
 Everything here is desk scale: d <= 2 modes and N <= 256 per mode, a
 dense block of at most MAX_DENSE_DIM = 4096 rows (d = 2 up to N = 64),
@@ -159,12 +154,9 @@ class OperatorMatrix:
         self._entries = entries
         if entries is not None:
             entries.setflags(write=False)
-        # set by the quantizer: whether blocks are Hermitian by construction (real
-        # symbols) and, if an entry may overflow, scanned to 1e-12 as they are
-        # built; the flat indices of the parity sectors (no entry couples two),
-        # their kind and the bands blocks are built from
-        self.hermitian, self._scan, self.sectors, self._parity, self._bands = (
-            False, False, None, None, None)
+        # set by the quantizer: whether the symbol is real (its blocks Hermitian), the
+        # flat indices of the parity sectors (no entry couples two), their kind and bands
+        self.hermitian, self.sectors, self._parity, self._bands = False, None, None, None
 
     @property
     def dim(self) -> int:
@@ -173,7 +165,7 @@ class OperatorMatrix:
     @property
     def entries(self) -> np.ndarray:
         if self._entries is None:
-            self._entries = _block(self._bands, self.d, self.n, check=self._scan)
+            self._entries = _block(self._bands, self.d, self.n)
         return self._entries
 
 
@@ -401,13 +393,8 @@ def _inverse_iteration(block: np.ndarray, plan: tuple[tuple[int, int, int], ...]
 
 
 def _check_hermitian(m: np.ndarray, tol: float, what: str) -> None:
-    """Raise NonHermitianError if max |m - m^H| exceeds tol or is NaN.  The
-    deviation at (i, j) equals the one at (j, i), so the check compares
-    m[I, J] with m[J, I]^H over pairs of 64 x 64 tiles with I <= J: the
-    transposed read stays one cache-sized tile at dimension 10^3 and up."""
-    n = m.shape[0]
-    worst = np.max([np.abs(m[i:i + 64, j:j + 64] - m[j:j + 64, i:i + 64].conj().T).max()
-                    for i in range(0, n, 64) for j in range(i, n, 64)], initial=0.0)
+    """Raise NonHermitianError if max |m - m^H| exceeds tol or is NaN."""
+    worst = np.abs(m - m.conj().T).max(initial=0.0)
     if not worst <= tol:
         raise NonHermitianError(f"{what} (deviation {worst:.3e})")
 
@@ -437,16 +424,16 @@ def _bands(p: PolynomialSymbol, hbar: float, size: int) -> list[tuple[np.ndarray
 
 
 def _block(bands: list[tuple[np.ndarray, np.ndarray]], d: int, n: int, kind: str | None = None,
-           v: int = 0, check: bool = False) -> np.ndarray:
+           v: int = 0) -> np.ndarray:
     """Block stage of the ladder: the summed Kronecker products of the
     (mode-2, mode-1) band pairs on the leading n^d block (mode 1 fastest)
     or on its parity sector v of the given kind, read-only, of the summed
-    bands' dtype (float64 for no bands).  Sector (p1, p2) = (v & 1, v >> 1)
-    of the per-mode kind is the same write of every second column from p_s
-    and the even band rows (the odd ones are zero); a total-parity sector
+    bands' dtype (float64 for no bands), unchecked: _ladder decides
+    Hermiticity on the symbol.  Sector (p1, p2) = (v & 1, v >> 1) of the
+    per-mode kind is the same write of every second column from p_s and
+    the even band rows (the odd ones are zero); a total-parity sector
     keeps the products inside it; at d = 1 the mode-2 factor is the
-    constant (1, 1) band, a scale of one gather.  With check, it raises
-    NonHermitianError unless the block is Hermitian to 1e-12."""
+    constant (1, 1) band, a scale of one gather."""
     n1, n2 = n, n ** (d - 1)
     if kind == "mode":
         p1, p2 = v & 1, v >> 1
@@ -472,8 +459,6 @@ def _block(bands: list[tuple[np.ndarray, np.ndarray]], d: int, n: int, kind: str
             inside = (row >= 0) & (col >= 0)
             place, products = row[inside] * size + col[inside], products[inside]
         flat[place] += products
-    if check:
-        _check_hermitian(out, HERMITICITY_TOL, "real symbol produced non-Hermitian matrix")
     out.setflags(write=False)
     return out
 
@@ -493,17 +478,18 @@ def _ladder(p: PolynomialSymbol, hbar: float, ns: list[int]) -> Iterator[Operato
     The band stage runs once, at per-mode size ns[-1] + deg(p); a rung
     builds a block only to read or solve it, so stopping early never
     allocates a larger one.  Blocks are float64 when every term's weight
-    c i^|b| is real, else complex.  A real symbol with a non-finite term
-    raises NonHermitianError here; otherwise its rungs are marked
-    hermitian, as every block is Hermitian bit for bit: each term's weight
-    c i^(b1+b2) matches the symmetry (-1)^b of its real bands, so mirrored
-    entries are the same sums of exactly negated or conjugated terms.
-    That needs every sum finite, so where the bound sum over band pairs of
-    max|band2| max|band1| is not below finfo(float).max / 2 (or is NaN),
-    each block is still checked to 1e-12 as it is built.  Every rung is
-    marked with the parity sectors the symbol conserves.  A top rung of
-    more than MAX_DENSE_DIM rows, or a symbol of degree above MAX_DEGREE,
-    raises ResourceLimitError before any band is peeled.
+    c i^|b| is real, else complex.  Hermiticity is decided here, on the
+    symbol: a non-finite coefficient raises NonHermitianError; a symbol
+    with max|Im c| <= HERMITICITY_TOL max|c| is quantized by its real part
+    and its rungs are marked hermitian, the rungs of any other are not
+    (_lowest refuses them).  A real symbol's weights c i^(b1+b2) match the
+    symmetry (-1)^b of its real bands, so mirrored entries are the same
+    sums of exactly negated or conjugated terms, if every sum is finite:
+    a ladder whose entry bound, the sum of max|band2| max|band1| over band
+    pairs, is not below finfo(float).max / 2 raises ResourceLimitError.
+    Every rung is marked with the parity sectors the symbol conserves.  A
+    top rung of more than MAX_DENSE_DIM rows, or a symbol of degree above
+    MAX_DEGREE, raises ResourceLimitError before any band is peeled.
     """
     if p.d > MAX_MODES:
         raise DimensionMismatch(f"quantization supports d <= {MAX_MODES}, got d={p.d}")
@@ -519,17 +505,22 @@ def _ladder(p: PolynomialSymbol, hbar: float, ns: list[int]) -> Iterator[Operato
     degree = max(p.degree(), 0)
     if degree > MAX_DEGREE:
         raise ResourceLimitError(f"symbol degree {degree} is above the limit {MAX_DEGREE}")
-    real = p.is_real()
-    if real and not p.is_finite():
-        raise NonHermitianError("real symbol produced non-Hermitian matrix (non-finite term)")
-    size = ns[-1] + degree
+    if not p.is_finite():
+        raise NonHermitianError("symbol has a non-finite coefficient: its matrix is not Hermitian")
+    hermitian = p.is_real()
+    if not hermitian and (max(abs(c.imag) for c in p.terms.values())
+                          <= HERMITICITY_TOL * p.max_abs()):  # near-real: drop Im c
+        p, hermitian = PolynomialSymbol(p.d, {i: c.real for i, c in p.terms.items()}), True
+    size = ns[-1] + max(p.degree(), 0)
     bands = _bands(p, hbar, size)
     bound = sum(float(np.abs(b2).max()) * float(np.abs(b1).max()) for b2, b1 in bands)
-    scan = real and not bound < np.finfo(float).max / 2
+    if not bound < np.finfo(float).max / 2:
+        raise ResourceLimitError(f"matrix entries may overflow: their bound {bound:.3e} is not "
+                                 f"below the overflow limit {np.finfo(float).max / 2:.3e}")
     kind = _parity_kind(p)
     for n in ns:
         rung = OperatorMatrix(d=p.d, n=n, hbar=hbar, pad=size - n, entries=None)
-        rung.hermitian, rung._scan, rung._parity, rung._bands = real, scan, kind, bands
+        rung.hermitian, rung._parity, rung._bands = hermitian, kind, bands
         rung.sectors = _sectors(p.d, n, kind) if kind else None
         yield rung
 
@@ -589,13 +580,15 @@ def number_operator(k: int, d: int, n: int) -> OperatorMatrix:
 def lowest_eigenvalue(m: OperatorMatrix | np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian operator matrix.
 
-    Raises NonHermitianError if the entries deviate from Hermitian
-    symmetry by more than 1e-10.  A quantized real symbol is Hermitian by
-    construction and not scanned here: its blocks are checked to 1e-12 as
-    they are built only when an entry may overflow (see _ladder).  A matrix
-    marked with parity sectors takes eigvalsh of its first sector block,
-    rho, and one Cholesky factorization of B - (rho + eta) I for each
-    other block B, eta = 1e-10 max_i sum_j |B_ij|, by super-blocks of
+    A quantizer rung is Hermitian exactly when its symbol is real, as
+    _ladder decided: a rung of a complex symbol raises NonHermitianError
+    before any block is built, and no block of a real one is scanned.  A
+    plain array, or an OperatorMatrix of given entries (number_operator),
+    raises NonHermitianError if max |m - m^H| exceeds 1e-10 or is NaN.
+
+    A matrix marked with parity sectors takes eigvalsh of its first sector
+    block, rho, and one Cholesky factorization of B - (rho + eta) I for
+    each other block B, eta = 1e-10 max_i sum_j |B_ij|, by super-blocks of
     consecutive mode-2 levels (_factors; see the module docstring).  The
     block factorization is backward stable like the dense one, with an
     error of about dim eps |B| (Higham, Accuracy and Stability of
@@ -604,26 +597,11 @@ def lowest_eigenvalue(m: OperatorMatrix | np.ndarray) -> float:
     rho; failure sets rho = min(rho, eigvalsh(B)[0]).  The bottom is thus
     the minimum of eigvalsh over the sector blocks, bit for bit: the
     certificates only decide which blocks need no eigvalsh.  Any other
-    matrix is solved whole.
-
-    Along a ladder the first sector block may be solved without eigvalsh.
-    _walk passes each rung after the first the bottom of the rung before
-    it as a hint.  Truncation is a compression, so the hint lies above
-    this rung's bottom (to MONOTONICITY_TOL); it lies below the first
-    block's bottom when the bottom is in another sector.  A first block of
-    more than two super-blocks (d = 2, about 100 rows and up; eigvalsh is
-    faster below) then takes inverse iteration on its block Cholesky
-    factor at the shift hint - eta / 2 (_inverse_iteration), and its
-    Rayleigh quotient theta is rho only if B - (theta - eta) I also
-    factors.  That certificate shows that no eigenvalue of B lies below
-    theta - eta, so the iteration did not settle on an excited state far
-    above the bottom.  It does not show that theta is the bottom to
-    roundoff: that rests on the iteration (theta is a Rayleigh quotient,
-    above the bottom in exact arithmetic, taken once it no longer changes
-    at roundoff).  A block that does not factor at the shift (its bottom
-    lies lower), a failed certificate, or an iteration that reaches its
-    cap falls back to eigvalsh, bit for bit as without a hint.  The tests
-    hold the iterated bottoms to 1e-12 relative of eigvalsh.
+    matrix is solved whole.  Along a ladder (_walk), a first block of more
+    than two super-blocks may instead be solved by certified inverse
+    iteration from the bottom of the rung before, falling back to eigvalsh
+    (see the module docstring); the tests hold the iterated bottoms to
+    1e-12 relative of eigvalsh.
     """
     return _lowest(m, None)
 
@@ -636,16 +614,18 @@ def _margin(block: np.ndarray) -> float:
 def _lowest(m: OperatorMatrix | np.ndarray, hint: float | None) -> float:
     """lowest_eigenvalue of m, with hint the bottom of the rung before m on
     its ladder, or None (see there)."""
-    checked, values = getattr(m, "hermitian", False), []
-    if getattr(m, "sectors", None):  # each sector block, built from the bands
+    values, rung = [], getattr(m, "_bands", None) is not None
+    if rung and not m.hermitian:
+        raise NonHermitianError("the symbol has complex coefficients: its matrix is not Hermitian")
+    if rung and m.sectors:  # each sector block, built from the bands
         width = max(((b2.shape[0] - 1) // 2 for b2, _ in m._bands), default=0)
-        blocks = ((_block(m._bands, m.d, m.n, m._parity, v, m._scan),
+        blocks = ((_block(m._bands, m.d, m.n, m._parity, v),
                    _super_blocks(m.d, m.n, m._parity, v, width)) for v in range(len(m.sectors)))
     else:
         blocks = [(m.entries if isinstance(m, OperatorMatrix) else np.asarray(m), ())]
+        if not rung:  # a plain array, or an OperatorMatrix of given entries
+            _check_hermitian(blocks[0][0], 1e-10, "matrix is not Hermitian")
     for block, plan in blocks:
-        if not checked:
-            _check_hermitian(block, 1e-10, "matrix is not Hermitian")
         if values:
             if _factors(block, min(values) + _margin(block), plan) is not None:
                 continue

@@ -159,6 +159,20 @@ def test_localize_non_hermitian_model_is_invalid_input(tmp_path, capsys):
     assert "verdict: pass" not in captured.out
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself warns
+def test_localize_refuses_entries_past_the_overflow_limit(tmp_path, capsys):
+    # schema-valid, but 1e307 y^4 overflows a double in the quantized matrix
+    model = quartic_model_dict()
+    model["levels"][0]["terms"] = [{"c": [1e307, 0], "y": [4], "eta": [0]},
+                                   {"c": [1, 0], "y": [0], "eta": [4]}]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(model))
+    assert main(["localize", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "overflow limit" in err and "deviation" not in err
+    assert "verdict" not in out
+
+
 def test_localize_walks_the_ladder_once(tmp_path, monkeypatch, capsys):
     # the package's `localize` attribute is the function, not the module
     module = importlib.import_module("melinlab.localize")

@@ -175,6 +175,25 @@ def test_hypothesis_check_flags_negative_spectrum():
     assert diag.lambda_min == pytest.approx(-1.0, abs=1e-10)
 
 
+# k = 3, multiplicity 2k = 6: level 0 is h^3 and level 2 is c h, h = y^2 + eta^2.
+# Weyl(h) = H = hbar (2N + 1).  The Moyal product h # q = hq + (i hbar / 2) {h, q}
+# - (hbar^2 / 8) P^2(h, q) + ..., P^2(h, q) = h_yy q_etaeta - 2 h_yeta q_yeta + h_etaeta q_yy,
+# ends at second order since h is quadratic, and {h, q} = 0 for q a function of h.
+# With h_yy = h_etaeta = 2 and h_yeta = 0: P^2(h, h) = 8, so Weyl(h^2) = H^2 + hbar^2;
+# (h^2)_yy + (h^2)_etaeta = 16 h, so P^2(h, h^2) = 32 h and h # h^2 = h^3 - 4 hbar^2 h,
+# i.e. H (H^2 + hbar^2) = Weyl(h^3) - 4 hbar^2 H, and Weyl(h^3) = H^3 + 5 hbar^2 H.
+# At hbar = 1 the localized operator h^3 + c h is diagonal with entries
+# f(n) = (2n + 1)^3 + (5 + c)(2n + 1): f(0) = 6 + c, and f(1) - f(0) = 36 + 2c, so the
+# bottom is 6 + c exactly when c >= -18 (then f(n) - f(0) >= (2n + 1)^3 - 1 - 26n >= 0).
+@pytest.mark.parametrize("c, bottom, ok", [(0.5, 6.5, True), (-7.0, -1.0, False)])
+def test_hypothesis_check_k3_sextic_bottom_is_six_plus_c(c, bottom, ok):
+    h = harmonic_symbol()
+    diag = hypothesis_check(GradedSymbol(1, 3, {0: h ** 3, 2: c * h}), ns=(16, 32))
+    assert diag.vanishing_ok and diag.ellipticity_ok
+    assert diag.lambda_min == pytest.approx(bottom, abs=1e-12)
+    assert diag.positivity_ok is ok and diag.ok is ok
+
+
 def test_hypothesis_check_flags_degenerate_ellipticity():
     g = GradedSymbol(1, 2, {0: y() ** 4, 1: harmonic_symbol()})
     diag = hypothesis_check(g, ns=(8, 16))

@@ -377,10 +377,19 @@ def test_truncation_sweep_rejects_non_hermitian_symbols():
         lowest_eigenvalue(weyl_quantize(p, 1.0, 16))
     with pytest.raises(NonHermitianError):
         truncation_sweep(p, 1.0, [8, 16])
-    # a complex symbol whose matrix is Hermitian to within 1e-10 passes
+    # a symbol with max |Im c| <= 1e-12 max |c| is quantized by its real part
     q = y() ** 4 + eta() ** 4 + (1e-14j) * y() ** 2
-    assert truncation_sweep(q, 1.0, [8, 16]).values == pytest.approx(
-        truncation_sweep(y() ** 4 + eta() ** 4, 1.0, [8, 16]).values, abs=1e-12)
+    assert (truncation_sweep(q, 1.0, [8, 16]).values
+            == truncation_sweep(y() ** 4 + eta() ** 4, 1.0, [8, 16]).values)
+
+
+def test_complex_symbol_is_refused_where_its_block_vanishes():
+    # Weyl(i(y^2 - eta^2)) = i hbar (a^2 + a+^2) couples levels two apart, so its
+    # block on levels {0, 1} is zero; the symbol still decides, and it is complex
+    m = weyl_quantize(1j * (y() ** 2 - eta() ** 2), 1.0, 2)
+    assert not m.entries.any()
+    with pytest.raises(NonHermitianError):
+        lowest_eigenvalue(m)
 
 
 # (symbol, ladder, sector count): even in each mode, total parity only
@@ -579,18 +588,23 @@ def _seeded_real_symbol(rng, d, parity, odd_eta):
     (1, None, (2, 1), 0),             # y^2 eta
     (2, None, (1, 1, 0, 1), 0),       # y1 y2 eta2
 ])
-def test_real_symbol_blocks_are_hermitian_bit_for_bit(d, parity, odd_eta, count):
+def test_real_symbol_blocks_are_hermitian_bit_for_bit(d, parity, odd_eta, count, monkeypatch):
+    def scan(*args):
+        raise AssertionError("a block of a real symbol was scanned")
+
+    monkeypatch.setattr(quantize, "_check_hermitian", scan)
     rng = np.random.default_rng(181 + 10 * d + count)
     for _ in range(3):
         p = _seeded_real_symbol(rng, d, parity, odd_eta)
         for n in (7, 16):
             rung = weyl_quantize(p, 0.7, n)
-            assert rung.hermitian and not rung._scan
+            assert rung.hermitian
             assert len(rung.sectors or ()) == count
             blocks = [quantize._block(rung._bands, d, n, rung._parity, v) for v in range(count)]
             for block in blocks + [rung.entries]:
                 assert block.dtype == np.complex128
                 assert np.abs(block - block.conj().T).max() == 0.0
+            lowest_eigenvalue(rung)
 
 
 def test_real_symbols_are_solved_without_a_hermiticity_scan(monkeypatch):
@@ -612,15 +626,12 @@ def test_real_symbols_are_solved_without_a_hermiticity_scan(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself warns
-def test_entries_near_overflow_keep_the_per_block_scan():
+def test_entries_near_overflow_are_refused_before_any_block():
     for p in (PolynomialSymbol(1, {(8, 0): 1e307, (0, 2): 1.0}),
               PolynomialSymbol(1, {(2, 0): 1.7e308, (0, 2): 1.7e308})):
-        assert weyl_quantize(p, 1.0, 16)._scan
-        with pytest.raises(NonHermitianError, match="deviation nan"):
-            lowest_eigenvalue(weyl_quantize(p, 1.0, 16))
-        with pytest.raises(NonHermitianError, match="deviation nan"):
-            weyl_quantize(p, 1.0, 16).entries
-    # finite entries near 1e306 pass the scan, as they always did
+        with pytest.raises(ResourceLimitError, match="overflow limit"):
+            weyl_quantize(p, 1.0, 16)
+    # finite entries near 1e306 stay below the bound and are solved
     p = PolynomialSymbol(2, {(4, 4, 0, 0): 1e300, (0, 0, 2, 2): 1.0})
     assert lowest_eigenvalue(weyl_quantize(p, 1.0, 16)) == pytest.approx(
         6.600267142500937e+296, rel=1e-12)

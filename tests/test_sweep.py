@@ -6,7 +6,7 @@ import pytest
 
 from melinlab import quantize
 from melinlab.errors import MelinLabError, MonotonicityError
-from melinlab.models import quartic_model
+from melinlab.models import harmonic_symbol, quartic_model
 from melinlab.sweep import (
     CSV_HEADER,
     ModelSpec,
@@ -89,6 +89,21 @@ def test_sweep_perturbed_quartic_converges_to_reference():
     assert all(b < a for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 1e-3
     assert rep.slope == pytest.approx(-2.0, abs=0.01)
+
+
+def test_sweep_k3_sextic_scales_as_lambda_to_the_minus_3():
+    # k = 3: level 0 h^3 + y^8 (y^8 is above degree 6 and drops out of the
+    # localized symbol), level 1 y^4 + eta^4, level 2 h, h = y^2 + eta^2
+    h = harmonic_symbol()
+    g = GradedSymbol(1, 3, {0: h ** 3 + y() ** 8, 1: y() ** 4 + eta() ** 4, 2: h})
+    rep = lambda_sweep(ModelSpec(g, lambdas=[16.0, 64.0, 256.0, 1024.0, 4096.0],
+                                 truncations=[16, 32]))
+    assert rep.verdict == "pass" and rep.reasons == []
+    assert rep.k == 3
+    assert rep.slope == pytest.approx(-3.0, abs=0.05)
+    assert rep.reference == pytest.approx(8.49282, abs=1e-5)
+    errs = [abs(r.scaled / rep.reference - 1.0) for r in rep.rows]
+    assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
 def test_sweep_negative_control_fails_with_reasons():
