@@ -61,33 +61,37 @@ split by the parity of n_1 + n_2, or none); entries between sectors
 are exactly zero.  Each sector block is written straight from the
 bands (see _block); lowest_eigenvalue solves one of them and certifies
 the others by Cholesky.  A sector lists its rows by flat index
-n_1 + N n_2, in runs of equal n_2, and two rows couple only when their
-n_2 differ by at most W_2, the largest mode-2 band width.  So the
-certificate is a right-looking block Cholesky (Golub and Van Loan,
-Matrix Computations, 4th ed., 4.3-4.5) over super-blocks of whole runs,
-at least _SUPER_BLOCK = 32 rows each (chosen by timing 16 to 128 on
-the 256- and 1024-row sectors of two-mode models): a super-block's
-panel, and the window its update touches, end at the last row within
-W_2 levels of it, since no entry and no fill-in lies farther out.  A
-sector of one super-block, every d = 1 sector, is factored whole.
+n_1 + N n_2, in runs of equal level of its last mode (n_1 at d = 1, n_2
+at d = 2), and two rows couple only when those levels differ by at most
+W, that mode's band half-width.  So the certificate is a right-looking
+block Cholesky (Golub and Van Loan, Matrix Computations, 4th ed.,
+4.3-4.5) over super-blocks of whole runs, of at least _SUPER_BLOCK = 32
+rows.  The window rule: a super-block's window ends at the last row
+within W levels of it, since no entry and no fill-in lies farther out,
+and one Cholesky factorization of the window gives its diagonal factor
+and panel, with no inverse.  Timed on 128- to 1024-row sectors, 32 is
+within noise of the best of 16 to 128; 16 and 64 lose 30 % on one.
 
 Along a ladder the first sector block need not take eigvalsh: _walk
-hands each rung after the first the bottom of the rung before, which
-bounds this rung's bottom from above (compression).  Where the block has
-more than two super-blocks (d = 2, about 100 rows and up), it is solved
-by inverse iteration (Parlett, The Symmetric Eigenvalue Problem, ch. 4)
-on the factor that _factors keeps: the inverse of each diagonal factor
-and each panel, used for block forward and back substitution.  Timed
-with one BLAS thread on the first sectors of two-mode models, eigvalsh
-took 0.07-0.17 ms at 64 rows (two super-blocks), 0.19-0.40 ms at 100,
-0.65 ms at 128 and 1.8-3.1 ms at 256, against 0.14, 0.23, 0.27 and
-0.64 ms for the iteration, certificate included, so smaller blocks stay
-dense.  The Rayleigh quotient theta counts only if B - (theta - eta) I
-has a Cholesky factor, eta the certificate margin of lowest_eigenvalue.
-That rules out an eigenvalue more than eta below theta, such as a
-ground state the iteration missed; the accuracy of theta beyond that
-rests on the iteration having converged.  A shift that does not factor,
-a failed certificate or the iteration cap fall back to eigvalsh.
+hands each rung after the first the bottom of the rung before and the
+sector that held it, whose bottom on this rung it bounds from above
+(compression).  That sector is solved first; where it has more than two
+super-blocks (d = 1 from 65 rows, d = 2 from about 100), by inverse
+iteration (Parlett, The Symmetric Eigenvalue Problem, ch. 4) on its
+factor, the diagonal factors inverted for block substitution.  With one
+BLAS thread the iteration took 0.6 ms against 1.6 ms for eigvalsh on a
+128-row d = 1 sector, and 40 % of eigvalsh's time on a 256-row d = 2
+one; at 64 rows (two super-blocks) both take 0.4 ms.  The Rayleigh
+quotient theta counts only if B - (theta - eta) I has a Cholesky factor,
+eta the certificate margin of lowest_eigenvalue, which rules out a
+ground state the iteration missed; beyond that, theta rests on the
+iteration having converged.  A shift that does not factor, a failed
+certificate or the iteration cap fall back to eigvalsh.  The accuracy
+rule: Cholesky keeps relative accuracy on graded definite blocks
+(Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13, 1992), eigvalsh
+only eps |B|, and at multiplicity 2k a bottom scales like hbar^k, |B|
+like (N hbar)^k: the tests hold iterated bottoms to closed forms, and
+to eigvalsh only within its own eps |B|.
 
 Everything here is desk scale: d <= 2 modes and N <= 256 per mode, a
 dense block of at most MAX_DENSE_DIM = 4096 rows (d = 2 up to N = 64),
@@ -114,7 +118,7 @@ from .errors import (
     NonHermitianError,
     ResourceLimitError,
 )
-from .symbols import GradedSymbol, PolynomialSymbol, _compositions, scale_symbol
+from .symbols import GradedSymbol, PolynomialSymbol, _compositions, _silent, scale_symbol
 
 __all__ = [
     "OperatorMatrix",
@@ -305,11 +309,12 @@ def _sectors(d: int, n: int, kind: str) -> tuple[np.ndarray, ...]:
 @functools.lru_cache(maxsize=64)
 def _super_blocks(d: int, n: int, kind: str, v: int, width: int) -> tuple[tuple[int, int, int], ...]:
     """(start, stop, end) row bounds of the super-blocks of parity sector v:
-    its runs of equal n_2, grouped in order into blocks of at least
-    _SUPER_BLOCK rows (the last may hold fewer), each with the end of its
-    window, the last row with n_2 <= n_2(stop - 1) + width (the mode-2
-    band width)."""
-    level = _sectors(d, n, kind)[v] // n  # n_2 of each row; 0 at d = 1
+    its runs of equal level of the last mode (n_1 at d = 1, n_2 at d = 2),
+    grouped in order into blocks of at least _SUPER_BLOCK rows (the last
+    may hold fewer), each with the end of its window, the last row whose
+    level is at most that of row stop - 1 plus width, the last mode's band
+    half-width."""
+    level = _sectors(d, n, kind)[v] // n ** (d - 1)
     plan, start = [], 0
     for stop in [*(np.flatnonzero(np.diff(level)) + 1).tolist(), len(level)]:
         if stop - start >= _SUPER_BLOCK or stop == len(level):
@@ -322,25 +327,23 @@ def _super_blocks(d: int, n: int, kind: str, v: int, width: int) -> tuple[tuple[
 def _factors(block: np.ndarray, shift: float,
              plan: tuple[tuple[int, int, int], ...]) -> list[tuple[np.ndarray, np.ndarray]] | None:
     """The Cholesky factor L of block - shift I, or None if it has none, by
-    right-looking block Cholesky over the super-blocks of plan: factor the
-    diagonal block, invert the factor (at most 2 _SUPER_BLOCK rows; numpy
-    has no triangular solve), apply the inverse to the coupled rows to its
-    right, the window, to get the panel, and subtract the panel's Gram
-    matrix from the trailing window.  The factor lists the inverse and the
-    panel (the rows of L^H right of the diagonal block) per super-block.
-    A one-block plan factors the block whole and keeps nothing: its factor
-    is the empty list."""
+    right-looking block Cholesky over the super-blocks of plan, listed as
+    (L[start:stop, start:stop], the panel L[stop:end, start:stop]) per
+    super-block: the first stop - start columns of the factor of its window,
+    rows and columns start:end of the current Schur complement, less the
+    Gram matrices of the panels before it.  Each window is a principal
+    submatrix of a Schur complement, so all factor exactly when the shifted
+    block is positive definite."""
     work = block.copy()
     work.flat[::len(work) + 1] -= shift
     factor = []
     try:
         for start, stop, end in plan:
-            diagonal = np.linalg.cholesky(work[start:stop, start:stop])
-            if len(plan) > 1:
-                inverse = np.linalg.inv(diagonal)
-                panel = inverse @ work[start:stop, stop:end]
-                work[stop:end, stop:end] -= panel.conj().T @ panel
-                factor.append((inverse, panel))
+            window = np.linalg.cholesky(work[start:end, start:end])[:, :stop - start]
+            panel = window[stop - start:]
+            if end > stop:  # the last super-block, or the only one, updates nothing
+                work[stop:end, stop:end] -= panel @ panel.conj().T
+            factor.append((window[:stop - start], panel))
     except np.linalg.LinAlgError:
         return None
     return factor
@@ -348,14 +351,15 @@ def _factors(block: np.ndarray, shift: float,
 
 def _solve(factor: list[tuple[np.ndarray, np.ndarray]],
            plan: tuple[tuple[int, int, int], ...], rhs: np.ndarray) -> np.ndarray:
-    """(L L^H)^-1 rhs for the factor of _factors over plan: block forward
-    substitution down the super-blocks, then back substitution up them."""
+    """(L L^H)^-1 rhs for the factor of _factors over plan with each
+    diagonal factor inverted: block forward substitution down the
+    super-blocks, then back substitution up them."""
     x = rhs.astype(factor[0][0].dtype)
     for (start, stop, end), (inverse, panel) in zip(plan, factor):
         x[start:stop] = inverse @ x[start:stop]
-        x[stop:end] -= panel.conj().T @ x[start:stop]
+        x[stop:end] -= panel @ x[start:stop]
     for (start, stop, end), (inverse, panel) in zip(reversed(plan), reversed(factor)):
-        x[start:stop] = inverse.conj().T @ (x[start:stop] - panel @ x[stop:end])
+        x[start:stop] = inverse.conj().T @ (x[start:stop] - panel.conj().T @ x[stop:end])
     return x
 
 
@@ -377,6 +381,7 @@ def _inverse_iteration(block: np.ndarray, plan: tuple[tuple[int, int, int], ...]
     factor = _factors(block, shift, plan)
     if factor is None:
         return None
+    factor = [(np.linalg.inv(diagonal), panel) for diagonal, panel in factor]
     x, theta = start, math.inf
     for _ in range(_INVERSE_ITERATIONS):
         v = _solve(factor, plan, x)
@@ -399,12 +404,14 @@ def _check_hermitian(m: np.ndarray, tol: float, what: str) -> None:
         raise NonHermitianError(f"{what} (deviation {worst:.3e})")
 
 
+@_silent
 def _bands(p: PolynomialSymbol, hbar: float, size: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Band stage of the ladder: per distinct mode-2 factor, its real scaled
     band and the summed mode-1 bands it multiplies, at per-mode internal
     size `size` (each real band peeled once per process).  A term's phases
     i^b1 i^b2 go into its weight c i^|b|, so the summed band is float64
-    when every weight is real and complex otherwise."""
+    when every weight is real and complex otherwise.  Sums past a double
+    give inf or NaN without a warning; _ladder's entry bound refuses them."""
     factors: dict[tuple[int, int], list[tuple[int, int, complex]]] = {}
     for idx, coeff in p.iter_terms():
         # (mode-1, mode-2) exponents; at d = 1 the mode-2 factor is y^0 eta^0
@@ -589,19 +596,18 @@ def lowest_eigenvalue(m: OperatorMatrix | np.ndarray) -> float:
     A matrix marked with parity sectors takes eigvalsh of its first sector
     block, rho, and one Cholesky factorization of B - (rho + eta) I for
     each other block B, eta = 1e-10 max_i sum_j |B_ij|, by super-blocks of
-    consecutive mode-2 levels (_factors; see the module docstring).  The
-    block factorization is backward stable like the dense one, with an
-    error of about dim eps |B| (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., ch. 10), and so is eigvalsh; eta is
+    consecutive levels of the last mode (_factors; see the module
+    docstring).  The block factorization is backward stable like the dense
+    one, with an error of about dim eps |B| (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., ch. 10), and so is eigvalsh; eta is
     hundreds of times that, so success shows that eigvalsh(B) lies above
     rho; failure sets rho = min(rho, eigvalsh(B)[0]).  The bottom is thus
     the minimum of eigvalsh over the sector blocks, bit for bit: the
     certificates only decide which blocks need no eigvalsh.  Any other
-    matrix is solved whole.  Along a ladder (_walk), a first block of more
-    than two super-blocks may instead be solved by certified inverse
-    iteration from the bottom of the rung before, falling back to eigvalsh
-    (see the module docstring); the tests hold the iterated bottoms to
-    1e-12 relative of eigvalsh.
+    matrix is solved whole.  Along a ladder (_walk), the sector that held
+    the bottom of the rung before is solved first, and where it has more
+    than two super-blocks by certified inverse iteration from that bottom,
+    falling back to eigvalsh (see the module docstring for its accuracy).
     """
     return _lowest(m, None)
 
@@ -612,31 +618,39 @@ def _margin(block: np.ndarray) -> float:
 
 
 def _lowest(m: OperatorMatrix | np.ndarray, hint: float | None) -> float:
-    """lowest_eigenvalue of m, with hint the bottom of the rung before m on
-    its ladder, or None (see there)."""
+    """The bottom of m by _bottom, with hint (or None) held by sector 0."""
+    return _bottom(m, hint, 0)[0]
+
+
+def _bottom(m: OperatorMatrix | np.ndarray, hint: float | None, first: int) -> tuple[float, int]:
+    """(lowest_eigenvalue of m, the sector that holds it or 0), with hint the
+    bottom of the rung before m, held by its sector first, which is solved
+    first, or None (see lowest_eigenvalue)."""
     values, rung = [], getattr(m, "_bands", None) is not None
     if rung and not m.hermitian:
         raise NonHermitianError("the symbol has complex coefficients: its matrix is not Hermitian")
     if rung and m.sectors:  # each sector block, built from the bands
-        width = max(((b2.shape[0] - 1) // 2 for b2, _ in m._bands), default=0)
-        blocks = ((_block(m._bands, m.d, m.n, m._parity, v),
-                   _super_blocks(m.d, m.n, m._parity, v, width)) for v in range(len(m.sectors)))
+        # the band half-width of the last mode: mode 1's summed band at d = 1
+        width = max(((pair[2 - m.d].shape[0] - 1) // 2 for pair in m._bands), default=0)
+        order = [first] + [v for v in range(len(m.sectors)) if v != first]
+        blocks = ((v, _block(m._bands, m.d, m.n, m._parity, v),
+                   _super_blocks(m.d, m.n, m._parity, v, width)) for v in order)
     else:
-        blocks = [(m.entries if isinstance(m, OperatorMatrix) else np.asarray(m), ())]
+        blocks = [(0, m.entries if isinstance(m, OperatorMatrix) else np.asarray(m), ())]
         if not rung:  # a plain array, or an OperatorMatrix of given entries
-            _check_hermitian(blocks[0][0], 1e-10, "matrix is not Hermitian")
-    for block, plan in blocks:
+            _check_hermitian(blocks[0][1], 1e-10, "matrix is not Hermitian")
+    for v, block, plan in blocks:
         if values:
-            if _factors(block, min(values) + _margin(block), plan) is not None:
+            if _factors(block, min(values)[0] + _margin(block), plan) is not None:
                 continue
         elif hint is not None and len(plan) > 2:  # below, eigvalsh is as fast
             start = np.full(len(block), len(block) ** -0.5)
             value = _inverse_iteration(block, plan, hint, _margin(block), start)
             if value is not None:
-                values.append(value)
+                values.append((value, v))
                 continue
-        values.append(np.linalg.eigvalsh(block)[0])
-    return float(min(values))
+        values.append((float(np.linalg.eigvalsh(block)[0]), v))
+    return min(values)
 
 
 @dataclass
@@ -697,9 +711,10 @@ def _walk(p: PolynomialSymbol, hbar: float, ns: list[int],
     while escalate and ns[-1] * 2 <= MAX_TRUNCATION:
         ns.append(ns[-1] * 2)
     span = max(p.degree(), 0) + 1
-    values, converged = [], not escalate
+    values, held, converged = [], 0, not escalate
     for i, rung in enumerate(_ladder(p, hbar, ns)):
-        values.append(_lowest(rung, values[-1] if values else None))
+        value, held = _bottom(rung, values[-1] if values else None, held)
+        values.append(value)
         if (escalate and i and ns[i] - ns[i - 1] >= span
                 and abs(values[i] - values[i - 1])
                 < CONVERGENCE_REL * abs(values[i]) + CONVERGENCE_ABS):

@@ -159,7 +159,6 @@ def test_localize_non_hermitian_model_is_invalid_input(tmp_path, capsys):
     assert "verdict: pass" not in captured.out
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself warns
 def test_localize_refuses_entries_past_the_overflow_limit(tmp_path, capsys):
     # schema-valid, but 1e307 y^4 overflows a double in the quantized matrix
     model = quartic_model_dict()

@@ -625,7 +625,6 @@ def test_real_symbols_are_solved_without_a_hermiticity_scan(monkeypatch):
         [7.6495220696584685, 7.649521774099894, 7.6495217740998935], rel=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself warns
 def test_entries_near_overflow_are_refused_before_any_block():
     for p in (PolynomialSymbol(1, {(8, 0): 1e307, (0, 2): 1.0}),
               PolynomialSymbol(1, {(2, 0): 1.7e308, (0, 2): 1.7e308})):
@@ -721,16 +720,27 @@ def test_certificates_fall_back_where_the_bottom_is_not_in_sector_0(monkeypatch)
 def test_one_eigvalsh_per_rung_of_a_two_mode_model(monkeypatch):
     quad = y(2, 0) ** 2 + 1.2 * eta(2, 0) ** 2 + 0.8 * y(2, 1) ** 2 + eta(2, 1) ** 2
     p = quad * quad + 0.4 * y(2, 0) ** 2 * y(2, 1) ** 2 + 0.9 * harmonic_symbol(2)
-    calls, factored = _counting(monkeypatch), _counting(monkeypatch, "cholesky")
-    inverted = _counting(monkeypatch, "inv")
+    calls, inverted = _counting(monkeypatch), _counting(monkeypatch, "inv")
+    # (rows, sector rows, super-blocks) of every Cholesky factorization
+    spans, sector, factors, cholesky = [], [], quantize._factors, np.linalg.cholesky
+
+    def factored(block, shift, plan):
+        sector[:] = [len(block), len(plan)]
+        return factors(block, shift, plan)
+
+    monkeypatch.setattr(quantize, "_factors", factored)
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: (spans.append((len(a), *sector)),
+                                                          cholesky(a))[1])
     sweep = truncation_sweep(p, 1.0, [8, 16, 32, 64])
     # eigvalsh solves the first sector block of the first rung and of the
     # 64-row (two super-block) sector at N = 16; the 256- and 1024-row first
-    # sectors take inverse iteration on super-block factors, and no
-    # factorization or inverse covers a whole sector
+    # sectors take inverse iteration on super-block factors.  No factorization
+    # spans a whole sector of more than one super-block, and only the
+    # iteration inverts: the 8 + 32 diagonal factors of the two iterated sectors
     assert calls == [16, 64]
-    assert factored and max(factored) <= 2 * quantize._SUPER_BLOCK
-    assert inverted and max(inverted) <= 2 * quantize._SUPER_BLOCK
+    assert spans and all(rows < whole for rows, whole, blocks in spans if blocks > 1)
+    assert {(rows, blocks) for rows, whole, blocks in spans if rows == whole} == {(16, 1)}
+    assert inverted == [quantize._SUPER_BLOCK] * (8 + 32)
     monkeypatch.undo()
     for n, value in zip(sweep.truncations, sweep.values):
         want = min(_sector_bottoms(weyl_quantize(p, 1.0, n)))
@@ -826,7 +836,8 @@ def test_iterated_bottoms_match_dense_eigvalsh(case, monkeypatch):
 @pytest.mark.parametrize("case", range(len(CERTIFICATE_CASES)))
 def test_block_factor_solves_the_shifted_sector(case):
     # forward and back substitution over the super-blocks (of unequal size at
-    # N = 31) solve with block - shift I, real and complex
+    # N = 31), with the diagonal factors of _factors inverted, solve with
+    # block - shift I, real and complex
     p, kind, _ = CERTIFICATE_CASES[case]
     rng = np.random.default_rng(case)
     for rung in _ladder(p, 1.0, [31, 32]):
@@ -837,7 +848,8 @@ def test_block_factor_solves_the_shifted_sector(case):
             shift = np.linalg.eigvalsh(block)[0] - 1.0
             rhs = rng.standard_normal(len(block))
             want = np.linalg.solve(block - shift * np.eye(len(block)), rhs)
-            got = quantize._solve(quantize._factors(block, shift, plan), plan, rhs)
+            factor = quantize._factors(block, shift, plan)
+            got = quantize._solve([(np.linalg.inv(l), panel) for l, panel in factor], plan, rhs)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -874,8 +886,9 @@ def test_iteration_falls_back_to_eigvalsh_bit_for_bit(case, monkeypatch):
 
 
 def test_one_block_plans_and_first_rungs_do_no_new_work(monkeypatch):
-    # a first rung has no hint, so it does not iterate, and d = 1 sectors are
-    # one super-block, whose factorization keeps no inverse
+    # a first rung has no hint, so it does not iterate, and a sector of one
+    # super-block (at most 32 rows at d = 1, so N <= 64) is solved by eigvalsh
+    # and certified by one Cholesky factorization, with no inverse
     def refuse(*args, **kwargs):
         raise AssertionError("new work on a first rung or a one-block plan")
 
@@ -885,4 +898,50 @@ def test_one_block_plans_and_first_rungs_do_no_new_work(monkeypatch):
     assert truncation_sweep(p, 1.0, [32]).values == [_dense_bottom(0, 32)]
     monkeypatch.setattr(np.linalg, "inv", refuse)
     h = harmonic_symbol()
-    truncation_sweep(h * h - 6.0 * h, 1.0, [16, 64, 256])
+    assert [len(quantize._super_blocks(1, 64, "mode", v, 4)) for v in (0, 1)] == [1, 1]
+    factored = _counting(monkeypatch, "cholesky")
+    truncation_sweep(h * h - 6.0 * h, 1.0, [16, 32, 64])
+    assert factored == [8, 16, 32]
+
+
+def _squeezed(a: float, b: float) -> PolynomialSymbol:
+    """a y^2 + 2b y eta + g eta^2 with a g - b^2 = 1: a linear symplectic
+    image of y^2 + eta^2, so by metaplectic covariance the Weyl operator of
+    any polynomial in it is unitarily equivalent to that of the polynomial
+    in y^2 + eta^2."""
+    return a * y() ** 2 + 2.0 * b * (y() * eta()) + (1.0 + b * b) / a * eta() ** 2
+
+
+@pytest.mark.parametrize("hbar", [1 / 16, 1 / 256])
+@pytest.mark.parametrize("a, b", [(4.0, 0.0), (3.0, 0.5), (6.0, -1.0)])
+@pytest.mark.parametrize("k, bottom", [(2, 2.0), (3, 6.0)])
+def test_iterated_top_rungs_match_the_squeezed_closed_form(k, bottom, a, b, hbar):
+    # an oracle independent of every eigensolver: Weyl(h^2) = H^2 + hbar^2 and
+    # Weyl(h^3) = H^3 + 5 hbar^2 H with H = hbar (2n + 1) on Fock states, so the
+    # bottoms are 2 hbar^2 and 6 hbar^3.  The N = 256 sector has a norm of about
+    # (N hbar)^k times the squeeze, and dense eigvalsh, good to eps ||B||, is off
+    # by up to 4.9e-9 relative here; certified inverse iteration is not
+    top = truncation_sweep(_squeezed(a, b) ** k, hbar, [128, 256]).values[-1]
+    want = bottom * hbar ** k
+    assert abs(top - want) <= 1e-12 * want, (top, want)
+
+
+def test_the_walk_iterates_in_the_sector_that_held_the_bottom(monkeypatch):
+    # h^2 - 6h has its bottom -8 (n = 1) in the odd sector at d = 1, and so has
+    # its squeezed image; (h1 + h2 - 4)^2 has its bottom 2 in both mixed sectors
+    # at d = 2.  The walk solves the sector that held the previous rung's
+    # bottom first, so its iteration converges (no eigvalsh on a 128-row d = 1
+    # block) and the other sectors are certified at its value
+    h = harmonic_symbol()
+    h1, h2 = y(2, 0) ** 2 + eta(2, 0) ** 2, y(2, 1) ** 2 + eta(2, 1) ** 2
+    q = _squeezed(3.0, 0.5)
+    for p, ns, bottom, iterated in [(h * h - 6.0 * h, [64, 128, 256], -8.0, [128]),
+                                    (q * q - 6.0 * q, [64, 128, 256], -8.0, [128]),
+                                    ((h1 + h2 - 4.0) ** 2, [8, 16, 32, 64], 2.0, [256, 1024])]:
+        calls, iterations = _counting(monkeypatch), _iterations(monkeypatch)
+        sweep = truncation_sweep(p, 1.0, ns)
+        monkeypatch.undo()
+        assert iterations == [(rows, True) for rows in iterated]
+        if p.d == 1:
+            assert 128 not in calls
+        assert abs(sweep.values[-1] - bottom) <= 1e-12 * abs(bottom)

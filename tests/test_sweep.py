@@ -60,9 +60,9 @@ def test_model_spec_validation():
 def test_sweep_rows_pass_the_monotonicity_gate(monkeypatch):
     # a row whose rungs rise is an exactness bug, as in every TruncationSweep
     # (the localized reference, at hbar = 1, is solved as usual)
-    rising, solve = iter(range(100)), quantize._lowest
-    monkeypatch.setattr(quantize, "_lowest",
-                        lambda m, hint: float(next(rising)) if m.hbar < 1.0 else solve(m, hint))
+    rising, solve = iter(range(100)), quantize._bottom
+    monkeypatch.setattr(quantize, "_bottom", lambda m, hint, first: (
+        (float(next(rising)), first) if m.hbar < 1.0 else solve(m, hint, first)))
     with pytest.raises(MonotonicityError, match="padding exactness"):
         lambda_sweep(quartic_spec(lambdas=(16.0,)))
 
