@@ -56,11 +56,12 @@ amounts of the parity of a + b, so a symbol whose monomials all have
 even degree in every mode commutes with each (-1)^{N_s}, and one whose
 monomials all have even total degree commutes with (-1)^{N_1 + N_2}.
 The ladder reads this from the exponents and marks each rung with its
-sector index sets (2^d sectors split by the parity of each n_s, or 2
-split by the parity of n_1 + n_2, or none); entries between sectors
-are exactly zero.  Each sector block is written straight from the
-bands (see _block); lowest_eigenvalue solves one of them and certifies
-the others by Cholesky.  A sector lists its rows by flat index
+sector index sets (2^d sectors split by the parity of each n_s, 2 by
+that of n_1 + n_2, or, without parity, one: the whole block); entries
+between sectors are exactly zero.  Every rung is solved by sector, each
+block written straight from the bands (see _block): lowest_eigenvalue
+solves one, certifies the others by Cholesky, and scans and solves
+whole only a plain matrix.  A sector lists its rows by flat index
 n_1 + N n_2, in runs of equal level of its last mode (n_1 at d = 1, n_2
 at d = 2), and two rows couple only when those levels differ by at most
 W, that mode's band half-width.  So the certificate is a right-looking
@@ -291,15 +292,17 @@ def _parity_kind(p: PolynomialSymbol) -> str | None:
 
 
 @functools.lru_cache(maxsize=64)
-def _sectors(d: int, n: int, kind: str) -> tuple[np.ndarray, ...]:
+def _sectors(d: int, n: int, kind: str | None) -> tuple[np.ndarray, ...]:
     """Flat indices of the parity sectors of the n^d block: 2^d sectors
-    labelled by the parity of each n_s ("mode"), or 2 by the parity of
-    their sum ("total")."""
+    labelled by the parity of each n_s ("mode"), 2 by the parity of their
+    sum ("total"), or the whole block as one sector (None)."""
     digits = _fock_digits(d, n)
     if kind == "mode":
         label, count = sum((level % 2) << s for s, level in enumerate(digits)), 2 ** d
-    else:
+    elif kind == "total":
         label, count = sum(digits) % 2, 2
+    else:
+        label, count = np.zeros(n ** d, dtype=int), 1
     sectors = tuple(np.flatnonzero(label == v) for v in range(count))
     for idx in sectors:
         idx.setflags(write=False)
@@ -307,7 +310,7 @@ def _sectors(d: int, n: int, kind: str) -> tuple[np.ndarray, ...]:
 
 
 @functools.lru_cache(maxsize=64)
-def _super_blocks(d: int, n: int, kind: str, v: int, width: int) -> tuple[tuple[int, int, int], ...]:
+def _super_blocks(d: int, n: int, kind: str | None, v: int, width: int) -> tuple[tuple[int, int, int], ...]:
     """(start, stop, end) row bounds of the super-blocks of parity sector v:
     its runs of equal level of the last mode (n_1 at d = 1, n_2 at d = 2),
     grouped in order into blocks of at least _SUPER_BLOCK rows (the last
@@ -489,14 +492,15 @@ def _ladder(p: PolynomialSymbol, hbar: float, ns: list[int]) -> Iterator[Operato
     symbol: a non-finite coefficient raises NonHermitianError; a symbol
     with max|Im c| <= HERMITICITY_TOL max|c| is quantized by its real part
     and its rungs are marked hermitian, the rungs of any other are not
-    (_lowest refuses them).  A real symbol's weights c i^(b1+b2) match the
+    (_bottom refuses them).  A real symbol's weights c i^(b1+b2) match the
     symmetry (-1)^b of its real bands, so mirrored entries are the same
     sums of exactly negated or conjugated terms, if every sum is finite:
     a ladder whose entry bound, the sum of max|band2| max|band1| over band
     pairs, is not below finfo(float).max / 2 raises ResourceLimitError.
-    Every rung is marked with the parity sectors the symbol conserves.  A
-    top rung of more than MAX_DENSE_DIM rows, or a symbol of degree above
-    MAX_DEGREE, raises ResourceLimitError before any band is peeled.
+    Every rung is marked with the parity sectors the symbol conserves
+    (one, the whole block, if none).  A top rung of more than MAX_DENSE_DIM
+    rows, or a symbol of degree above MAX_DEGREE, raises ResourceLimitError
+    before any band is peeled.
     """
     if p.d > MAX_MODES:
         raise DimensionMismatch(f"quantization supports d <= {MAX_MODES}, got d={p.d}")
@@ -528,7 +532,7 @@ def _ladder(p: PolynomialSymbol, hbar: float, ns: list[int]) -> Iterator[Operato
     for n in ns:
         rung = OperatorMatrix(d=p.d, n=n, hbar=hbar, pad=size - n, entries=None)
         rung.hermitian, rung._parity, rung._bands = hermitian, kind, bands
-        rung.sectors = _sectors(p.d, n, kind) if kind else None
+        rung.sectors = _sectors(p.d, n, kind)
         yield rung
 
 
@@ -591,25 +595,32 @@ def lowest_eigenvalue(m: OperatorMatrix | np.ndarray) -> float:
     _ladder decided: a rung of a complex symbol raises NonHermitianError
     before any block is built, and no block of a real one is scanned.  A
     plain array, or an OperatorMatrix of given entries (number_operator),
-    raises NonHermitianError if max |m - m^H| exceeds 1e-10 or is NaN.
+    is solved whole by eigvalsh; it raises DimensionMismatch unless square,
+    2-D and not empty, NonHermitianError if max |m - m^H| > 1e-10 or NaN.
 
-    A matrix marked with parity sectors takes eigvalsh of its first sector
-    block, rho, and one Cholesky factorization of B - (rho + eta) I for
-    each other block B, eta = 1e-10 max_i sum_j |B_ij|, by super-blocks of
-    consecutive levels of the last mode (_factors; see the module
-    docstring).  The block factorization is backward stable like the dense
-    one, with an error of about dim eps |B| (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2nd ed., ch. 10), and so is eigvalsh; eta is
-    hundreds of times that, so success shows that eigvalsh(B) lies above
-    rho; failure sets rho = min(rho, eigvalsh(B)[0]).  The bottom is thus
-    the minimum of eigvalsh over the sector blocks, bit for bit: the
-    certificates only decide which blocks need no eigvalsh.  Any other
-    matrix is solved whole.  Along a ladder (_walk), the sector that held
-    the bottom of the rung before is solved first, and where it has more
-    than two super-blocks by certified inverse iteration from that bottom,
+    Every rung is solved by sector, a symbol without parity being one: the
+    first sector block takes eigvalsh, rho, and each other block B one
+    Cholesky factorization of B - (rho + eta) I, eta = 1e-10 max_i sum_j
+    |B_ij|, by super-blocks of consecutive levels of the last mode
+    (_factors; see the module docstring).  The block factorization is
+    backward stable like the dense one, with an error of about dim eps |B|
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    ch. 10), and so is eigvalsh; eta is hundreds of times that, so success
+    shows that eigvalsh(B) lies above rho; failure sets rho = min(rho,
+    eigvalsh(B)[0]).  The bottom is thus the minimum of eigvalsh over the
+    sector blocks, bit for bit: the certificates only decide which blocks
+    need no eigvalsh.  Along a ladder (_walk), the sector that held the
+    bottom of the rung before is solved first, and where it has more than
+    two super-blocks by certified inverse iteration from that bottom,
     falling back to eigvalsh (see the module docstring for its accuracy).
     """
-    return _lowest(m, None)
+    if isinstance(m, OperatorMatrix) and m.sectors is not None:
+        return _bottom(m, None, 0)[0]
+    block = m.entries if isinstance(m, OperatorMatrix) else np.asarray(m)
+    if block.ndim != 2 or block.shape[0] != block.shape[1] or not block.size:
+        raise DimensionMismatch(f"need a non-empty square matrix, got shape {block.shape}")
+    _check_hermitian(block, 1e-10, "matrix is not Hermitian")
+    return float(np.linalg.eigvalsh(block)[0])
 
 
 def _margin(block: np.ndarray) -> float:
@@ -617,29 +628,18 @@ def _margin(block: np.ndarray) -> float:
     return 1e-10 * np.abs(block).sum(axis=1).max()
 
 
-def _lowest(m: OperatorMatrix | np.ndarray, hint: float | None) -> float:
-    """The bottom of m by _bottom, with hint (or None) held by sector 0."""
-    return _bottom(m, hint, 0)[0]
-
-
-def _bottom(m: OperatorMatrix | np.ndarray, hint: float | None, first: int) -> tuple[float, int]:
-    """(lowest_eigenvalue of m, the sector that holds it or 0), with hint the
-    bottom of the rung before m, held by its sector first, which is solved
-    first, or None (see lowest_eigenvalue)."""
-    values, rung = [], getattr(m, "_bands", None) is not None
-    if rung and not m.hermitian:
+def _bottom(m: OperatorMatrix, hint: float | None, first: int) -> tuple[float, int]:
+    """(lowest_eigenvalue of the rung m, the sector that holds it), with hint
+    the bottom of the rung before m, held by its sector first, which is
+    solved first, or None (see lowest_eigenvalue)."""
+    if not m.hermitian:
         raise NonHermitianError("the symbol has complex coefficients: its matrix is not Hermitian")
-    if rung and m.sectors:  # each sector block, built from the bands
-        # the band half-width of the last mode: mode 1's summed band at d = 1
-        width = max(((pair[2 - m.d].shape[0] - 1) // 2 for pair in m._bands), default=0)
-        order = [first] + [v for v in range(len(m.sectors)) if v != first]
-        blocks = ((v, _block(m._bands, m.d, m.n, m._parity, v),
-                   _super_blocks(m.d, m.n, m._parity, v, width)) for v in order)
-    else:
-        blocks = [(0, m.entries if isinstance(m, OperatorMatrix) else np.asarray(m), ())]
-        if not rung:  # a plain array, or an OperatorMatrix of given entries
-            _check_hermitian(blocks[0][1], 1e-10, "matrix is not Hermitian")
-    for v, block, plan in blocks:
+    # the band half-width of the last mode: mode 1's summed band at d = 1
+    width = max(((pair[2 - m.d].shape[0] - 1) // 2 for pair in m._bands), default=0)
+    values = []
+    for v in [first] + [v for v in range(len(m.sectors)) if v != first]:
+        block = _block(m._bands, m.d, m.n, m._parity, v)
+        plan = _super_blocks(m.d, m.n, m._parity, v, width)
         if values:
             if _factors(block, min(values)[0] + _margin(block), plan) is not None:
                 continue

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import subprocess
 import sys
 
@@ -194,6 +195,12 @@ def test_lowest_eigenvalue():
     )
     with pytest.raises(NonHermitianError):
         lowest_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("m", [np.ones((2, 3)), np.zeros((0, 0)), np.array([1.0, 2.0])])
+def test_lowest_eigenvalue_refuses_arrays_that_are_not_square_matrices(m):
+    with pytest.raises(DimensionMismatch, match=re.escape(str(m.shape))):
+        lowest_eigenvalue(m)
 
 
 def test_truncation_sweep_monotone():
@@ -399,7 +406,7 @@ PARITY_CASES = [
     ((y(2, 0) ** 2 + eta(2, 0) ** 2) ** 2 + y(2, 1) ** 4 + 0.3 * (y(2, 0) * eta(2, 1)) ** 2
      + eta(2, 1) ** 2 + 0.2 * (y(2, 0) * eta(2, 0)), [8, 16], 4),
     (y(2, 0) * eta(2, 1) + harmonic_symbol(2), [8, 16], 2),
-    (y() ** 4 + eta() ** 2 + 0.3 * y(), [16, 64], 0),
+    (y() ** 4 + eta() ** 2 + 0.3 * y(), [16, 64], 1),
 ]
 
 
@@ -407,10 +414,6 @@ PARITY_CASES = [
 def test_parity_sectors_split_every_rung_exactly(p, ns, count):
     for rung in _ladder(p, 0.7, ns):
         full = np.linalg.eigvalsh(rung.entries)[0]
-        if not count:
-            assert rung.sectors is None
-            assert lowest_eigenvalue(rung) == full
-            continue
         assert len(rung.sectors) == count
         label = np.full(rung.dim, -1)
         for v, idx in enumerate(rung.sectors):
@@ -418,7 +421,10 @@ def test_parity_sectors_split_every_rung_exactly(p, ns, count):
             label[idx] = v
         assert (label >= 0).all()
         assert (rung.entries[label[:, None] != label[None, :]] == 0).all()
-        assert abs(lowest_eigenvalue(rung) - full) <= 1e-12 * abs(full)
+        if count == 1:  # no parity: the one sector is the whole block
+            assert lowest_eigenvalue(rung) == full
+        else:
+            assert abs(lowest_eigenvalue(rung) - full) <= 1e-12 * abs(full)
 
 
 def test_parity_sector_bottom_at_high_degree_is_within_eigvalsh_roundoff():
@@ -585,8 +591,8 @@ def _seeded_real_symbol(rng, d, parity, odd_eta):
     (1, "mode", (1, 1), 2),           # y eta
     (2, "mode", (1, 0, 1, 0), 4),     # y1 eta1
     (2, "total", (1, 0, 0, 1), 2),    # y1 eta2
-    (1, None, (2, 1), 0),             # y^2 eta
-    (2, None, (1, 1, 0, 1), 0),       # y1 y2 eta2
+    (1, None, (2, 1), 1),             # y^2 eta
+    (2, None, (1, 1, 0, 1), 1),       # y1 y2 eta2
 ])
 def test_real_symbol_blocks_are_hermitian_bit_for_bit(d, parity, odd_eta, count, monkeypatch):
     def scan(*args):
@@ -599,7 +605,7 @@ def test_real_symbol_blocks_are_hermitian_bit_for_bit(d, parity, odd_eta, count,
         for n in (7, 16):
             rung = weyl_quantize(p, 0.7, n)
             assert rung.hermitian
-            assert len(rung.sectors or ()) == count
+            assert len(rung.sectors) == count
             blocks = [quantize._block(rung._bands, d, n, rung._parity, v) for v in range(count)]
             for block in blocks + [rung.entries]:
                 assert block.dtype == np.complex128
@@ -644,7 +650,7 @@ def test_entries_near_overflow_are_refused_before_any_block():
 
 # every parity-marked symbol above, plus a float64 one of each kind at d = 2;
 # each ladder starts at an odd size, where the two parities differ in size
-SECTOR_CASES = [(p, [ns[0] - 1, *ns]) for p, ns, count in PARITY_CASES if count] + [
+SECTOR_CASES = [(p, [ns[0] - 1, *ns]) for p, ns, count in PARITY_CASES if count > 1] + [
     (DTYPE_CASES[1][0], [5, 8]),
     (ETA12_SYMBOL, [5, 8]),
 ]
@@ -871,7 +877,7 @@ def test_iteration_falls_back_to_eigvalsh_bit_for_bit(case, monkeypatch):
         return iterate(block, plan, hint, margin, vectors[:, 1])
 
     calls = _iterations(monkeypatch)
-    assert abs(quantize._lowest(m, dense) - dense) <= 1e-12 * abs(dense)
+    assert abs(quantize._bottom(m, dense, 0)[0] - dense) <= 1e-12 * abs(dense)
     assert calls == [(256, True)]
     monkeypatch.undo()
     for hint, name, patch in [(values[1] + 1.0, None, None),
@@ -880,7 +886,7 @@ def test_iteration_falls_back_to_eigvalsh_bit_for_bit(case, monkeypatch):
         if name:
             monkeypatch.setattr(quantize, name, patch)
         calls = _iterations(monkeypatch)
-        assert quantize._lowest(m, hint) == dense
+        assert quantize._bottom(m, hint, 0)[0] == dense
         assert calls == [(256, False)]
         monkeypatch.undo()
 
@@ -945,3 +951,39 @@ def test_the_walk_iterates_in_the_sector_that_held_the_bottom(monkeypatch):
         if p.d == 1:
             assert 128 not in calls
         assert abs(sweep.values[-1] - bottom) <= 1e-12 * abs(bottom)
+
+
+@pytest.mark.parametrize("a", [0.5, -0.5])
+@pytest.mark.parametrize("k, bottom", [(2, 2.0), (3, 6.0)])
+def test_translated_symbols_without_parity_match_the_closed_form(k, bottom, a):
+    # translation covariance (Folland 1989, ch. 2): with (T psi)(x) = psi(x + a),
+    # T yhat T^-1 = yhat + a and T etahat T^-1 = etahat, and conjugation by T is
+    # an algebra automorphism that keeps Weyl symmetrization, so
+    # Weyl(p(y + a, eta)) = T Weyl(p) T^-1.  ((y + a)^2 + eta^2)^k thus has the
+    # spectrum of h^k: bottoms 2 hbar^2 and 6 hbar^3 (see the squeezed test).  Its
+    # odd terms in y leave it no parity, so every rung is one sector, and the
+    # 128- and 256-row top rungs are solved by certified inverse iteration
+    top = truncation_sweep(((y() + a) ** 2 + eta() ** 2) ** k, 1 / 16, [64, 128, 256]).values[-1]
+    want = bottom / 16 ** k
+    assert abs(top - want) <= 1e-12 * want, (top, want)
+
+
+def test_symbols_without_parity_iterate_on_every_rung_after_the_first(monkeypatch):
+    # a folded symbol with odd Taylor terms (y^3) has no parity: its one sector,
+    # the whole block, takes eigvalsh on the first rung only and certified
+    # inverse iteration above; the top value is dense eigvalsh's to its eps |B|
+    h = harmonic_symbol()
+    quad = y(2, 0) ** 2 + 1.2 * eta(2, 0) ** 2 + 0.8 * y(2, 1) ** 2 + eta(2, 1) ** 2
+    mode2 = quad * quad + 0.4 * y(2, 0) ** 2 * y(2, 1) ** 2 + 0.9 * harmonic_symbol(2)
+    for p, hbar, ns, iterated in [(h * h + 0.3 * y() ** 3 + 0.5 * h, 0.25, [64, 128, 256],
+                                   [128, 256]),
+                                  (mode2 + 0.2 * y(2, 0) ** 3, 1.0, [8, 16, 32], [256, 1024])]:
+        assert quantize._parity_kind(p) is None
+        calls, iterations = _counting(monkeypatch), _iterations(monkeypatch)
+        sweep = truncation_sweep(p, hbar, ns)
+        monkeypatch.undo()
+        assert iterations == [(rows, True) for rows in iterated]
+        assert calls == [ns[0] ** p.d]
+        top = sweep.matrix.entries
+        norm = np.abs(top).sum(axis=1).max()
+        assert abs(sweep.values[-1] - np.linalg.eigvalsh(top)[0]) <= 4 * np.finfo(float).eps * norm
