@@ -22,6 +22,21 @@ Every number must be a finite double: the JSON parse rejects NaN,
 Infinity and overflowing numbers such as 1e400.  Unknown keys are
 rejected at every nesting level; all validation runs before any
 computation.
+
+Validation walks MODEL_SCHEMA (and the symbol-literal schema of
+`melinlab star`) itself; the schema dicts are the one statement of the
+format.  The walk interprets exactly the JSON Schema keywords they use:
+type, minimum, maximum, exclusiveMinimum, required,
+additionalProperties (false), properties, items (a schema or false),
+prefixItems, minItems and maxItems, with jsonschema's type rules (2.0
+is an integer, True is no number, NaN fails no comparison).  A node
+that fails its type is not checked further.  Import fails if either
+schema uses anything else.  Of all errors, the one reported is the one
+jsonschema's best_match picks: the shallowest path, the greatest of
+equally deep paths, and the first of those in iteration order (schema
+keys, then properties in schema order, then items by index), worded as
+jsonschema 4.26 words it; the tests hold the walk to jsonschema on a
+seeded mutation corpus.
 """
 
 from __future__ import annotations
@@ -29,9 +44,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
+from numbers import Number
 
 from .errors import ModelFileError
 from .quantize import MAX_DEGREE, MAX_MODES, MAX_TRUNCATION
@@ -131,24 +144,110 @@ _SYMBOL_SCHEMA = {
     },
 }
 
-# Checked and compiled once; jsonschema.validate would redo both per call.
-# The symbol schema adds only "d" to MODEL_SCHEMA's checked term schema,
-# so it is compiled without another 6 ms metaschema check at import.
-_VALIDATOR = validator_for(MODEL_SCHEMA)(MODEL_SCHEMA)
-_VALIDATOR.check_schema(MODEL_SCHEMA)
-_SYMBOL_VALIDATOR = validator_for(_SYMBOL_SCHEMA)(_SYMBOL_SCHEMA)
+_IS_TYPE = {  # jsonschema's type checks: True is no number, 2.0 is an integer
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "number": lambda x: isinstance(x, Number) and not isinstance(x, bool),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                          or isinstance(x, float) and x.is_integer()),
+}
+_KEYWORDS = {"type", "minimum", "maximum", "exclusiveMinimum", "required",
+             "additionalProperties", "properties", "items", "prefixItems",
+             "minItems", "maxItems"}
 
 
-def _validate(validator, data, what: str) -> None:
-    error = best_match(validator.iter_errors(data))
-    if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "(root)"
-        raise ModelFileError(f"{what} invalid at {where}: {error.message}") from error
+def _errors(schema: dict, x, path: tuple, out: list) -> None:
+    """Append (path, message) for each error jsonschema 4.26 yields on x,
+    in its order: the schema's keys, then properties in schema order, then
+    items in index order."""
+    kind = schema["type"]
+    if not _IS_TYPE[kind](x):
+        # "type" is every node's first key, so an error that jsonschema's
+        # other keywords add here comes later on the same path and loses
+        out.append((path, f"{x!r} is not of type {kind!r}"))
+        return
+    for key, value in schema.items():
+        if key == "minimum":
+            if x < value:
+                out.append((path, f"{x!r} is less than the minimum of {value!r}"))
+        elif key == "maximum":
+            if x > value:
+                out.append((path, f"{x!r} is greater than the maximum of {value!r}"))
+        elif key == "exclusiveMinimum":
+            if x <= value:
+                out.append((path, f"{x!r} is less than or equal to the minimum of {value!r}"))
+        elif key == "required":
+            out.extend((path, f"{name!r} is a required property") for name in value
+                       if name not in x)
+        elif key == "additionalProperties":
+            known = schema.get("properties", {})
+            extras = sorted((name for name in x if name not in known), key=str)
+            if extras:
+                names, verb = ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"
+                out.append((path, "Additional properties are not allowed "
+                                  f"({names} {verb} unexpected)"))
+        elif key == "properties":
+            for name, sub in value.items():
+                if name in x:
+                    _errors(sub, x[name], path + (name,), out)
+        elif key == "prefixItems":
+            for i, (item, sub) in enumerate(zip(x, value)):
+                _errors(sub, item, path + (i,), out)
+        elif key == "items":
+            prefix = len(schema.get("prefixItems", ()))
+            if value is False:
+                extra = len(x) - prefix
+                if extra > 0:
+                    rest = x[prefix] if extra == 1 else x[prefix:]
+                    noun = "item" if prefix == 1 else "items"
+                    out.append((path, f"Expected at most {prefix} {noun} but found {extra} "
+                                      f"extra: {rest!r}"))
+            else:
+                for i in range(prefix, len(x)):
+                    _errors(value, x[i], path + (i,), out)
+        elif key == "minItems":
+            if len(x) < value:
+                verdict = "should be non-empty" if value == 1 else "is too short"
+                out.append((path, f"{x!r} {verdict}"))
+        elif key == "maxItems":
+            if len(x) > value:
+                verdict = "is expected to be empty" if value == 0 else "is too long"
+                out.append((path, f"{x!r} {verdict}"))
+
+
+def _check_schema(schema: dict) -> None:
+    """Refuse a schema node that _errors would misread: an uninterpreted
+    keyword, a type it does not know or not given first, additionalProperties
+    other than false, or items other than a schema or false."""
+    items = schema.get("items", False)
+    if (next(iter(schema), None) != "type" or schema["type"] not in _IS_TYPE
+            or not schema.keys() <= _KEYWORDS
+            or schema.get("additionalProperties", False) is not False
+            or not (items is False or isinstance(items, dict))):
+        raise AssertionError(f"model schema node not interpreted: {schema}")
+    for sub in [*schema.get("properties", {}).values(), *schema.get("prefixItems", ()),
+                *([items] if items else ())]:
+        _check_schema(sub)
+
+
+_check_schema(MODEL_SCHEMA)
+_check_schema(_SYMBOL_SCHEMA)
+
+
+def _validate(schema: dict, data, what: str) -> None:
+    """Raise ModelFileError with the error best_match would pick: the
+    greatest (-depth, path), the first of equals in _errors' order."""
+    errors: list = []
+    _errors(schema, data, (), errors)
+    if errors:
+        path, message = max(errors, key=lambda e: (-len(e[0]), e[0]))
+        where = "/".join(map(str, path)) or "(root)"
+        raise ModelFileError(f"{what} invalid at {where}: {message}")
 
 
 def load_model_dict(data: dict) -> tuple[GradedSymbol, dict | None, dict | None]:
     """Validate a parsed model dict; returns (symbol, sweep, phase)."""
-    _validate(_VALIDATOR, data, "model file")
+    _validate(MODEL_SCHEMA, data, "model file")
     try:
         symbol = GradedSymbol.from_dict(data)
     except (ValueError, TypeError) as exc:
@@ -184,7 +283,7 @@ def load_symbol_literal(text: str) -> PolynomialSymbol:
         data = json.loads(text, **_JSON_NUMBERS)
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"symbol is not valid JSON: {exc}") from exc
-    _validate(_SYMBOL_VALIDATOR, data, "symbol literal")
+    _validate(_SYMBOL_SCHEMA, data, "symbol literal")
     return PolynomialSymbol.from_dict(data)
 
 

@@ -150,7 +150,8 @@ def lambda_sweep(spec: ModelSpec, workers: int = 1) -> SweepReport:
         reasons.append("hypothesis failure: " + ", ".join(parts))
     del diagnosis  # the rows need neither it nor its localized matrix
 
-    base = GradedSymbol(symbol.d, k, symbol.levels, m=0)
+    # an m = 0 symbol folds itself, so its cached merge serves every later sweep
+    base = symbol if symbol.m == 0 else GradedSymbol(symbol.d, k, symbol.levels, m=0)
     rows, notes = [], []
     for lam in spec.lambdas:
         walk, converged = _walk(base.fold(lam), 1.0 / lam, spec.truncations, escalate=True)

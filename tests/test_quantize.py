@@ -490,6 +490,17 @@ def test_quantize_and_eigensolve_do_not_import_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_and_model_files_do_not_import_jsonschema():
+    # model files are checked by modelfile's own walk; jsonschema is its test oracle
+    code = (
+        "import sys, melinlab.cli, melinlab.modelfile\n"
+        "print('jsonschema' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # Real arithmetic: float64 blocks when every weight c i^|b| is real
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from melinlab import quantize
+from melinlab import quantize, symbols
 from melinlab.errors import MelinLabError, MonotonicityError
 from melinlab.models import harmonic_symbol, quartic_model
 from melinlab.sweep import (
@@ -148,6 +148,16 @@ def test_sweep_normalizes_overall_order():
     for a, b in zip(plain.rows, rep.rows):
         assert a.lambda_min == b.lambda_min
         assert a.scaled == b.scaled
+
+
+def test_sweeps_of_one_m0_symbol_merge_its_levels_once(monkeypatch):
+    # an m = 0 symbol is folded itself, so the merge it caches serves every sweep
+    merges, merge = [], symbols._merge
+    monkeypatch.setattr(symbols, "_merge", lambda *args: merges.append(1) or merge(*args))
+    spec = quartic_spec()
+    first = lambda_sweep(spec)
+    assert lambda_sweep(spec).rows == first.rows
+    assert len(merges) == 1
 
 
 def test_sweep_escalates_past_parity_plateau():
