@@ -4,8 +4,8 @@ Subcommands: traceplus | localize | sweep | phase | star.
 
 Exit codes: 0 success / verification pass, 2 invalid input, 3 hypothesis
 failure, 4 verification failure.  Sweeps run their rows in order;
---workers and MELIN_LAB_WORKERS are validated (>= 1) and kept for
-compatibility, and no output depends on them.
+--workers is validated (>= 1) and kept for compatibility, and no output
+depends on it.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from .errors import MelinLabError, ModelFileError, PositivityError
-from .invariants import QuadraticData, fundamental_matrix, melin_quantity, trace_plus
+from .invariants import QuadraticData, fundamental_matrix, trace_plus
 from .localize import hypothesis_check, localize
 from .modelfile import _PHASE_AXES, load_model_file, load_symbol_literal, sweep_spec_from_model
 from .sweep import PHASE_TRUNCATION, emit_report, lambda_sweep, melin_phase_diagram, render_report
@@ -36,21 +35,10 @@ def _fail(msg: str) -> int:
     return EXIT_INVALID
 
 
-def _resolve_workers(value: int | None) -> int:
-    if value is not None:
-        if value < 1:
-            raise MelinLabError(f"--workers must be >= 1, got {value}")
-        return value
-    raw = os.environ.get("MELIN_LAB_WORKERS")
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise MelinLabError(f"MELIN_LAB_WORKERS must be a positive integer, got {raw!r}")
-    if workers < 1:
-        raise MelinLabError(f"MELIN_LAB_WORKERS must be a positive integer, got {raw!r}")
-    return workers
+def _resolve_workers(value: int) -> int:
+    if value < 1:
+        raise MelinLabError(f"--workers must be >= 1, got {value}")
+    return value
 
 
 def _parse_matrix(text: str, allow_json: bool = False) -> np.ndarray:
@@ -88,7 +76,7 @@ def cmd_traceplus(args: argparse.Namespace) -> int:
         q = QuadraticData(d=d, hessian=hessian, subprincipal=args.s)
         f = fundamental_matrix(q)
         tplus = trace_plus(q)
-        melin = melin_quantity(q)
+        melin = q.subprincipal + 0.5 * tplus
     except PositivityError as exc:
         print(f"hypothesis violated: the quadratic form must be >= 0 ({exc})", file=sys.stderr)
         return EXIT_INVALID
@@ -263,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="model file (JSON) with a \"sweep\" section")
     p.add_argument("--out", required=True, help="report output path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=int, default=None,
-                   help="validated, kept for compatibility; rows run in order")
+    p.add_argument("--workers", type=int, default=1,
+                   help="validated (>= 1); rows run in order and no output depends on it")
     p.add_argument("--json", action="store_true", help="machine-readable console summary")
     p.set_defaults(func=cmd_sweep)
 
@@ -272,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="model file (JSON) with a \"phase\" section")
     p.add_argument("--out", help="optional table output path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=int, default=None,
-                   help="validated, kept for compatibility; forms run in order")
+    p.add_argument("--workers", type=int, default=1,
+                   help="validated (>= 1); forms run in order and no output depends on it")
     p.add_argument("--json", action="store_true", help="machine-readable console summary")
     p.set_defaults(func=cmd_phase)
 

@@ -5,6 +5,18 @@ Everything derives from ValueError so callers who only care about
 its exit codes.
 """
 
+__all__ = [
+    "MelinLabError",
+    "DimensionMismatch",
+    "VanishingOrderError",
+    "GradingError",
+    "PositivityError",
+    "NonHermitianError",
+    "MonotonicityError",
+    "ModelFileError",
+    "ResourceLimitError",
+]
+
 
 class MelinLabError(ValueError):
     """Base class for all errors raised by this package."""

@@ -740,8 +740,6 @@ def conjugation_residual(p: GradedSymbol, lam: float, n: int) -> float:
     quantize(scale_symbol(p) folded at Lambda, hbar=1) on the exact
     block; the identity is algebraic, so the residual is pure roundoff.
     """
-    if not 1 <= lam < math.inf:
-        raise ValueError(f"Lambda must be a finite number >= 1, got {lam}")
     left = weyl_quantize(p.fold(lam), 1.0 / lam, n).entries
     right = weyl_quantize(scale_symbol(p).fold(lam), 1.0, n).entries
     scale = max(np.abs(left).max(), np.abs(right).max())

@@ -41,6 +41,8 @@ __all__ = [
     "PhaseReport",
     "melin_phase_diagram",
     "emit_report",
+    "render_report",
+    "parse_report",
 ]
 
 PHASE_TRUNCATION = 64

@@ -74,7 +74,6 @@ import numpy as np
 from .errors import DimensionMismatch, GradingError, ResourceLimitError, VanishingOrderError
 
 __all__ = [
-    "MultiIndex",
     "PolynomialSymbol",
     "GradedSymbol",
     "HalfGradedPolynomial",

@@ -298,14 +298,19 @@ def test_sweep_json_format(tmp_path, capsys):
     assert [r["lambda"] for r in filed["rows"]] == [16.0, 64.0, 256.0]
 
 
-def test_sweep_workers_flag_and_env(tmp_path, capsys, monkeypatch):
+def test_sweep_workers_flag(tmp_path, capsys):
     model = write_model(tmp_path, sweep=SWEEP_SECTION)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["sweep", model, "--out", str(out1), "--workers", "3"]) == 0
-    monkeypatch.setenv("MELIN_LAB_WORKERS", "2")
     assert main(["sweep", model, "--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_sweep_rejects_workers_below_one(tmp_path, capsys):
+    model = write_model(tmp_path, sweep=SWEEP_SECTION)
+    assert main(["sweep", model, "--out", str(tmp_path / "r.csv"), "--workers", "0"]) == 2
+    assert "--workers must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_sweep_prints_a_note_per_row_that_hits_the_cap(tmp_path, capsys):
@@ -324,11 +329,15 @@ def test_sweep_prints_a_note_per_row_that_hits_the_cap(tmp_path, capsys):
     assert "verdict: pass" in lines
 
 
-def test_sweep_invalid_workers_env(tmp_path, capsys, monkeypatch):
+def test_sweep_ignores_workers_env(tmp_path, capsys, monkeypatch):
+    # no module reads the environment; the former MELIN_LAB_WORKERS is inert
     model = write_model(tmp_path, sweep=SWEEP_SECTION)
+    plain, env = tmp_path / "plain.csv", tmp_path / "env.csv"
+    assert main(["sweep", model, "--out", str(plain)]) == 0
     monkeypatch.setenv("MELIN_LAB_WORKERS", "zero")
-    assert main(["sweep", model, "--out", str(tmp_path / "r.csv")]) == 2
-    assert "MELIN_LAB_WORKERS" in capsys.readouterr().err
+    assert main(["sweep", model, "--out", str(env)]) == 0
+    capsys.readouterr()
+    assert env.read_bytes() == plain.read_bytes()
 
 
 def test_sweep_invalid_section_content(tmp_path, capsys):

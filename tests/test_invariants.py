@@ -103,6 +103,9 @@ def test_trace_plus_matches_square_root_pencil_oracle():
 def test_trace_plus_rejects_indefinite():
     with pytest.raises(PositivityError):
         trace_plus(np.array([[1.0, 0.0], [0.0, -1.0]]))
+    # within the PSD tolerance, but F has the real eigenvalues +-1e-5
+    with pytest.raises(PositivityError, match="off the imaginary axis"):
+        trace_plus(np.diag([1.0, -1e-10]))
 
 
 def test_quadratic_data_validation():

@@ -197,6 +197,17 @@ def test_lowest_eigenvalue():
         lowest_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("m, want", [
+    (np.array([[2, 1j], [-1j, 2]]), 1.0),
+    (np.diag([3.0, 1.0, 2.0]), 1.0),
+    # 2n + 3 and 1 + 2(n1 + 1) + 2(n2 + 1) at n = 0: given entries, no sectors
+    (number_operator(1, 1, 8), 3.0),
+    (number_operator(1, 2, 4), 5.0),
+])
+def test_lowest_eigenvalue_of_given_entries(m, want):
+    assert lowest_eigenvalue(m) == pytest.approx(want, abs=1e-12)
+
+
 @pytest.mark.parametrize("m", [np.ones((2, 3)), np.zeros((0, 0)), np.array([1.0, 2.0])])
 def test_lowest_eigenvalue_refuses_arrays_that_are_not_square_matrices(m):
     with pytest.raises(DimensionMismatch, match=re.escape(str(m.shape))):
