@@ -1,5 +1,4 @@
-"""Symplectic invariants of nonnegative quadratic forms and the
-second-microlocal metric bookkeeping.
+"""Symplectic invariants of nonnegative quadratic forms.
 
 The symplectic form on (y, eta) is sigma(t, s) = <eta, y'> - <y, eta'>,
 i.e. sigma(t, s) = t^T J s with J = [[0, -I], [I, 0]] (so J^-1 = -J).
@@ -13,7 +12,6 @@ the quantized model at hbar = 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +24,6 @@ __all__ = [
     "fundamental_matrix",
     "trace_plus",
     "melin_quantity",
-    "MetricPoint",
-    "MetricReport",
-    "metric_report",
 ]
 
 PSD_TOL = 1e-9
@@ -120,54 +115,3 @@ def melin_quantity(q: QuadraticData | np.ndarray, subprincipal: float | None = N
     q = _coerce(q)
     s = q.subprincipal if subprincipal is None else float(subprincipal)
     return s + 0.5 * trace_plus(q)
-
-
-# ---------------------------------------------------------------------------
-# Second-microlocal metric bookkeeping
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MetricPoint:
-    """A transverse point X with scale parameter a >= 1 and Lambda >= 1."""
-
-    x: np.ndarray
-    a: float
-    lam: float
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float).ravel()
-        if not 1 <= self.a < math.inf:
-            raise ValueError(f"scale parameter a must be a finite number >= 1, got {self.a}")
-        if not 1 <= self.lam < math.inf:
-            raise ValueError(f"Lambda must be a finite number >= 1, got {self.lam}")
-
-
-@dataclass
-class MetricReport:
-    """Weights of the slowly varying distance metric at one point."""
-
-    d_a: float
-    h_a: float
-    h_compat: float
-
-
-def metric_report(point: MetricPoint, b: float | None = None) -> MetricReport:
-    """Distance weight d_a = |X| + a, gain h_a = max(d_a^-2, 1/Lambda),
-    and the pair gain h_compat = max((d_a d_b)^-1, 1/Lambda) for a second
-    scale b (defaulting to a, where h_compat = h_a).
-
-    Always h_a <= 1, since a >= 1 and Lambda >= 1.
-    """
-    if b is None:
-        b = point.a
-    if not 1 <= b < math.inf:
-        raise ValueError(f"scale parameter b must be a finite number >= 1, got {b}")
-    d_a = float(np.linalg.norm(point.x)) + point.a
-    d_b = float(np.linalg.norm(point.x)) + b
-    inv_lam = 1.0 / point.lam
-    return MetricReport(
-        d_a=d_a,
-        h_a=max(d_a ** -2, inv_lam),
-        h_compat=max(1.0 / (d_a * d_b), inv_lam),
-    )

@@ -40,7 +40,7 @@ Hermiticity is decided on the symbol, never on a block: Weyl(p)^* =
 Weyl(conj p) and quantization is injective (Folland, Harmonic Analysis
 in Phase Space, 1989, ch. 2), so Weyl(p) is self-adjoint exactly when
 every coefficient of p is real.  _ladder applies that rule once per
-ladder; only a plain matrix handed to lowest_eigenvalue is scanned.
+ladder, and no block is scanned.
 
 Band cache.  The Weyl matrix of y^a eta^b is (hbar/2)^((a+b)/2) i^b R
 with a real band R that does not depend on hbar, so R is peeled once
@@ -60,18 +60,18 @@ sector index sets (2^d sectors split by the parity of each n_s, 2 by
 that of n_1 + n_2, or, without parity, one: the whole block); entries
 between sectors are exactly zero.  Every rung is solved by sector, each
 block written straight from the bands (see _block): lowest_eigenvalue
-solves one, certifies the others by Cholesky, and scans and solves
-whole only a plain matrix.  A sector lists its rows by flat index
-n_1 + N n_2, in runs of equal level of its last mode (n_1 at d = 1, n_2
-at d = 2), and two rows couple only when those levels differ by at most
-W, that mode's band half-width.  So the certificate is a right-looking
-block Cholesky (Golub and Van Loan, Matrix Computations, 4th ed.,
-4.3-4.5) over super-blocks of whole runs, of at least _SUPER_BLOCK = 32
-rows.  The window rule: a super-block's window ends at the last row
-within W levels of it, since no entry and no fill-in lies farther out,
-and one Cholesky factorization of the window gives its diagonal factor
-and panel, with no inverse.  Timed on 128- to 1024-row sectors, 32 is
-within noise of the best of 16 to 128; 16 and 64 lose 30 % on one.
+solves one and certifies the others by Cholesky.  A sector lists its
+rows by flat index n_1 + N n_2, in runs of equal level of its last mode
+(n_1 at d = 1, n_2 at d = 2), and two rows couple only when those
+levels differ by at most W, that mode's band half-width.  So the
+certificate is a right-looking block Cholesky (Golub and Van Loan,
+Matrix Computations, 4th ed., 4.3-4.5) over super-blocks of whole runs,
+of at least _SUPER_BLOCK = 32 rows.  The window rule: a super-block's
+window ends at the last row within W levels of it, since no entry and
+no fill-in lies farther out, and one Cholesky factorization of the
+window gives its diagonal factor and panel, with no inverse.  Timed on
+128- to 1024-row sectors, 32 is within noise of the best of 16 to 128;
+16 and 64 lose 30 % on one.
 
 Along a ladder the first sector block need not take eigvalsh: _walk
 hands each rung after the first the bottom of the rung before and the
@@ -119,12 +119,11 @@ from .errors import (
     NonHermitianError,
     ResourceLimitError,
 )
-from .symbols import GradedSymbol, PolynomialSymbol, _compositions, _silent, scale_symbol
+from .symbols import GradedSymbol, PolynomialSymbol, _silent, scale_symbol
 
 __all__ = [
     "OperatorMatrix",
     "weyl_quantize",
-    "number_operator",
     "lowest_eigenvalue",
     "TruncationSweep",
     "truncation_sweep",
@@ -145,23 +144,23 @@ CONVERGENCE_ABS = 1e-12
 
 
 class OperatorMatrix:
-    """A quantized symbol on the leading N^d Fock block.
+    """A quantized symbol on the leading N^d Fock block: a rung of _ladder.
 
     Basis ordering is lexicographic over per-mode levels with mode 1
     fastest: flat index = n_1 + N*n_2 + ...  Entries are exact values of
     the infinite matrix (up to roundoff) thanks to internal padding,
-    float64 when every weight c i^|b| is real (and for number_operator),
-    complex128 otherwise; a quantizer rung builds them on first read.
+    float64 when every weight c i^|b| is real, complex128 otherwise; the
+    rung builds them from its bands on first read.
     """
 
-    def __init__(self, d: int, n: int, hbar: float, pad: int, entries: np.ndarray | None):
+    def __init__(self, d: int, n: int, hbar: float, pad: int, hermitian: bool,
+                 parity: str | None, bands: list[tuple[np.ndarray, np.ndarray]]):
         self.d, self.n, self.hbar, self.pad = d, n, hbar, pad
-        self._entries = entries
-        if entries is not None:
-            entries.setflags(write=False)
-        # set by the quantizer: whether the symbol is real (its blocks Hermitian), the
-        # flat indices of the parity sectors (no entry couples two), their kind and bands
-        self.hermitian, self.sectors, self._parity, self._bands = False, None, None, None
+        # whether the symbol is real (its blocks Hermitian), the flat indices of the
+        # parity sectors (no entry couples two), their kind and the ladder's bands
+        self.hermitian, self._parity, self._bands = hermitian, parity, bands
+        self.sectors = _sectors(d, n, parity)
+        self._entries = None
 
     @property
     def dim(self) -> int:
@@ -273,12 +272,6 @@ def _block_geometry(band_shape: tuple[int, int], n: int, row_stride: int, col_st
     return source, offsets
 
 
-def _fock_digits(d: int, n: int) -> list[np.ndarray]:
-    """Per-mode Fock levels n_s of every flat index of the n^d block."""
-    flat = np.arange(n ** d)
-    return [(flat // n ** s) % n for s in range(d)]
-
-
 def _parity_kind(p: PolynomialSymbol) -> str | None:
     """The Fock parities the Weyl operator of p conserves: "mode" if
     every monomial has even degree in each mode, else "total" if every
@@ -296,7 +289,8 @@ def _sectors(d: int, n: int, kind: str | None) -> tuple[np.ndarray, ...]:
     """Flat indices of the parity sectors of the n^d block: 2^d sectors
     labelled by the parity of each n_s ("mode"), 2 by the parity of their
     sum ("total"), or the whole block as one sector (None)."""
-    digits = _fock_digits(d, n)
+    flat = np.arange(n ** d)
+    digits = [(flat // n ** s) % n for s in range(d)]  # the level n_s of each flat index
     if kind == "mode":
         label, count = sum((level % 2) << s for s, level in enumerate(digits)), 2 ** d
     elif kind == "total":
@@ -398,13 +392,6 @@ def _inverse_iteration(block: np.ndarray, plan: tuple[tuple[int, int, int], ...]
     if theta - margin <= shift or _factors(block, theta - margin, plan) is not None:
         return float(theta)
     return None
-
-
-def _check_hermitian(m: np.ndarray, tol: float, what: str) -> None:
-    """Raise NonHermitianError if max |m - m^H| exceeds tol or is NaN."""
-    worst = np.abs(m - m.conj().T).max(initial=0.0)
-    if not worst <= tol:
-        raise NonHermitianError(f"{what} (deviation {worst:.3e})")
 
 
 @_silent
@@ -530,10 +517,7 @@ def _ladder(p: PolynomialSymbol, hbar: float, ns: list[int]) -> Iterator[Operato
                                  f"below the overflow limit {np.finfo(float).max / 2:.3e}")
     kind = _parity_kind(p)
     for n in ns:
-        rung = OperatorMatrix(d=p.d, n=n, hbar=hbar, pad=size - n, entries=None)
-        rung.hermitian, rung._parity, rung._bands = hermitian, kind, bands
-        rung.sectors = _sectors(p.d, n, kind)
-        yield rung
+        yield OperatorMatrix(p.d, n, hbar, size - n, hermitian, kind, bands)
 
 
 def weyl_quantize(p: PolynomialSymbol, hbar: float, n: int) -> OperatorMatrix:
@@ -556,47 +540,14 @@ def weyl_quantize(p: PolynomialSymbol, hbar: float, n: int) -> OperatorMatrix:
     return next(_ladder(p, hbar, [n]))
 
 
-def number_operator(k: int, d: int, n: int) -> OperatorMatrix:
-    """The comparison operator N_k = sum_{|alpha| <= k} (L^alpha)+ L^alpha
-    at hbar = 1, with L_s = i sqrt(2) a_s+.
+def lowest_eigenvalue(m: OperatorMatrix) -> float:
+    """Smallest eigenvalue of a quantized symbol (weyl_quantize, or a
+    truncation_sweep's matrix); anything else, a plain array included,
+    raises TypeError.
 
-    (L^alpha)+ L^alpha = 2^|alpha| a^alpha (a+)^alpha is diagonal in the
-    Fock basis with entries 2^|alpha| prod_s (n_s+1)...(n_s+alpha_s);
-    the diagonal is assembled from these exact integer products.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if not 1 <= d <= MAX_MODES:
-        raise DimensionMismatch(f"need 1 <= d <= {MAX_MODES}, got d={d}")
-    _check_truncations([n])
-
-    def rising(levels: np.ndarray, a: int) -> np.ndarray:
-        out = np.ones_like(levels, dtype=float)
-        for t in range(1, a + 1):
-            out = out * (levels + t)
-        return out
-
-    dim = n ** d
-    digits = _fock_digits(d, n)
-    diag = np.zeros(dim)
-    for total_order in range(k + 1):
-        for alpha in _compositions(total_order, (k,) * d):
-            term = np.full(dim, float(2 ** total_order))
-            for s, a in enumerate(alpha):
-                term = term * rising(digits[s], a)
-            diag += term
-    return OperatorMatrix(d=d, n=n, hbar=1.0, pad=0, entries=np.diag(diag))
-
-
-def lowest_eigenvalue(m: OperatorMatrix | np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian operator matrix.
-
-    A quantizer rung is Hermitian exactly when its symbol is real, as
-    _ladder decided: a rung of a complex symbol raises NonHermitianError
-    before any block is built, and no block of a real one is scanned.  A
-    plain array, or an OperatorMatrix of given entries (number_operator),
-    is solved whole by eigvalsh; it raises DimensionMismatch unless square,
-    2-D and not empty, NonHermitianError if max |m - m^H| > 1e-10 or NaN.
+    A rung is Hermitian exactly when its symbol is real, as _ladder
+    decided: a rung of a complex symbol raises NonHermitianError before
+    any block is built, and no block of a real one is scanned.
 
     Every rung is solved by sector, a symbol without parity being one: the
     first sector block takes eigvalsh, rho, and each other block B one
@@ -614,13 +565,10 @@ def lowest_eigenvalue(m: OperatorMatrix | np.ndarray) -> float:
     two super-blocks by certified inverse iteration from that bottom,
     falling back to eigvalsh (see the module docstring for its accuracy).
     """
-    if isinstance(m, OperatorMatrix) and m.sectors is not None:
-        return _bottom(m, None, 0)[0]
-    block = m.entries if isinstance(m, OperatorMatrix) else np.asarray(m)
-    if block.ndim != 2 or block.shape[0] != block.shape[1] or not block.size:
-        raise DimensionMismatch(f"need a non-empty square matrix, got shape {block.shape}")
-    _check_hermitian(block, 1e-10, "matrix is not Hermitian")
-    return float(np.linalg.eigvalsh(block)[0])
+    if not isinstance(m, OperatorMatrix):
+        raise TypeError(f"lowest_eigenvalue needs an OperatorMatrix from the quantizer, "
+                        f"got {type(m).__name__}")
+    return _bottom(m, None, 0)[0]
 
 
 def _margin(block: np.ndarray) -> float:

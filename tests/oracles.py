@@ -123,6 +123,27 @@ def kron_quantize_oracle(p, hbar, n):
     return total[np.ix_(keep, keep)]
 
 
+def number_operator(k, d, n):
+    """Diagonal of the comparison operator N_k = sum_{|alpha| <= k}
+    (L^alpha)+ L^alpha at hbar = 1, L_s = i sqrt(2) a_s+, on the leading
+    n^d Fock block (mode 0 fastest).
+
+    (L^alpha)+ L^alpha = 2^|alpha| a^alpha (a+)^alpha is diagonal with
+    entries 2^|alpha| prod_s (n_s+1)...(n_s+alpha_s), exact integer
+    products summed over every alpha in {0..k}^d with |alpha| <= k.
+    """
+    levels = np.array(list(itertools.product(range(n), repeat=d)))[:, ::-1]  # column s: n_s
+    diag = np.zeros(n ** d)
+    for alpha in itertools.product(range(k + 1), repeat=d):
+        if sum(alpha) <= k:
+            term = np.full(n ** d, 2.0 ** sum(alpha))
+            for s, a in enumerate(alpha):
+                for t in range(1, a + 1):
+                    term *= levels[:, s] + t
+            diag += term
+    return diag
+
+
 def trace_plus_oracle(hessian):
     """Sum of positive imaginary eigenvalue parts of J^{-1} H, computed
     through the antisymmetric pencil sqrt(H) (-J) sqrt(H)."""

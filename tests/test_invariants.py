@@ -5,11 +5,9 @@ import pytest
 
 from melinlab.errors import DimensionMismatch, MelinLabError, PositivityError
 from melinlab.invariants import (
-    MetricPoint,
     QuadraticData,
     fundamental_matrix,
     melin_quantity,
-    metric_report,
     symplectic_form_matrix,
     trace_plus,
 )
@@ -162,49 +160,3 @@ def test_ground_state_identity_d2():
     sym = quadratic_symbol_from_hessian(h)
     lam_min = lowest_eigenvalue(weyl_quantize(sym, 1.0, 24))
     assert lam_min == pytest.approx(0.5 * trace_plus(h), abs=1e-7)
-
-
-def test_metric_report_values():
-    rep = metric_report(MetricPoint(np.array([0.0, 0.0]), 1.0, 4.0))
-    assert rep.d_a == 1.0 and rep.h_a == 1.0 and rep.h_compat == 1.0
-    rep = metric_report(MetricPoint(np.array([3.0, 0.0]), 1.0, 100.0))
-    assert rep.d_a == 4.0
-    assert rep.h_a == pytest.approx(1.0 / 16.0, rel=1e-15)
-    rep = metric_report(MetricPoint(np.array([3.0, 0.0]), 1.0, 8.0))
-    assert rep.h_a == pytest.approx(1.0 / 8.0, rel=1e-15)
-    rep = metric_report(MetricPoint(np.array([3.0, 0.0]), 1.0, 100.0), b=4.0)
-    assert rep.h_compat == pytest.approx(1.0 / (4.0 * 7.0), rel=1e-15)
-
-
-def test_metric_gain_bounded_by_one():
-    rng = np.random.default_rng(241)
-    for _ in range(20):
-        point = MetricPoint(rng.normal(size=2) * 3.0,
-                            1.0 + rng.uniform(0, 4), 1.0 + rng.uniform(0, 50))
-        rep = metric_report(point, b=1.0 + rng.uniform(0, 4))
-        assert rep.h_a <= 1.0
-        assert rep.h_compat <= 1.0
-        assert rep.d_a >= 1.0
-
-
-def test_metric_point_validation():
-    with pytest.raises(ValueError):
-        MetricPoint(np.zeros(2), 0.5, 4.0)
-    with pytest.raises(ValueError):
-        MetricPoint(np.zeros(2), 1.0, 0.5)
-    with pytest.raises(ValueError):
-        metric_report(MetricPoint(np.zeros(2), 1.0, 4.0), b=0.25)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_metric_point_rejects_non_finite_scales(bad):
-    with pytest.raises(ValueError, match="a must be a finite number >= 1"):
-        MetricPoint(np.zeros(2), bad, 4.0)
-    with pytest.raises(ValueError, match="Lambda must be a finite number >= 1"):
-        MetricPoint(np.zeros(2), 1.0, bad)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_metric_report_rejects_non_finite_b(bad):
-    with pytest.raises(ValueError, match="b must be a finite number >= 1"):
-        metric_report(MetricPoint(np.zeros(2), 1.0, 4.0), b=bad)
