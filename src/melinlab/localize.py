@@ -15,6 +15,22 @@ hypothesis_check diagnoses the three standing hypotheses:
   (b) transverse ellipticity of the degree-2k part of level 0 on the
       unit sphere,
   (c) positivity of the localized operator's lowest eigenvalue.
+
+The frame.  For d = 1, localize quantizes in the Fock basis of the best
+Gaussian of the lead f, the degree-2k part of level 0 (the squeezed wave
+packet of Littlejohn, Phys. Rep. 138, 1986).  It pulls the localized
+symbol back by the linear symplectic T = [[a, 0], [c, 1/a]] whose
+P = T T^T minimises the vacuum energy <0|Weyl(f o T)|0> over det P = 1, a
+degree-k polynomial in P with closed-form coefficients, searched by Newton
+from P = I.  Weyl(q o T) is unitarily equivalent to Weyl(q) at every hbar
+(Folland, Harmonic Analysis in Phase Space, 1989, ch. 4), so the bottom is
+the same, but the ladder no longer has to resolve the lead's squeeze: the
+squeezed k = 2 scaling models whose rows climbed to N = 128-256, and the
+k >= 3 leads whose rungs rose by roundoff, converge at N = 32.  T keeps every
+vanishing order and commutes with the Lambda dilation, so lambda_sweep
+folds its rows in the same frame.  An isotropic lead, at whose T = I the
+energy is stationary to roundoff, keeps its symbol bit for bit, and d = 2
+keeps T = I.  Checks (a) and (b) read the model as written.
 """
 
 from __future__ import annotations
@@ -35,8 +51,13 @@ from .quantize import (
 from .symbols import (
     GradedSymbol,
     PolynomialSymbol,
+    _add_runs,
     _fold,
+    _group,
     _merge,
+    _parts,
+    _ranges,
+    _silent,
     graded_star,
     moyal_star,
     taylor_transverse,
@@ -76,9 +97,144 @@ def localized_symbol(p: GradedSymbol, strict: bool = True) -> PolynomialSymbol:
     return _fold(p.d, _merge(p.d, leads), [1.0] * len(leads))
 
 
+# ---------------------------------------------------------------------------
+# The Fock frame of the lead's best Gaussian (d = 1)
+# ---------------------------------------------------------------------------
+
+_FRAME_ITERATIONS = 30
+_FRAME_TOL = 1e-20  # Newton decrement, relative to the energy
+
+
+def _energy_terms(lead: PolynomialSymbol, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vacuum energy E(P) = <0|Weyl(lead o T)|0> at hbar = 1, P = T T^T,
+    as sum e p^i q^j r^l over i + j + l = k in (p, q, r) = (P11, P12, P22):
+    returns the exponents (i, j, l) as a (3, terms) array and the e.  The
+    vacuum's Wigner function is the Gaussian of covariance P/2, so by
+    Isserlis' theorem y^(2i+j) eta^(j+2l) has the weight
+    2^j (2i+j)! (j+2l)! / (4^k i! j! l!), an exact integer ratio."""
+    fact = math.factorial
+    exps, e = [], []
+    for (ypow, epow), c in zip(lead._exps.tolist(), lead._coef.real.tolist()):
+        for j in range(ypow % 2, min(ypow, epow) + 1, 2):
+            i, l = (ypow - j) // 2, (epow - j) // 2
+            exps.append((i, j, l))
+            e.append(2 ** j * fact(ypow) * fact(epow) / (4 ** k * fact(i) * fact(j) * fact(l)) * c)
+    return np.array(exps, dtype=np.int64).reshape(-1, 3).T, np.array(e)
+
+
+@_silent
+def _frame(lead: PolynomialSymbol, k: int) -> tuple[float, float] | None:
+    """(a, c) of the symplectic T = [[a, 0], [c, 1/a]] whose P = T T^T
+    minimises the vacuum energy of lead o T over det P = 1, so T is the
+    lower-triangular factor of P.  Damped Newton in (log a, c) from T = I,
+    on E's closed form (_energy_terms) with its exact derivatives, taking
+    only steps that lower E.  None stands for T = I: an isotropic lead,
+    whose T = I is stationary to roundoff, a lead that is not real or whose
+    E(I) is not positive, or a search that does not converge in
+    _FRAME_ITERATIONS steps (a lead that is not elliptic has no minimum)."""
+    if k < 1 or not lead.is_real():
+        return None
+    exps, e = _energy_terms(lead, k)
+    # the orders in (p, q, r) of E, its gradient and its Hessian; the
+    # derivative of order o of v^x is x!/(x-o)! v^(x-o), 0 where x < o
+    o = np.array([[0, 1, 0, 0, 2, 0, 0, 1, 1, 0],
+                  [0, 0, 1, 0, 0, 2, 0, 1, 0, 1],
+                  [0, 0, 0, 1, 0, 0, 2, 0, 1, 1]])[:, :, None]
+    x = exps[:, None, :]
+    falling = np.where(o == 0, 1, x) * np.where(o == 2, x - 1, 1)
+    drop = np.maximum(x - o, 0)
+
+    def derivatives(u: float, c: float):
+        """E, its gradient (E_u, E_c) and Hessian (E_uu, E_uc, E_cc) at T(u, c)."""
+        a = math.exp(u)
+        p, q, r = a * a, a * c, c * c + 1.0 / (a * a)
+        z = falling * np.array([p, q, r])[:, None, None] ** drop
+        e0, gp, gq, gr, hpp, hqq, hrr, hpq, hpr, hqr = (z.prod(axis=0) @ e).tolist()
+        # the chain rule: d(p, q, r)/du = (2p, q, -2/p), d(p, q, r)/dc = (0, a, 2c);
+        # the second derivatives uu, uc, cc of (p, q, r) are (4p, q, 4/p), (0, a, 0), (0, 0, 2)
+        pu, qu, ru = 2.0 * p, q, -2.0 / p
+        rc = 2.0 * c
+        hu = (hpp * pu + hpq * qu + hpr * ru, hpq * pu + hqq * qu + hqr * ru,
+              hpr * pu + hqr * qu + hrr * ru)
+        return (e0, gp * pu + gq * qu + gr * ru, a * gq + rc * gr,
+                hu[0] * pu + hu[1] * qu + hu[2] * ru + 4.0 * p * gp + q * gq + 4.0 / p * gr,
+                hu[1] * a + hu[2] * rc + a * gq,
+                (hqq * a + hqr * rc) * a + (hqr * a + hrr * rc) * rc + 2.0 * gr)
+
+    u = c = 0.0
+    energy, gu, gc, huu, huc, hcc = derivatives(u, c)
+    if not 0.0 < energy < math.inf:
+        return None
+    for _ in range(_FRAME_ITERATIONS):
+        det = huu * hcc - huc * huc
+        if huu > 0.0 and det > 0.0:  # Newton where the Hessian is definite
+            du, dc = (huc * gc - hcc * gu) / det, (huc * gu - huu * gc) / det
+        else:
+            du, dc = -gu, -gc
+        decrement = -(gu * du + gc * dc)
+        if not math.isfinite(decrement):
+            return None
+        if decrement <= _FRAME_TOL * energy:
+            break
+        scale = max(1.0, abs(du), abs(dc))
+        du, dc = du / scale, dc / scale
+        for t in (0.5 ** s for s in range(31)):  # halve until E drops; NaN never does
+            trial = derivatives(u + t * du, c + t * dc)
+            if trial[0] < energy:
+                break
+        else:
+            break  # no lower E along the step: converged to roundoff
+        u, c = u + t * du, c + t * dc
+        energy, gu, gc, huu, huc, hcc = trial
+    else:
+        return None
+    return (math.exp(u), c) if u or c else None
+
+
+@_silent
+def _pull_back(p: PolynomialSymbol, frame: tuple[float, float]) -> PolynomialSymbol:
+    """p o T for the d = 1 frame T = [[a, 0], [c, 1/a]]: y^m eta^n becomes
+    a^m y^m (c y + eta/a)^n, expanded by the binomial theorem, each
+    monomial of the result summed in the order of p's monomials."""
+    a, c = frame
+    owner, t = _ranges(p._exps[:, 1] + 1)
+    m, n = p._exps[owner].T
+    weight = np.array([math.comb(*nt) for nt in zip(n.tolist(), t.tolist())], dtype=float)
+    weight *= a ** (m - n + t).astype(float) * c ** t.astype(float)
+    rows = np.column_stack((m + t, n - t))
+    head, where = _group(rows)
+    coef = _add_runs(_parts(p._coef[owner] * weight), where, len(head))
+    return PolynomialSymbol._arrays(1, rows.take(head, axis=0), coef)
+
+
+def _lead_frame(p: GradedSymbol) -> tuple[float, float] | None:
+    """The frame of the degree-2k part of level 0 for d = 1; None (T = I)
+    for d = 2."""
+    if p.d != 1:
+        return None
+    return _frame(taylor_transverse(p.levels.get(0, PolynomialSymbol.zero(1)), 2 * p.k)[0], p.k)
+
+
+def _framed(p: GradedSymbol) -> GradedSymbol:
+    """p with every level pulled back by its lead's frame (p itself when
+    T = I).  A linear T keeps every vanishing order and commutes with the
+    Lambda dilation, so p's folds and its localized symbol pull back by it
+    too, and Weyl(q o T) is unitarily equivalent to Weyl(q) at every hbar
+    (Folland, Harmonic Analysis in Phase Space, 1989, ch. 4)."""
+    frame = _lead_frame(p)
+    if frame is None:
+        return p
+    return GradedSymbol(p.d, p.k, {j: _pull_back(q, frame) for j, q in p.levels.items()}, m=p.m)
+
+
 @dataclass
 class LocalizedOperator:
-    """The localized model operator of a graded symbol at hbar = 1."""
+    """The localized model operator of a graded symbol at hbar = 1.
+
+    `symbol` is the localized symbol in the frame of its lead's best
+    Gaussian (localized_symbol(source) pulled back by T, itself when
+    T = I), and `matrix` is its quantization at the top rung.
+    """
 
     source: GradedSymbol
     k: int
@@ -92,10 +248,15 @@ def localize(p: GradedSymbol, ns: tuple[int, ...] = DEFAULT_TRUNCATIONS,
              strict: bool = True) -> LocalizedOperator:
     """Build the localized operator and its lowest eigenvalue.
 
-    The eigenvalue is resolved by a truncation sweep over `ns`; the
-    stored matrix is the one at the final truncation.
+    The localized symbol is pulled back to the frame of its lead's best
+    Gaussian (d = 1; see the module docstring), and the eigenvalue is
+    resolved by a truncation sweep over `ns`; the stored matrix is the
+    one at the final truncation.
     """
     sym = localized_symbol(p, strict=strict)
+    frame = _lead_frame(p)
+    if frame is not None:
+        sym = _pull_back(sym, frame)
     sweep = truncation_sweep(sym, 1.0, list(ns))
     return LocalizedOperator(
         source=p,

@@ -6,8 +6,12 @@ ladder operators satisfy [a, a+] = 1 and the coordinate operators are
     yhat   = sqrt(hbar/2) (a + a+)
     etahat = i sqrt(hbar/2) (a+ - a)
 
-so [yhat, etahat] = i*hbar.  A monomial is quantized by peeling factors
-through the exact Jordan recursion
+so [yhat, etahat] = i*hbar: the Fock basis of the isotropic vacuum.
+This module quantizes every symbol as given, in that basis; localize and
+lambda_sweep first pull a d = 1 graded symbol back to the frame of its
+lead's best Gaussian (see melinlab.localize), a unitarily equivalent
+operator whose ladder converges sooner.  A monomial is quantized by
+peeling factors through the exact Jordan recursion
 
     quantize(y_s * q) = (yhat_s @ Q + Q @ yhat_s) / 2
 

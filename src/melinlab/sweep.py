@@ -3,7 +3,9 @@
 For a graded model p of codimension order k (order m normalized to 0),
 the lowest eigenvalue of the hbar = 1/Lambda quantization of the folded
 symbol scales like Lambda^-k times the bottom of the localized model
-operator.  lambda_sweep measures this over a Lambda ladder: each row
+operator.  lambda_sweep measures this over a Lambda ladder, with the
+symbol quantized, like the localized reference, in the Fock basis of its
+lead's best Gaussian (d = 1; see melinlab.localize): each row
 records the lowest eigenvalue at an auto-escalated truncation, the
 rescaled value Lambda^k * lambda_min, and the localized reference; the
 verdict combines the hypothesis diagnosis, the limit match at the
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import MelinLabError
 from .invariants import QuadraticData, melin_quantity
-from .localize import hypothesis_check
+from .localize import _framed, hypothesis_check
 from .models import quadratic_form_symbol
 from .quantize import _check_truncations, _walk, lowest_eigenvalue, weyl_quantize
 from .symbols import GradedSymbol
@@ -125,7 +127,9 @@ class SweepReport:
 def lambda_sweep(spec: ModelSpec, workers: int = 1) -> SweepReport:
     """Run the scaling sweep for a model.
 
-    Each row folds the symbol with m = 0 at its Lambda and takes the
+    The symbol, with m = 0, is pulled back once to the frame of its
+    lead's best Gaussian, the frame of the localized reference (d = 1;
+    itself when T = I).  Each row folds it at its Lambda and takes the
     escalating truncation walk of quantize._walk, with a note when the
     cap is reached first.  The verdict is "pass" iff the hypothesis
     diagnosis passes, the rescaled value at the largest Lambda matches
@@ -152,8 +156,8 @@ def lambda_sweep(spec: ModelSpec, workers: int = 1) -> SweepReport:
         reasons.append("hypothesis failure: " + ", ".join(parts))
     del diagnosis  # the rows need neither it nor its localized matrix
 
-    # an m = 0 symbol folds itself, so its cached merge serves every later sweep
-    base = symbol if symbol.m == 0 else GradedSymbol(symbol.d, k, symbol.levels, m=0)
+    # an m = 0 symbol with T = I folds itself, so its cached merge serves every later sweep
+    base = _framed(symbol if symbol.m == 0 else GradedSymbol(symbol.d, k, symbol.levels, m=0))
     rows, notes = [], []
     for lam in spec.lambdas:
         walk, converged = _walk(base.fold(lam), 1.0 / lam, spec.truncations, escalate=True)

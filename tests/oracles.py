@@ -213,6 +213,22 @@ def product_oracle(a_terms, b_terms):
     return {k: v for k, v in out.items() if v != 0}
 
 
+def pull_back_oracle(p, s):
+    """p(S z) for a d = 1 symbol p and a 2x2 matrix S: every monomial
+    y^m eta^n becomes the product of m factors s11 y + s12 eta and n factors
+    s21 y + s22 eta, multiplied out one at a time by product_oracle."""
+    ys = {(1, 0): float(s[0][0]), (0, 1): float(s[0][1])}
+    es = {(1, 0): float(s[1][0]), (0, 1): float(s[1][1])}
+    out = {}
+    for (m, n), c in p.terms.items():
+        term = {(0, 0): c}
+        for factor in [ys] * m + [es] * n:
+            term = product_oracle(term, factor)
+        for key, v in term.items():
+            out[key] = out.get(key, 0.0) + v
+    return PolynomialSymbol(1, out)
+
+
 def evaluate_oracle(terms, points):
     """A term dict summed at each point (a sequence of 2d Python floats,
     y then eta) one term at a time, with Python floats and ints only.

@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import resource
 import subprocess
 import sys
@@ -314,11 +315,12 @@ def test_sweep_rejects_workers_below_one(tmp_path, capsys):
 
 
 def test_sweep_prints_a_note_per_row_that_hits_the_cap(tmp_path, capsys):
-    # level 0 is (r y^2 + eta^2 / r)^2 + y^6 / 2 with r^2 = 300, expanded
-    model = quartic_model_dict(sweep={"lambdas": [16, 64], "truncations": [16, 32]})
+    # level 0 is (r y^2 + eta^2 / r)(y^2 / r + r eta^2) + y^6 / 2 with r^2 = 300,
+    # expanded, and 20 (y^2 + eta^2) level 1: the lead's frame is T = I
+    model = quartic_model_dict(sub_coeff=20.0, sweep={"lambdas": [16, 64], "truncations": [16, 32]})
     model["levels"][0]["terms"] = [
         {"c": [c, 0], "y": [ypow], "eta": [epow]}
-        for c, ypow, epow in ((300.0, 4, 0), (2.0, 2, 2), (1.0 / 300.0, 0, 4), (0.5, 6, 0))]
+        for c, ypow, epow in ((1.0, 4, 0), (300.0 + 1.0 / 300.0, 2, 2), (1.0, 0, 4), (0.5, 6, 0))]
     path = tmp_path / "squeezed.json"
     path.write_text(json.dumps(model))
     assert main(["sweep", str(path), "--out", str(tmp_path / "r.csv")]) == 0
@@ -327,6 +329,22 @@ def test_sweep_prints_a_note_per_row_that_hits_the_cap(tmp_path, capsys):
         "note: Lambda=16: truncation cap 256 hit before convergence",
         "note: Lambda=64: truncation cap 256 hit before convergence"]
     assert "verdict: pass" in lines
+
+
+@pytest.mark.parametrize("base, k, printed", [(16.0, 3, "386.124237764"), (4.0, 5, "3841.24999512")])
+def test_anisotropic_leads_at_k_above_2_localize_and_sweep(tmp_path, capsys, base, k, printed):
+    # (y^2 + base eta^2)^k expanded at level 0, y^2 + eta^2 at level k - 1: both
+    # commands exited 2 with a false "padding exactness is broken"
+    lead = [{"c": [math.comb(k, i) * base ** (k - i), 0], "y": [2 * i], "eta": [2 * (k - i)]}
+            for i in range(k + 1)]
+    model = quartic_model_dict(k=k, sweep={"lambdas": [16, 64, 256], "truncations": [16, 32]})
+    model["levels"] = [{"j": 0, "terms": lead}, {**model["levels"][1], "j": k - 1}]
+    path = tmp_path / "anisotropic.json"
+    path.write_text(json.dumps(model))
+    assert main(["localize", str(path)]) == 0
+    assert f"lambda_min = {printed}" in capsys.readouterr().out.splitlines()
+    assert main(["sweep", str(path), "--out", str(tmp_path / "r.csv")]) == 0
+    assert "verdict: pass" in capsys.readouterr().out.splitlines()
 
 
 def test_sweep_ignores_workers_env(tmp_path, capsys, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from melinlab.errors import DimensionMismatch, GradingError, NonHermitianError, VanishingOrderError
 from melinlab.invariants import QuadraticData, melin_quantity
 from melinlab.localize import (
+    _lead_frame,
     hypothesis_check,
     localization_product_check,
     localize,
@@ -16,7 +17,8 @@ from melinlab.localize import (
 )
 from melinlab.models import harmonic_symbol, quadratic_model, quartic_model
 from melinlab.quantize import weyl_quantize
-from melinlab.symbols import GradedSymbol, PolynomialSymbol, eta, y
+from melinlab.symbols import GradedSymbol, PolynomialSymbol, eta, taylor_transverse, y
+from oracles import pull_back_oracle, random_symplectic
 
 
 def test_localized_symbol_quadratic_model():
@@ -89,13 +91,46 @@ def test_localize_k1_reproduces_melin_quantity():
 
 
 def test_localize_keeps_top_rung_matrix():
+    squeezed = GradedSymbol(1, 2, {0: (5.0 * y() ** 2 + 0.8 * (y() * eta()) + 0.25 * eta() ** 2) ** 2,
+                                   1: harmonic_symbol()})
     for g, ns in ((quartic_model(sub_coeff=1.0), (16, 32)),
                   (GradedSymbol(2, 1, {0: harmonic_symbol(2) + 0.5 * (y(2, 0) * eta(2, 1))}),
-                   (4, 8))):
+                   (4, 8)),
+                  (squeezed, (16, 32))):
         loc = localize(g, ns=ns)
         np.testing.assert_array_equal(loc.matrix.entries,
                                       weyl_quantize(loc.symbol, 1.0, ns[-1]).entries)
         assert loc.matrix.n == ns[-1]
+    # the squeezed symbol is the localized one pulled back by its lead's frame T,
+    # and a power of a quadratic form pulls back to the power of its Williamson
+    # normal form: here 1.09 (y^2 + eta^2)^2, 1.09 = 5 * 0.25 - 0.4^2
+    a, c = _lead_frame(squeezed)
+    framed = pull_back_oracle(localized_symbol(squeezed), [[a, 0.0], [c, 1.0 / a]])
+    assert (loc.symbol - framed).max_abs() <= 1e-12 * framed.max_abs()
+    lead = taylor_transverse(loc.symbol, 4)[0]
+    assert (lead - 1.09 * harmonic_symbol() ** 2).max_abs() <= 1e-12
+
+
+def test_squeezed_oscillator_powers_localize_to_k_factorial():
+    # Weyl((h o S)^k) at hbar = 1 has the bottom k! for h = y^2 + eta^2 and any
+    # symplectic S; in the plain frame k = 6 already raised MonotonicityError
+    hs = pull_back_oracle(y() ** 2 + eta() ** 2, random_symplectic(np.random.default_rng(0), 1, 0.3))
+    for k in (3, 4, 6, 8, 10, 12):
+        loc = localize(GradedSymbol(1, k, {0: hs ** k}))
+        assert loc.lambda_min == pytest.approx(math.factorial(k), rel=1e-12), k
+
+
+@pytest.mark.parametrize("lead, k, reference", [
+    ((y() ** 2 + 16.0 * eta() ** 2) ** 3, 3, 386.1242377636),
+    ((y() ** 2 + 4.0 * eta() ** 2) ** 5, 5, 3841.2499951173),
+])
+def test_anisotropic_leads_localize_in_the_frame_of_their_best_gaussian(lead, k, reference):
+    # the frame T = diag(2, 1/2) (diag(2^(1/2), 2^(-1/2))) turns the lead into
+    # 64 h^3 (32 h^5), and every rung of the ladder gives one value; in the
+    # plain frame the N = 128 rung rose by roundoff and raised MonotonicityError
+    loc = localize(GradedSymbol(1, k, {0: lead, k - 1: y() ** 2 + eta() ** 2}))
+    assert loc.lambda_min == pytest.approx(reference, rel=1e-10)
+    assert loc.sweep.values == pytest.approx([loc.lambda_min] * 3, rel=1e-12)
 
 
 def test_unit_sphere_grid_shapes_and_norms():

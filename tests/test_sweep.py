@@ -6,6 +6,7 @@ import pytest
 
 from melinlab import quantize, symbols
 from melinlab.errors import MelinLabError, MonotonicityError
+from melinlab.localize import _framed, _lead_frame
 from melinlab.models import harmonic_symbol, quartic_model
 from melinlab.sweep import (
     CSV_HEADER,
@@ -19,6 +20,7 @@ from melinlab.sweep import (
     render_report,
 )
 from melinlab.symbols import GradedSymbol, PolynomialSymbol, eta, y
+from oracles import pull_back_oracle, random_symplectic
 
 
 def quartic_spec(sub_coeff=1.0, sextic=0.0, lambdas=(16.0, 64.0, 256.0),
@@ -172,11 +174,14 @@ def test_sweep_escalates_past_parity_plateau():
 
 
 def squeezed_spec() -> ModelSpec:
-    # level 0 is (r y^2 + eta^2 / r)^2 + y^6 / 2 with r^2 = 300: its ground
-    # state is squeezed far along eta, so no ladder up to the cap converges
+    # level 0 is (r y^2 + eta^2 / r)(y^2 / r + r eta^2) + y^6 / 2 with r^2 = 300:
+    # its ground state is squeezed along both axes at once, so no ladder up to
+    # the cap converges.  Its lead is symmetric under y <-> eta, so the frame
+    # of its best Gaussian is T = I and cannot unsqueeze it
     r = math.sqrt(300.0)
-    level0 = (r * y() ** 2 + (1.0 / r) * eta() ** 2) ** 2 + 0.5 * y() ** 6
-    g = GradedSymbol(1, 2, {0: level0, 1: y() ** 2 + eta() ** 2})
+    level0 = ((r * y() ** 2 + (1.0 / r) * eta() ** 2) * ((1.0 / r) * y() ** 2 + r * eta() ** 2)
+              + 0.5 * y() ** 6)
+    g = GradedSymbol(1, 2, {0: level0, 1: 20.0 * (y() ** 2 + eta() ** 2)})
     return ModelSpec(g, lambdas=[16.0, 64.0], truncations=[16, 32])
 
 
@@ -186,6 +191,41 @@ def test_sweep_notes_the_truncation_cap():
     assert rep.verdict == "pass"
     assert rep.notes == ["Lambda=16: truncation cap 256 hit before convergence",
                          "Lambda=64: truncation cap 256 hit before convergence"]
+
+
+def test_isotropic_leads_keep_the_plain_frame():
+    # T = I exactly, so the rows fold the model as written, bit for bit
+    h = y() ** 2 + eta() ** 2
+    for g in [GradedSymbol(1, k, {0: h ** k}) for k in range(1, 5)] + [squeezed_spec().symbol]:
+        assert _lead_frame(g) is None
+        assert _framed(g) is g
+
+
+def test_sweep_is_covariant_under_a_symplectic_change_of_variables():
+    # in the frame of its best Gaussian a model and its pull-back by S differ
+    # by a rotation, which is diagonal in the Fock basis; in the plain frame the
+    # model's rows stopped at N = 64-128 and the pull-back's at N = 128-256
+    quad = 5.0 * y() ** 2 + 0.8 * (y() * eta()) + 0.25 * eta() ** 2
+    g = GradedSymbol(1, 2, {0: quad ** 2 + 0.5 * y() ** 6, 1: 0.8 * (y() ** 2 + eta() ** 2)})
+    s = random_symplectic(np.random.default_rng(1), 1, 0.3)
+    moved = GradedSymbol(1, 2, {j: pull_back_oracle(q, s) for j, q in g.levels.items()})
+    lambdas = [16.0, 64.0, 256.0, 1024.0, 4096.0]
+    a, b = (lambda_sweep(ModelSpec(p, lambdas, [16, 32])) for p in (g, moved))
+    assert a.verdict == b.verdict == "pass"
+    assert a.notes == b.notes == []
+    assert [r.n_used for r in a.rows] == [r.n_used for r in b.rows] == [32] * 5
+    assert b.reference == pytest.approx(a.reference, rel=1e-10)
+
+
+@pytest.mark.parametrize("lead, k", [((y() ** 2 + 16.0 * eta() ** 2) ** 3, 3),
+                                     ((y() ** 2 + 4.0 * eta() ** 2) ** 5, 5)])
+def test_sweep_of_anisotropic_leads_at_k_above_2(lead, k):
+    # in the plain frame the reference's N = 128 rung rose by roundoff and raised
+    # MonotonicityError; the reference values are pinned in test_localize.py
+    g = GradedSymbol(1, k, {0: lead, k - 1: y() ** 2 + eta() ** 2})
+    rep = lambda_sweep(ModelSpec(g, lambdas=[16.0, 64.0, 256.0], truncations=[16, 32]))
+    assert rep.verdict == "pass" and rep.notes == []
+    assert [row.n_used for row in rep.rows] == [32, 32, 32]
 
 
 def test_sweep_workers_do_not_change_results():
