@@ -3,9 +3,9 @@
 Subcommands: traceplus | localize | sweep | phase | star.
 
 Exit codes: 0 success / verification pass, 2 invalid input, 3 hypothesis
-failure, 4 verification failure.  Sweeps run their rows in order;
---workers is validated (>= 1) and kept for compatibility, and no output
-depends on it.
+failure, 4 verification failure.  A sweep solves its rows as one batch
+in this process; --workers is validated (>= 1) and kept for
+compatibility, and no output depends on it.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report output path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--workers", type=int, default=1,
-                   help="validated (>= 1); rows run in order and no output depends on it")
+                   help="validated (>= 1); rows are one batch and no output depends on it")
     p.add_argument("--json", action="store_true", help="machine-readable console summary")
     p.set_defaults(func=cmd_sweep)
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -257,6 +258,12 @@ def localize(p: GradedSymbol, ns: tuple[int, ...] = DEFAULT_TRUNCATIONS,
     frame = _lead_frame(p)
     if frame is not None:
         sym = _pull_back(sym, frame)
+    return _localized(p, sym, ns)
+
+
+def _localized(p: GradedSymbol, sym: PolynomialSymbol, ns: tuple[int, ...]) -> LocalizedOperator:
+    """The LocalizedOperator of p whose localized symbol, in its lead's
+    frame, is sym."""
     sweep = truncation_sweep(sym, 1.0, list(ns))
     return LocalizedOperator(
         source=p,
@@ -360,6 +367,18 @@ def hypothesis_check(p: GradedSymbol,
     raised; a ladder past the quantizer's limits still raises
     ResourceLimitError (a d = 2 model on the default ladder).  Keeps the
     localized operator of the positivity check as `localized`."""
+    return _diagnose(p, ns, lambda: localize(p, ns=ns, strict=False))
+
+
+def _diagnose(p: GradedSymbol, ns: tuple[int, ...],
+              localized: Callable[[], LocalizedOperator]) -> HypothesisDiagnosis:
+    """hypothesis_check(p, ns), with localized() building the positivity
+    check's operator: lambda_sweep builds it from the framed symbol it
+    holds (_framed), so that the frame is computed once per sweep.  The
+    levels of p contribute disjoint degrees to its localized symbol and the
+    frame keeps each degree, so the localized symbol of the framed p is the
+    localized symbol of p pulled back, bit for bit.  Checks (a) and (b)
+    read p as written."""
     violations: dict[int, list[str]] = {}
     for j, q in p.levels.items():
         if j > p.k:
@@ -381,7 +400,7 @@ def hypothesis_check(p: GradedSymbol,
 
     op = None
     try:
-        op = localize(p, ns=ns, strict=False)
+        op = localized()
         sweep = op.sweep
     except NonHermitianError:
         # a non-Hermitian localized operator has no lowest eigenvalue

@@ -25,10 +25,18 @@ The same coupling bound makes the single-mode matrix of y^a eta^b
 banded, with 2(a+b) + 1 nonzero diagonals, so the recursion runs on
 diagonals: O(size * deg^2) per monomial instead of dense O(size^3)
 products.  Every quantized matrix comes from one truncation ladder:
-the bands are peeled once at the top rung's internal size, and a rung
-writes the Kronecker products of those bands (one per distinct
-second-mode factor; a single one for d = 1) only when read or solved.
-weyl_quantize is the one-rung ladder, and _walk alone solves rungs.
+the bands are peeled at the internal size of the top rung the caller
+gave, and a rung writes the Kronecker products of those bands (one per
+distinct second-mode factor; a single one for d = 1) only when read or
+solved.  weyl_quantize is the one-rung ladder, and _walk alone solves rungs.
+It walks a batch of rows at once, symbols with the same monomials at
+their own hbar (the folds of one graded symbol): one band stage with
+per-row weights, then per rung one stacked block write and one stacked
+eigvalsh or Cholesky certificate per sector for the rows still walking,
+each row with the bits it gets alone.  A row that walks past the given
+ladder has its bands peeled again at the cap, exact because a band's
+leading N-block is the same at every internal size of at least N + deg.
+truncation_sweep, weyl_quantize and lowest_eigenvalue are batches of one.
 
 Real arithmetic.  Each term c y^a eta^b enters the block with the weight
 c i^|b| (|b| the total eta-degree) times the real hbar-scaled bands of
@@ -43,8 +51,8 @@ sends Weyl(p(y, eta)) to Weyl(p(y, -eta))).
 Hermiticity is decided on the symbol, never on a block: Weyl(p)^* =
 Weyl(conj p) and quantization is injective (Folland, Harmonic Analysis
 in Phase Space, 1989, ch. 2), so Weyl(p) is self-adjoint exactly when
-every coefficient of p is real.  _ladder applies that rule once per
-ladder, and no block is scanned.
+every coefficient of p is real.  _rows applies that rule once per row
+of a ladder, and no block is scanned.
 
 Band cache.  The Weyl matrix of y^a eta^b is (hbar/2)^((a+b)/2) i^b R
 with a real band R that does not depend on hbar, so R is peeled once
@@ -158,11 +166,12 @@ class OperatorMatrix:
     """
 
     def __init__(self, d: int, n: int, hbar: float, pad: int, hermitian: bool,
-                 parity: str | None, bands: list[tuple[np.ndarray, np.ndarray]]):
+                 parity: str | None, stack: list[tuple[np.ndarray, np.ndarray]]):
         self.d, self.n, self.hbar, self.pad = d, n, hbar, pad
         # whether the symbol is real (its blocks Hermitian), the flat indices of the
-        # parity sectors (no entry couples two), their kind and the ladder's bands
-        self.hermitian, self._parity, self._bands = hermitian, parity, bands
+        # parity sectors (no entry couples two), their kind and the ladder's bands,
+        # a stack of one (the rung's row of its batch)
+        self.hermitian, self._parity, self._stack = hermitian, parity, stack
         self.sectors = _sectors(d, n, parity)
         self._entries = None
 
@@ -171,9 +180,14 @@ class OperatorMatrix:
         return self.n ** self.d
 
     @property
+    def _bands(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The (mode-2, mode-1) band pairs of this rung."""
+        return [(b2[0], b1[0]) for b2, b1 in self._stack]
+
+    @property
     def entries(self) -> np.ndarray:
         if self._entries is None:
-            self._entries = _block(self._bands, self.d, self.n)
+            self._entries = _block(self._stack, self.d, self.n)[0]
         return self._entries
 
 
@@ -260,17 +274,21 @@ def _scaled_band(ypow: int, epow: int, hbar: float, size: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _block_geometry(band_shape: tuple[int, int], n: int, row_stride: int, col_stride: int):
-    """(source, offsets) of the entries of a band that fall in its leading
-    n x n block: the entry (i, j) is band.flat[source] and sits at offset
-    i * row_stride + j * col_stride of the dense result."""
-    rows, size = band_shape
+def _block_geometry(band_shape: tuple[int, ...], n: int, row_stride: int, col_stride: int,
+                    stride: int):
+    """(source, offsets) of the entries of a band, or of each band of a
+    stack (leading axes of band_shape), that fall in its leading n x n
+    block, shaped (*stack, entries): the entry (i, j) of band s is
+    band.flat[source] and sits at offset s * stride + i * row_stride +
+    j * col_stride of the dense result."""
+    *stack, rows, size = band_shape
     r = np.arange(rows)[:, None]
     i = np.arange(n)[None, :]
     j = i + r - rows // 2
     inside = (j >= 0) & (j < n)
-    source = (r * size + i)[inside]
-    offsets = (i * row_stride + j * col_stride)[inside]
+    s = np.arange(math.prod(stack)).reshape(*stack, 1)
+    source = s * (rows * size) + (r * size + i)[inside]
+    offsets = s * stride + (i * row_stride + j * col_stride)[inside]
     source.setflags(write=False)
     offsets.setflags(write=False)
     return source, offsets
@@ -279,11 +297,12 @@ def _block_geometry(band_shape: tuple[int, int], n: int, row_stride: int, col_st
 def _parity_kind(p: PolynomialSymbol) -> str | None:
     """The Fock parities the Weyl operator of p conserves: "mode" if
     every monomial has even degree in each mode, else "total" if every
-    monomial has even total degree, else None."""
-    degrees = p.mode_degrees()
-    if not (degrees % 2).any():
+    monomial has even total degree, else None.  Read from lists: on a few
+    terms numpy's per-call cost is most of the work."""
+    degrees = p.mode_degrees().tolist()
+    if not any(degree % 2 for row in degrees for degree in row):
         return "mode"
-    if not (degrees.sum(axis=1) % 2).any():
+    if not any(sum(row) % 2 for row in degrees):
         return "total"
     return None
 
@@ -350,6 +369,27 @@ def _factors(block: np.ndarray, shift: float,
     return factor
 
 
+def _certified(blocks: np.ndarray, shifts: np.ndarray,
+               plan: tuple[tuple[int, int, int], ...]) -> list[bool]:
+    """Whether each block of a stack, less its shift, has a Cholesky factor.
+    A plan of one super-block, the whole block, takes one stacked Cholesky
+    factorization, which gives each block its own bits, and _factors per
+    block only where the stack fails; a longer plan takes _factors per
+    block, since a stacked panel product does not give the bits of one
+    product at a time."""
+    if len(plan) == 1:
+        work = blocks.copy()
+        n = work.shape[-1]
+        work.reshape(-1, n * n)[:, ::n + 1] -= shifts[:, None]
+        try:
+            np.linalg.cholesky(work)
+            return [True] * len(blocks)
+        except np.linalg.LinAlgError:
+            if len(blocks) == 1:
+                return [False]
+    return [_factors(block, shift, plan) is not None for block, shift in zip(blocks, shifts)]
+
+
 def _solve(factor: list[tuple[np.ndarray, np.ndarray]],
            plan: tuple[tuple[int, int, int], ...], rhs: np.ndarray) -> np.ndarray:
     """(L L^H)^-1 rhs for the factor of _factors over plan with each
@@ -399,28 +439,51 @@ def _inverse_iteration(block: np.ndarray, plan: tuple[tuple[int, int, int], ...]
 
 
 @_silent
-def _bands(p: PolynomialSymbol, hbar: float, size: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Band stage of the ladder: per distinct mode-2 factor, its real scaled
-    band and the summed mode-1 bands it multiplies, at per-mode internal
-    size `size` (each real band peeled once per process).  A term's phases
-    i^b1 i^b2 go into its weight c i^|b|, so the summed band is float64
-    when every weight is real and complex otherwise.  Sums past a double
-    give inf or NaN without a warning; _ladder's entry bound refuses them."""
-    factors: dict[tuple[int, int], list[tuple[int, int, complex]]] = {}
-    for idx, coeff in p.iter_terms():
+def _bands(ps: list[PolynomialSymbol], hbars: list[float],
+           size: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Band stage of a batch of rows, symbols with the same monomials at
+    their own hbar: per distinct mode-2 factor, its real scaled bands and
+    the summed mode-1 bands they multiply, stacked over the rows (axis 0),
+    at per-mode internal size `size` (each real band peeled once per
+    process).  A term's phases i^b1 i^b2 go into its per-row weight
+    c i^|b|, and each row adds its terms in iter_terms order, so a row gets
+    the bits it would get alone; the summed bands are float64 when every
+    weight is real and complex otherwise.  Sums past a double give inf or
+    NaN without a warning, so every band stage is held to the entry bound:
+    a row whose sum of max|band2| max|band1| over band pairs is not below
+    finfo(float).max / 2 raises ResourceLimitError."""
+    p, count = ps[0], len(ps)
+    # the rows' terms, the same monomials in iter_terms order; the zero symbol
+    # gets one zero term, so that its blocks stack too
+    rows = [list(q.iter_terms()) or [((0,) * 2 * q.d, 0j)] for q in ps]
+    weights = [[c * _PHASES[sum(idx[p.d:]) % 4] for idx, c in row] for row in rows]
+    real = not any(w.imag for row in weights for w in row)
+    factors: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for t, (idx, _) in enumerate(rows[0]):
         # (mode-1, mode-2) exponents; at d = 1 the mode-2 factor is y^0 eta^0
         ys, es = idx[:p.d] + (0,), idx[p.d:] + (0,)
-        weight = coeff * _PHASES[(es[0] + es[1]) % 4]
-        factors.setdefault((ys[1], es[1]), []).append((ys[0], es[0], weight))
-    real = all(w.imag == 0.0 for terms in factors.values() for _, _, w in terms)
-    bands = []
+        factors.setdefault((ys[1], es[1]), []).append((ys[0], es[0], t))
+    bands, bounds = [], [0.0] * count
     for (a2, b2), terms in factors.items():
-        width = max(a + b for a, b, _ in terms)
-        summed = np.zeros((2 * width + 1, size), dtype=float if real else complex)
-        for a, b, w in terms:
-            summed[width - a - b : width + a + b + 1] += (
-                (w.real if real else w) * _scaled_band(a, b, hbar, size))
-        bands.append((_scaled_band(a2, b2, hbar, size ** (p.d - 1)), summed))
+        width, size2 = max(a + b for a, b, _ in terms), size ** (p.d - 1)
+        summed = np.zeros((count, 2 * width + 1, size), dtype=float if real else complex)
+        band2 = (np.empty((count, 2 * (a2 + b2) + 1, size2)) if a2 + b2
+                 else np.ones((count, 1, size2)))  # the constant band 1, every band2 at d = 1
+        for r, (ws, hbar) in enumerate(zip(weights, hbars)):
+            row = summed[r]
+            for a, b, t in terms:
+                row[width - a - b : width + a + b + 1] += (
+                    (ws[t].real if real else ws[t]) * _scaled_band(a, b, hbar, size))
+            top2 = 1.0
+            if a2 + b2:
+                band2[r] = _scaled_band(a2, b2, hbar, size2)
+                top2 = float(np.abs(band2[r]).max())
+            bounds[r] += top2 * float(np.abs(row).max())
+        bands.append((band2, summed))
+    for bound in bounds:
+        if not bound < np.finfo(float).max / 2:
+            raise ResourceLimitError(f"matrix entries may overflow: their bound {bound:.3e} is not "
+                                     f"below the overflow limit {np.finfo(float).max / 2:.3e}")
     return bands
 
 
@@ -429,36 +492,41 @@ def _block(bands: list[tuple[np.ndarray, np.ndarray]], d: int, n: int, kind: str
     """Block stage of the ladder: the summed Kronecker products of the
     (mode-2, mode-1) band pairs on the leading n^d block (mode 1 fastest)
     or on its parity sector v of the given kind, read-only, of the summed
-    bands' dtype (float64 for no bands), unchecked: _ladder decides
-    Hermiticity on the symbol.  Sector (p1, p2) = (v & 1, v >> 1) of the
-    per-mode kind is the same write of every second column from p_s and
-    the even band rows (the odd ones are zero); a total-parity sector
-    keeps the products inside it; at d = 1 the mode-2 factor is the
-    constant (1, 1) band, a scale of one gather."""
+    bands' dtype, unchecked: _rows decides Hermiticity on the symbol.
+    Bands stacked over rows (leading axes) give the stack of their blocks
+    in one write.  Sector (p1, p2) = (v & 1, v >> 1) of the per-mode kind
+    is the same write of every second column from p_s and the even band
+    rows (the odd ones are zero); a total-parity sector keeps the products
+    inside it; at d = 1 the mode-2 factor is the constant band 1, so the
+    products are one gather."""
     n1, n2 = n, n ** (d - 1)
     if kind == "mode":
         p1, p2 = v & 1, v >> 1
-        bands = [(b2[::2, p2::2], b1[::2, p1::2]) for b2, b1 in bands]
+        bands = [(b2[..., ::2, p2::2], b1[..., ::2, p1::2]) for b2, b1 in bands]
         n1, n2 = len(range(p1, n1, 2)), len(range(p2, n2, 2))
     dim = size = n1 * n2
     if kind == "total":  # the local index of each flat index in sector v, else -1
         sector = _sectors(d, n, kind)[v]
         size, local = len(sector), np.full(dim, -1)
         local[sector] = np.arange(size)
-    out = np.zeros((size, size), dtype=bands[0][1].dtype if bands else float)
+    stack = bands[0][1].shape[:-2]
+    out = np.zeros(stack + (size, size), dtype=bands[0][1].dtype)
     flat = out.reshape(-1)
     for band2, band1 in bands:
-        src1, off1 = _block_geometry(band1.shape, n1, dim, 1)
-        if d == 1:  # the mode-2 factor is the constant (1, 1) band
-            place, products = off1, band2[0, 0] * band1.take(src1)
-        else:
-            src2, off2 = _block_geometry(band2.shape, n2, n1 * dim, n1)
-            place = np.add.outer(off2, off1)
-            products = np.multiply.outer(band2.take(src2), band1.take(src1))
-        if kind == "total":
-            row, col = local[place // dim], local[place % dim]
-            inside = (row >= 0) & (col >= 0)
-            place, products = row[inside] * size + col[inside], products[inside]
+        if d == 1:  # the mode-2 factor is the constant band 1, a product that changes nothing
+            src1, place = _block_geometry(band1.shape, n1, dim, 1, size * size)
+            products = band1.take(src1)
+        else:  # the outer products of the two factors' entries, block by block
+            src1, off1 = _block_geometry(band1.shape, n1, dim, 1, 0)
+            src2, off2 = _block_geometry(band2.shape, n2, n1 * dim, n1,
+                                         0 if kind == "total" else size * size)
+            place = off2[..., :, None] + off1[..., None, :]
+            products = band2.take(src2)[..., :, None] * band1.take(src1)[..., None, :]
+            if kind == "total":  # the products inside sector v, at their local indices
+                row, col = local[place // dim], local[place % dim]
+                inside = (row >= 0) & (col >= 0)
+                first = np.arange(0, out.size, size * size).reshape(stack + (1, 1))
+                place, products = (first + row * size + col)[inside], products[inside]
         flat[place] += products
     out.setflags(write=False)
     return out
@@ -473,52 +541,63 @@ def _check_truncations(ns: list[int]) -> None:
         raise ValueError(f"truncations must be strictly increasing, got {ns}")
 
 
+def _rows(ps: list[PolynomialSymbol], hbars: list[float],
+          ns: list[int]) -> tuple[list[PolynomialSymbol], list[bool], list[int]]:
+    """Each row's symbol as quantized, whether its rungs are Hermitian and
+    its degree (0 for the zero symbol), after the gates, row by row, before
+    any band is peeled: a top rung of more than MAX_DENSE_DIM rows, or a
+    symbol of degree above MAX_DEGREE, raises ResourceLimitError.
+    Hermiticity is decided here, on the symbol: a non-finite coefficient
+    raises NonHermitianError; a symbol with max|Im c| <= HERMITICITY_TOL
+    max|c| is quantized by its real part and its rungs are marked
+    hermitian, the rungs of any other are not (_bottom and _walk refuse
+    them)."""
+    rows, hermitian, degrees = [], [], []
+    for p, hbar in zip(ps, hbars):
+        if p.d > MAX_MODES:
+            raise DimensionMismatch(f"quantization supports d <= {MAX_MODES}, got d={p.d}")
+        if not 0 < hbar < math.inf:
+            raise ValueError(f"hbar must be positive and finite, got {hbar}")
+        _check_truncations(ns)
+        dim = ns[-1] ** p.d
+        if dim > MAX_DENSE_DIM:
+            raise ResourceLimitError(
+                f"d={p.d}, N={ns[-1]} needs a dense block of dimension {dim}, above the "
+                f"limit {MAX_DENSE_DIM} (d=2 runs up to N=64 until a sparse path exists)"
+            )
+        degree = max(p.degree(), 0)
+        if degree > MAX_DEGREE:
+            raise ResourceLimitError(f"symbol degree {degree} is above the limit {MAX_DEGREE}")
+        if not p.is_finite():
+            raise NonHermitianError(
+                "symbol has a non-finite coefficient: its matrix is not Hermitian")
+        real = p.is_real()
+        if not real and (max(abs(c.imag) for c in p.terms.values())
+                         <= HERMITICITY_TOL * p.max_abs()):  # near-real: drop Im c
+            p, real = PolynomialSymbol(p.d, {i: c.real for i, c in p.terms.items()}), True
+            degree = max(p.degree(), 0)
+        rows.append(p)
+        hermitian.append(real)
+        degrees.append(degree)
+    return rows, hermitian, degrees
+
+
 def _ladder(p: PolynomialSymbol, hbar: float, ns: list[int]) -> Iterator[OperatorMatrix]:
-    """Quantize p at each truncation of the strictly increasing ns.
+    """Quantize p at each truncation of the strictly increasing ns, a batch
+    of one row (see _rows for the gates and the Hermiticity rule).
 
     The band stage runs once, at per-mode size ns[-1] + deg(p); a rung
     builds a block only to read or solve it, so stopping early never
     allocates a larger one.  Blocks are float64 when every term's weight
-    c i^|b| is real, else complex.  Hermiticity is decided here, on the
-    symbol: a non-finite coefficient raises NonHermitianError; a symbol
-    with max|Im c| <= HERMITICITY_TOL max|c| is quantized by its real part
-    and its rungs are marked hermitian, the rungs of any other are not
-    (_bottom refuses them).  A real symbol's weights c i^(b1+b2) match the
-    symmetry (-1)^b of its real bands, so mirrored entries are the same
-    sums of exactly negated or conjugated terms, if every sum is finite:
-    a ladder whose entry bound, the sum of max|band2| max|band1| over band
-    pairs, is not below finfo(float).max / 2 raises ResourceLimitError.
-    Every rung is marked with the parity sectors the symbol conserves
-    (one, the whole block, if none).  A top rung of more than MAX_DENSE_DIM
-    rows, or a symbol of degree above MAX_DEGREE, raises ResourceLimitError
-    before any band is peeled.
+    c i^|b| is real, else complex.  A real symbol's weights c i^(b1+b2)
+    match the symmetry (-1)^b of its real bands, so mirrored entries are
+    the same sums of exactly negated or conjugated terms, if every sum is
+    finite, which _bands' entry bound ensures.  Every rung is marked with
+    the parity sectors the symbol conserves (one, the whole block, if none).
     """
-    if p.d > MAX_MODES:
-        raise DimensionMismatch(f"quantization supports d <= {MAX_MODES}, got d={p.d}")
-    if not 0 < hbar < math.inf:
-        raise ValueError(f"hbar must be positive and finite, got {hbar}")
-    _check_truncations(ns)
-    dim = ns[-1] ** p.d
-    if dim > MAX_DENSE_DIM:
-        raise ResourceLimitError(
-            f"d={p.d}, N={ns[-1]} needs a dense block of dimension {dim}, above the "
-            f"limit {MAX_DENSE_DIM} (d=2 runs up to N=64 until a sparse path exists)"
-        )
-    degree = max(p.degree(), 0)
-    if degree > MAX_DEGREE:
-        raise ResourceLimitError(f"symbol degree {degree} is above the limit {MAX_DEGREE}")
-    if not p.is_finite():
-        raise NonHermitianError("symbol has a non-finite coefficient: its matrix is not Hermitian")
-    hermitian = p.is_real()
-    if not hermitian and (max(abs(c.imag) for c in p.terms.values())
-                          <= HERMITICITY_TOL * p.max_abs()):  # near-real: drop Im c
-        p, hermitian = PolynomialSymbol(p.d, {i: c.real for i, c in p.terms.items()}), True
-    size = ns[-1] + max(p.degree(), 0)
-    bands = _bands(p, hbar, size)
-    bound = sum(float(np.abs(b2).max()) * float(np.abs(b1).max()) for b2, b1 in bands)
-    if not bound < np.finfo(float).max / 2:
-        raise ResourceLimitError(f"matrix entries may overflow: their bound {bound:.3e} is not "
-                                 f"below the overflow limit {np.finfo(float).max / 2:.3e}")
+    (p,), (hermitian,), (degree,) = _rows([p], [hbar], ns)
+    size = ns[-1] + degree
+    bands = _bands([p], [hbar], size)
     kind = _parity_kind(p)
     for n in ns:
         yield OperatorMatrix(p.d, n, hbar, size - n, hermitian, kind, bands)
@@ -575,34 +654,62 @@ def lowest_eigenvalue(m: OperatorMatrix) -> float:
     return _bottom(m, None, 0)[0]
 
 
-def _margin(block: np.ndarray) -> float:
-    """The certificate margin eta = 1e-10 max_i sum_j |B_ij| of a block."""
-    return 1e-10 * np.abs(block).sum(axis=1).max()
+def _margin(block: np.ndarray):
+    """The certificate margin eta = 1e-10 max_i sum_j |B_ij| of a block, or
+    of each block of a stack."""
+    return 1e-10 * np.abs(block).sum(axis=-1).max(axis=-1)
+
+
+_NOT_HERMITIAN = "the symbol has complex coefficients: its matrix is not Hermitian"
 
 
 def _bottom(m: OperatorMatrix, hint: float | None, first: int) -> tuple[float, int]:
     """(lowest_eigenvalue of the rung m, the sector that holds it), with hint
     the bottom of the rung before m, held by its sector first, which is
-    solved first, or None (see lowest_eigenvalue)."""
+    solved first, or None (see lowest_eigenvalue): _bottoms on one row."""
     if not m.hermitian:
-        raise NonHermitianError("the symbol has complex coefficients: its matrix is not Hermitian")
+        raise NonHermitianError(_NOT_HERMITIAN)
+    return _bottoms(m._stack, m.d, m.n, m._parity, [hint], first)[0]
+
+
+def _bottoms(bands: list[tuple[np.ndarray, np.ndarray]], d: int, n: int, kind: str | None,
+             hints: list[float | None], first: int) -> list[tuple[float, int]]:
+    """(lowest_eigenvalue, the sector that holds it) of each row of a rung
+    whose bands are stacked over the rows (axis 0), where every row solves
+    the sector `first` first, then the others in order (see
+    lowest_eigenvalue); hints[r] is the bottom of row r's rung before, held
+    by `first`, or None.
+
+    Each sector block is written once for all rows, and each step is one
+    stacked call over the rows that take it, which gives each row the bits
+    it gets alone: eigvalsh on the first sector (but on the rows that
+    iterate), and on each other sector one Cholesky certificate at every
+    row's bottom so far, then eigvalsh on the rows it fails.  Inverse
+    iteration runs per row."""
     # the band half-width of the last mode: mode 1's summed band at d = 1
-    width = max(((pair[2 - m.d].shape[0] - 1) // 2 for pair in m._bands), default=0)
-    values = []
-    for v in [first] + [v for v in range(len(m.sectors)) if v != first]:
-        block = _block(m._bands, m.d, m.n, m._parity, v)
-        plan = _super_blocks(m.d, m.n, m._parity, v, width)
-        if values:
-            if _factors(block, min(values)[0] + _margin(block), plan) is not None:
-                continue
-        elif hint is not None and len(plan) > 2:  # below, eigvalsh is as fast
-            start = np.full(len(block), len(block) ** -0.5)
-            value = _inverse_iteration(block, plan, hint, _margin(block), start)
-            if value is not None:
-                values.append((value, v))
-                continue
-        values.append((float(np.linalg.eigvalsh(block)[0]), v))
-    return min(values)
+    width = max(pair[2 - d].shape[-2] for pair in bands) // 2
+    best: list = [None] * len(hints)  # each row's (bottom, sector) so far
+    for v in [first] + [v for v in range(len(_sectors(d, n, kind))) if v != first]:
+        block = _block(bands, d, n, kind, v)
+        plan = _super_blocks(d, n, kind, v, width)
+        if v != first:  # certified at each row's bottom so far, or solved
+            shifts = _margin(block) + [value for value, _ in best]
+            dense = [i for i, ok in enumerate(_certified(block, shifts, plan)) if not ok]
+        else:
+            dense = []
+            for i, hint in enumerate(hints):
+                if hint is not None and len(plan) > 2:  # below, eigvalsh is as fast
+                    start = np.full(block.shape[-1], block.shape[-1] ** -0.5)
+                    value = _inverse_iteration(block[i], plan, hint, _margin(block[i]), start)
+                    if value is not None:
+                        best[i] = (value, v)
+                        continue
+                dense.append(i)
+        if dense:
+            lowest = np.linalg.eigvalsh(block if len(dense) == len(hints) else block[dense])
+            for i, value in zip(dense, lowest[:, 0].tolist()):
+                best[i] = (value, v) if best[i] is None else min(best[i], (value, v))
+    return best
 
 
 @dataclass
@@ -642,47 +749,93 @@ class TruncationSweep:
         return self.values[-1]
 
 
-def _walk(p: PolynomialSymbol, hbar: float, ns: list[int],
-          escalate: bool = False) -> tuple[TruncationSweep, bool]:
+def _walk(ps: list[PolynomialSymbol], hbars: list[float], ns: list[int],
+          escalate: bool = False) -> list[tuple[TruncationSweep, bool]]:
     """The one truncation walk: the lowest eigenvalue of quantize(p, hbar)
-    at the rungs of one ladder, as (sweep, converged).
+    for each row (p, hbar) of a batch at the rungs of one ladder, as
+    (sweep, converged) per row.
 
-    Without escalate it solves every rung of ns (converged is True).
-    With escalate, ns is extended by doubling up to MAX_TRUNCATION and
-    the walk stops at the first rung whose value lies within
-    CONVERGENCE_REL |lambda| + CONVERGENCE_ABS of the previous rung's.
-    A gap only counts when the two truncations differ by more than the
+    Without escalate every row solves every rung of ns (converged is
+    True).  With escalate, ns is extended by doubling up to MAX_TRUNCATION
+    and a row stops at the first rung whose value lies within
+    CONVERGENCE_REL |lambda| + CONVERGENCE_ABS of the previous rung's.  A
+    gap only counts when the two truncations differ by more than the
     symbol degree: the matrix couples Fock levels at most deg apart, so
     closer pairs can sit on a parity plateau that mimics convergence.
-    converged is False when the cap is reached first.  The bands are
-    peeled once, at the top of the extended ladder, and no rung past the
-    stop is built.  The visited rungs pass the monotonicity gate of
-    TruncationSweep, which keeps the last one's matrix.
+    converged is False when the cap is reached first.
+
+    Rows with the same monomials (the folds of one graded symbol, say) walk
+    together: one band stage with per-row weights, then per rung the
+    stacked solve of _bottoms for the rows still walking, one call for the
+    rows whose last bottoms lie in the same sector (all of them, as a
+    rule); a row drops out where it stops, and no rung past its stop is
+    built for it.  The gates
+    read the extended ladder before any band is peeled.  The bands are
+    peeled at the top of the given ladder, and again at the cap only for
+    the rows still walking past it: the leading blocks are the same bits at
+    any internal size of at least N + deg.  Each row's rungs pass the
+    monotonicity gate of TruncationSweep, which keeps its last matrix.
     """
     ns = [int(v) for v in ns]
+    top = ns[-1]
     while escalate and ns[-1] * 2 <= MAX_TRUNCATION:
         ns.append(ns[-1] * 2)
-    span = max(p.degree(), 0) + 1
-    values, held, converged = [], 0, not escalate
-    for i, rung in enumerate(_ladder(p, hbar, ns)):
-        value, held = _bottom(rung, values[-1] if values else None, held)
-        values.append(value)
-        if (escalate and i and ns[i] - ns[i - 1] >= span
-                and abs(values[i] - values[i - 1])
-                < CONVERGENCE_REL * abs(values[i]) + CONVERGENCE_ABS):
-            converged = True
-            break
-    return TruncationSweep(ns[:i + 1], values, matrix=rung), converged
+    ps, hermitian, degrees = _rows(ps, hbars, ns)
+    batches: dict[tuple, list[int]] = {}
+    for r, p in enumerate(ps):
+        batches.setdefault(tuple(idx for idx, _ in p.iter_terms()), []).append(r)
+    walks: list = [None] * len(ps)
+    for rows in batches.values():
+        p, degree = ps[rows[0]], degrees[rows[0]]
+        kind, size = _parity_kind(p), top + degree
+        bands = _bands([ps[r] for r in rows], [hbars[r] for r in rows], size)
+        if not all(hermitian[r] for r in rows):
+            raise NonHermitianError(_NOT_HERMITIAN)
+        values: dict[int, list[float]] = {r: [] for r in rows}
+        held = dict.fromkeys(rows, 0)
+        for i, n in enumerate(ns):
+            if n + degree > size:  # a row walks past the given ladder: peel at the cap
+                size = ns[-1] + degree
+                bands = _bands([ps[r] for r in rows], [hbars[r] for r in rows], size)
+            solved: list = [None] * len(rows)
+            for first in dict.fromkeys(held[r] for r in rows):  # rows whose bottoms share a sector
+                group = [j for j, r in enumerate(rows) if held[r] == first]
+                stack = bands if len(group) == len(rows) else [(b2[group], b1[group])
+                                                               for b2, b1 in bands]
+                hints = [values[rows[j]][-1] if values[rows[j]] else None for j in group]
+                for j, found in zip(group, _bottoms(stack, p.d, n, kind, hints, first)):
+                    solved[j] = found
+            going = []
+            for j, (r, (value, v)) in enumerate(zip(rows, solved)):
+                found, held[r] = values[r], v
+                found.append(value)
+                converged = bool(escalate and i and ns[i] - ns[i - 1] > degree
+                                 and abs(value - found[-2])
+                                 < CONVERGENCE_REL * abs(value) + CONVERGENCE_ABS)
+                if converged or i == len(ns) - 1:
+                    rung = OperatorMatrix(p.d, n, hbars[r], size - n, hermitian[r], kind,
+                                          [(b2[j:j + 1], b1[j:j + 1]) for b2, b1 in bands])
+                    walks[r] = (ns[:i + 1], found, rung, converged or not escalate)
+                else:
+                    going.append(j)
+            if not going:
+                break
+            if len(going) < len(rows):
+                rows = [rows[j] for j in going]
+                bands = [(b2[going], b1[going]) for b2, b1 in bands]
+    return [(TruncationSweep(used, found, matrix=rung), converged)
+            for used, found, rung, converged in walks]
 
 
 def truncation_sweep(p: PolynomialSymbol, hbar: float, ns: list[int]) -> TruncationSweep:
     """Lowest eigenvalue of quantize(p, hbar) at each truncation in ns.
 
-    One ladder: the bands are peeled once at the largest N and every rung
-    solves blocks built from them; the result keeps the top rung's
-    matrix, whose entries are built on first read.
+    One ladder, the walk of a batch of one row: the bands are peeled once
+    at the largest N and every rung solves blocks built from them; the
+    result keeps the top rung's matrix, whose entries are built on first
+    read.
     """
-    return _walk(p, hbar, ns)[0]
+    return _walk([p], [hbar], ns)[0][0]
 
 
 def conjugation_residual(p: GradedSymbol, lam: float, n: int) -> float:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import MelinLabError
 from .invariants import QuadraticData, melin_quantity
-from .localize import _framed, hypothesis_check
+from .localize import DEFAULT_TRUNCATIONS, _diagnose, _framed, _localized, localized_symbol
 from .models import quadratic_form_symbol
 from .quantize import _check_truncations, _walk, lowest_eigenvalue, weyl_quantize
 from .symbols import GradedSymbol
@@ -128,21 +128,28 @@ def lambda_sweep(spec: ModelSpec, workers: int = 1) -> SweepReport:
     """Run the scaling sweep for a model.
 
     The symbol, with m = 0, is pulled back once to the frame of its
-    lead's best Gaussian, the frame of the localized reference (d = 1;
-    itself when T = I).  Each row folds it at its Lambda and takes the
-    escalating truncation walk of quantize._walk, with a note when the
-    cap is reached first.  The verdict is "pass" iff the hypothesis
-    diagnosis passes, the rescaled value at the largest Lambda matches
-    the localized reference within limit_tol, and the fitted slope of
+    lead's best Gaussian (d = 1; itself when T = I), and the localized
+    reference is that framed symbol's, so the frame is computed once.
+    Each row folds it at its Lambda, and quantize._walk walks all rows
+    with escalation as one batch, each row stopping on its own.  A row
+    that reaches the truncation cap unconverged gets a note and a reason:
+    its value is only an upper bound of the bottom.  The verdict is "pass"
+    iff no reason was found: the hypothesis diagnosis passes, every row
+    converged, the rescaled value at the largest Lambda matches the
+    localized reference within limit_tol, and the fitted slope of
     log |lambda_min| against log Lambda matches -k within slope_tol.
-    Rows run in order; workers (>= 1) is validated and kept for
-    compatibility, and no output depends on it.
+    workers (>= 1) is validated and kept for compatibility, and no output
+    depends on it.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     symbol = spec.symbol
     k = symbol.k
-    diagnosis = hypothesis_check(symbol)
+    # an m = 0 symbol with T = I frames itself, so its cached merge serves every later sweep
+    base = _framed(symbol if symbol.m == 0 else GradedSymbol(symbol.d, k, symbol.levels, m=0))
+    reference_symbol = localized_symbol(base, strict=False)
+    diagnosis = _diagnose(symbol, DEFAULT_TRUNCATIONS,
+                          lambda: _localized(symbol, reference_symbol, DEFAULT_TRUNCATIONS))
     reference, hypothesis_ok = diagnosis.lambda_min, diagnosis.ok
     reasons: list[str] = []
     if not hypothesis_ok:
@@ -156,16 +163,17 @@ def lambda_sweep(spec: ModelSpec, workers: int = 1) -> SweepReport:
         reasons.append("hypothesis failure: " + ", ".join(parts))
     del diagnosis  # the rows need neither it nor its localized matrix
 
-    # an m = 0 symbol with T = I folds itself, so its cached merge serves every later sweep
-    base = _framed(symbol if symbol.m == 0 else GradedSymbol(symbol.d, k, symbol.levels, m=0))
+    walks = _walk([base.fold(lam) for lam in spec.lambdas], [1.0 / lam for lam in spec.lambdas],
+                  spec.truncations, escalate=True)
     rows, notes = [], []
-    for lam in spec.lambdas:
-        walk, converged = _walk(base.fold(lam), 1.0 / lam, spec.truncations, escalate=True)
+    for lam, (walk, converged) in zip(spec.lambdas, walks):
         val, n_used = walk.lambda_min, walk.truncations[-1]
         rows.append(SweepRow(lam=lam, n_used=n_used, lambda_min=val,
                              scaled=float(lam) ** k * val, reference=reference))
         if not converged:
             notes.append(f"Lambda={lam:g}: truncation cap {n_used} hit before convergence")
+            reasons.append(f"Lambda={lam:g}: not converged at the truncation cap {n_used}, "
+                           f"so lambda_min is only an upper bound")
 
     fit = [(math.log(r.lam), math.log(abs(r.lambda_min)))
            for r in rows if r.lambda_min != 0.0]

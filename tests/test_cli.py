@@ -323,12 +323,12 @@ def test_sweep_prints_a_note_per_row_that_hits_the_cap(tmp_path, capsys):
         for c, ypow, epow in ((1.0, 4, 0), (300.0 + 1.0 / 300.0, 2, 2), (1.0, 0, 4), (0.5, 6, 0))]
     path = tmp_path / "squeezed.json"
     path.write_text(json.dumps(model))
-    assert main(["sweep", str(path), "--out", str(tmp_path / "r.csv")]) == 0
+    assert main(["sweep", str(path), "--out", str(tmp_path / "r.csv")]) == 4
     lines = capsys.readouterr().out.splitlines()
     assert [ln for ln in lines if ln.startswith("note:")] == [
         "note: Lambda=16: truncation cap 256 hit before convergence",
         "note: Lambda=64: truncation cap 256 hit before convergence"]
-    assert "verdict: pass" in lines
+    assert "verdict: fail" in lines
 
 
 @pytest.mark.parametrize("base, k, printed", [(16.0, 3, "386.124237764"), (4.0, 5, "3841.24999512")])

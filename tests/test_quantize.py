@@ -639,11 +639,12 @@ SECTOR_CASES = [(p, [ns[0] - 1, *ns]) for p, ns, count in PARITY_CASES if count 
 
 
 def _counting(monkeypatch, name: str = "eigvalsh") -> list[int]:
-    """Patch np.linalg.<name> to record the size of each matrix it takes."""
+    """Patch np.linalg.<name> to record the size of each matrix it takes,
+    each matrix of a stack on its own."""
     calls, original = [], getattr(np.linalg, name)
 
     def counted(a, *args, **kwargs):
-        calls.append(len(a))
+        calls.extend([a.shape[-1]] * (a.size // a.shape[-1] ** 2))
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, name, counted)
@@ -710,14 +711,20 @@ def test_one_eigvalsh_per_rung_of_a_two_mode_model(monkeypatch):
     p = quad * quad + 0.4 * y(2, 0) ** 2 * y(2, 1) ** 2 + 0.9 * harmonic_symbol(2)
     calls, inverted = _counting(monkeypatch), _counting(monkeypatch, "inv")
     # (rows, sector rows, super-blocks) of every Cholesky factorization
-    spans, sector, factors, cholesky = [], [], quantize._factors, np.linalg.cholesky
+    spans, sector, cholesky = [], [], np.linalg.cholesky
+    factors, certified = quantize._factors, quantize._certified
 
     def factored(block, shift, plan):
         sector[:] = [len(block), len(plan)]
         return factors(block, shift, plan)
 
+    def certifying(blocks, shifts, plan):
+        sector[:] = [blocks.shape[-1], len(plan)]
+        return certified(blocks, shifts, plan)
+
     monkeypatch.setattr(quantize, "_factors", factored)
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a: (spans.append((len(a), *sector)),
+    monkeypatch.setattr(quantize, "_certified", certifying)
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: (spans.append((a.shape[-1], *sector)),
                                                           cholesky(a))[1])
     sweep = truncation_sweep(p, 1.0, [8, 16, 32, 64])
     # eigvalsh solves the first sector block of the first rung and of the
@@ -969,3 +976,115 @@ def test_symbols_without_parity_iterate_on_every_rung_after_the_first(monkeypatc
         top = sweep.matrix.entries
         norm = np.abs(top).sum(axis=1).max()
         assert abs(sweep.values[-1] - np.linalg.eigvalsh(top)[0]) <= 4 * np.finfo(float).eps * norm
+
+
+# ---------------------------------------------------------------------------
+# The walk of a batch of rows
+# ---------------------------------------------------------------------------
+
+LAMBDAS = [16.0, 64.0, 256.0, 1024.0, 4096.0]
+
+
+def _scaling_model(rng: np.random.Generator, squeeze: float) -> GradedSymbol:
+    """(a y^2 + 2b y eta + g eta^2)^2 + c y^6 at level 0, s (y^2 + eta^2) at
+    level 1, with a / g = squeeze and seeded size, tilt, c and s."""
+    size = rng.uniform(0.8, 1.25)
+    a, g = size * math.sqrt(squeeze), size / math.sqrt(squeeze)
+    b = rng.uniform(-0.3, 0.3) * math.sqrt(a * g)
+    quad = a * y() ** 2 + 2.0 * b * (y() * eta()) + g * eta() ** 2
+    return GradedSymbol(1, 2, {0: quad * quad + rng.uniform(0.2, 1.0) * y() ** 6,
+                               1: rng.uniform(0.5, 1.5) * harmonic_symbol()})
+
+
+def _walk_alone_and_together(g: GradedSymbol, lambdas, ns, escalate: bool):
+    """The rows of g's folds walked one at a time and as one batch."""
+    folds, hbars = [g.fold(lam) for lam in lambdas], [1.0 / lam for lam in lambdas]
+    alone = [quantize._walk([f], [h], ns, escalate)[0] for f, h in zip(folds, hbars)]
+    return alone, quantize._walk(folds, hbars, ns, escalate)
+
+
+def _same_walks(alone, together) -> None:
+    assert len(alone) == len(together)
+    for (a, a_done), (b, b_done) in zip(alone, together):
+        assert (a.truncations, a_done) == (b.truncations, b_done)
+        assert np.array(a.values).tobytes() == np.array(b.values).tobytes()
+        assert b.matrix.n == b.truncations[-1]
+
+
+@pytest.mark.parametrize("squeeze", [1.0, 1.7, 30.0, 80.0, 200.0])
+def test_a_batch_of_rows_gives_the_bits_of_one_row_at_a_time(squeeze):
+    # in the plain frame the squeezed models escalate, some rows to the cap,
+    # so rows drop out of the batch at different rungs and the bands are
+    # peeled again at the cap for the rows still walking
+    g = _scaling_model(np.random.default_rng(int(squeeze * 10)), squeeze)
+    for escalate in (True, False):
+        _same_walks(*_walk_alone_and_together(g, LAMBDAS, [16, 32], escalate))
+
+
+def test_rows_that_stop_at_different_rungs_keep_their_bits():
+    # h^2 + (sqrt10 y^2 + eta^2 / sqrt10)^3 at level 0, h at level 1: the two
+    # smallest Lambdas escalate past the given ladder, to N = 64
+    h, r = harmonic_symbol(), math.sqrt(10.0)
+    g = GradedSymbol(1, 2, {0: h * h + (r * y() ** 2 + (1.0 / r) * eta() ** 2) ** 3, 1: h})
+    alone, together = _walk_alone_and_together(g, LAMBDAS, [16, 32], True)
+    _same_walks(alone, together)
+    assert [walk.truncations[-1] for walk, _ in together] == [64, 64, 32, 32, 32]
+    assert all(done for _, done in together)
+
+
+def test_rows_with_other_monomials_walk_in_their_own_batch():
+    # a fold whose y^2 coefficient cancels exactly has fewer monomials than
+    # the others: it walks alone, as it did before batching
+    h = harmonic_symbol()
+    g = GradedSymbol(1, 2, {0: h * h + y() ** 2, 1: h - 17.0 * y() ** 2})
+    folds = [g.fold(lam) for lam in (4.0, 16.0, 64.0)]
+    assert len(folds[1].terms) < len(folds[0].terms) == len(folds[2].terms)
+    alone, together = _walk_alone_and_together(g, (4.0, 16.0, 64.0), [16, 32], True)
+    _same_walks(alone, together)
+
+
+def test_rows_whose_bottoms_lie_in_different_sectors_keep_their_bits(monkeypatch):
+    # h^2 - 6h has its bottom on Fock level 1 (odd sector) at hbar = 1 and on
+    # level 2 (even) at hbar = 0.7, so after the first rung the two rows solve
+    # different sectors first, in two groups
+    h = harmonic_symbol()
+    p, hbars, ns = h * h - 6.0 * h, [1.0, 0.7], [16, 32, 64]
+    alone = [quantize._walk([p], [hbar], ns)[0] for hbar in hbars]
+    firsts, solve = [], quantize._bottoms
+    monkeypatch.setattr(quantize, "_bottoms", lambda bands, d, n, kind, hints, first: (
+        firsts.append((n, first, len(hints))), solve(bands, d, n, kind, hints, first))[1])
+    _same_walks(alone, quantize._walk([p, p], hbars, ns))
+    assert firsts == [(16, 0, 2), (32, 1, 1), (32, 0, 1), (64, 1, 1), (64, 0, 1)]
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_a_band_peeled_at_n_plus_its_width_is_exact_on_the_leading_block(n):
+    # the walk peels at the top of the given ladder and again at the cap,
+    # which is exact because the leading n-block of a band does not depend
+    # on the internal size once it is at least n + W
+    for a, b in MONOMIALS_UP_TO_12:
+        width = a + b
+        k = np.arange(2 * width + 1)[:, None] - width
+        inside = (np.arange(n)[None, :] + k >= 0) & (np.arange(n)[None, :] + k < n)
+        small = quantize._real_band(a, b, n + width)[:, :n][inside]
+        large = quantize._real_band(a, b, 262)[:, :n][inside]
+        assert small.tobytes() == large.tobytes(), (a, b, n)
+
+
+MONOMIALS_UP_TO_12 = [(a, w - a) for w in range(1, 13) for a in range(w + 1)]
+
+
+def test_stacked_solves_give_the_bits_of_one_matrix_at_a_time():
+    # the batch rests on this: eigvalsh and cholesky on a stack give each
+    # matrix the bits it gets alone, real and complex, at n = 8 to 64
+    rng = np.random.default_rng(7)
+    for n in (8, 16, 33, 64):
+        for dtype in (float, complex):
+            a = rng.standard_normal((3, n, n))
+            if dtype is complex:
+                a = a + 1j * rng.standard_normal((3, n, n))
+            a = a @ np.conj(np.swapaxes(a, 1, 2)) + n * np.eye(n)
+            stacked, factors = np.linalg.eigvalsh(a), np.linalg.cholesky(a)
+            for i in range(3):
+                assert stacked[i].tobytes() == np.linalg.eigvalsh(a[i]).tobytes()
+                assert factors[i].tobytes() == np.linalg.cholesky(a[i]).tobytes()

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from melinlab import quantize, symbols
 from melinlab.errors import MelinLabError, MonotonicityError
-from melinlab.localize import _framed, _lead_frame
+from melinlab.localize import _framed, _lead_frame, localized_symbol
 from melinlab.models import harmonic_symbol, quartic_model
 from melinlab.sweep import (
     CSV_HEADER,
@@ -21,6 +22,9 @@ from melinlab.sweep import (
 )
 from melinlab.symbols import GradedSymbol, PolynomialSymbol, eta, y
 from oracles import pull_back_oracle, random_symplectic
+
+# the function melinlab.localize shadows its module as a package attribute
+localize_module = importlib.import_module("melinlab.localize")
 
 
 def quartic_spec(sub_coeff=1.0, sextic=0.0, lambdas=(16.0, 64.0, 256.0),
@@ -61,12 +65,14 @@ def test_model_spec_validation():
 
 def test_sweep_rows_pass_the_monotonicity_gate(monkeypatch):
     # a row whose rungs rise is an exactness bug, as in every TruncationSweep
-    # (the localized reference, at hbar = 1, is solved as usual)
-    rising, solve = iter(range(100)), quantize._bottom
-    monkeypatch.setattr(quantize, "_bottom", lambda m, hint, first: (
-        (float(next(rising)), first) if m.hbar < 1.0 else solve(m, hint, first)))
+    # (the two rows walk as one batch; the localized reference, a batch of
+    # one at hbar = 1, is solved as usual)
+    rising, solve = iter(range(100)), quantize._bottoms
+    monkeypatch.setattr(quantize, "_bottoms", lambda bands, d, n, kind, hints, first: (
+        [(float(next(rising)), first) for _ in hints] if len(hints) > 1
+        else solve(bands, d, n, kind, hints, first)))
     with pytest.raises(MonotonicityError, match="padding exactness"):
-        lambda_sweep(quartic_spec(lambdas=(16.0,)))
+        lambda_sweep(quartic_spec(lambdas=(16.0, 64.0)))
 
 
 def test_sweep_exact_quartic_scaling():
@@ -186,11 +192,15 @@ def squeezed_spec() -> ModelSpec:
 
 
 def test_sweep_notes_the_truncation_cap():
+    # an unconverged row's value is only an upper bound, so it fails the verdict
     rep = lambda_sweep(squeezed_spec())
     assert [row.n_used for row in rep.rows] == [256, 256]
-    assert rep.verdict == "pass"
+    assert rep.verdict == "fail"
     assert rep.notes == ["Lambda=16: truncation cap 256 hit before convergence",
                          "Lambda=64: truncation cap 256 hit before convergence"]
+    assert rep.reasons == [
+        f"Lambda={lam}: not converged at the truncation cap 256, so lambda_min is only an "
+        f"upper bound" for lam in (16, 64)]
 
 
 def test_isotropic_leads_keep_the_plain_frame():
@@ -314,3 +324,37 @@ def test_phase_diagram_workers_and_json():
                             truncation=24, workers=3)
     assert a.to_json_dict() == b.to_json_dict()
     assert {"points", "skipped", "max_error"} == set(a.to_json_dict())
+
+
+def _anisotropic_spec() -> ModelSpec:
+    # a squeezed, tilted lead, so the frame of its best Gaussian is not T = I
+    quad = 5.0 * y() ** 2 + 0.8 * (y() * eta()) + 0.25 * eta() ** 2
+    g = GradedSymbol(1, 2, {0: quad ** 2 + 0.5 * y() ** 6, 1: 0.8 * (y() ** 2 + eta() ** 2)})
+    return ModelSpec(g, [16.0, 64.0, 256.0, 1024.0, 4096.0], [16, 32])
+
+
+def test_a_sweep_finds_the_frame_once_and_keeps_its_reference_bits(monkeypatch):
+    # the reference is the localized symbol of the framed model, which is the
+    # localized symbol pulled back by the frame, bit for bit
+    spec = _anisotropic_spec()
+    frame = _lead_frame(spec.symbol)
+    assert frame is not None
+    loc = localize_module._pull_back(localized_symbol(spec.symbol, strict=False), frame)
+    want = quantize.truncation_sweep(loc, 1.0, [32, 64, 128]).lambda_min
+    calls, find = [], localize_module._frame
+    monkeypatch.setattr(localize_module, "_frame", lambda *a: (calls.append(a), find(*a))[1])
+    rep = lambda_sweep(spec)
+    assert len(calls) == 1
+    assert rep.reference == want
+    assert rep.verdict == "pass"
+
+
+def test_a_sweep_solves_its_rows_with_one_eigvalsh_per_rung(monkeypatch):
+    # five rows that converge at N = 32: each rung's first sector is one
+    # stacked eigvalsh over the rows, and every other sector certified
+    shapes, solve = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: (shapes.append(a.shape), solve(a))[1])
+    rep = lambda_sweep(quartic_spec(sextic=1.0, lambdas=(16.0, 64.0, 256.0, 1024.0, 4096.0)))
+    assert [row.n_used for row in rep.rows] == [32] * 5
+    # the localized reference is a batch of one
+    assert [s for s in shapes if s[0] != 1] == [(5, 8, 8), (5, 16, 16)]
