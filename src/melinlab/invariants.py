@@ -106,12 +106,12 @@ def trace_plus(q: QuadraticData | np.ndarray) -> float:
     return float(eig_f.imag[eig_f.imag > 0].sum())
 
 
-def melin_quantity(q: QuadraticData | np.ndarray, subprincipal: float | None = None) -> float:
-    """s + tr+(F)/2, the sharp lower-bound constant of the quadratic model.
+def melin_quantity(q: QuadraticData | np.ndarray) -> float:
+    """s + tr+(F)/2, the sharp lower-bound constant of the quadratic model,
+    with s = q.subprincipal (0 for a bare Hessian).
 
     Equals the lowest eigenvalue of the hbar = 1 quantization of the
     quadratic form plus s.
     """
     q = _coerce(q)
-    s = q.subprincipal if subprincipal is None else float(subprincipal)
-    return s + 0.5 * trace_plus(q)
+    return q.subprincipal + 0.5 * trace_plus(q)

@@ -18,8 +18,8 @@ hypothesis_check diagnoses the three standing hypotheses:
 
 The frame.  For d = 1, localize quantizes in the Fock basis of the best
 Gaussian of the lead f, the degree-2k part of level 0 (the squeezed wave
-packet of Littlejohn, Phys. Rep. 138, 1986).  It pulls the localized
-symbol back by the linear symplectic T = [[a, 0], [c, 1/a]] whose
+packet of Littlejohn, Phys. Rep. 138, 1986).  It pulls the graded symbol
+back once (_framed) by the linear symplectic T = [[a, 0], [c, 1/a]] whose
 P = T T^T minimises the vacuum energy <0|Weyl(f o T)|0> over det P = 1, a
 degree-k polynomial in P with closed-form coefficients, searched by Newton
 from P = I.  Weyl(q o T) is unitarily equivalent to Weyl(q) at every hbar
@@ -27,10 +27,13 @@ from P = I.  Weyl(q o T) is unitarily equivalent to Weyl(q) at every hbar
 the same, but the ladder no longer has to resolve the lead's squeeze: the
 squeezed k = 2 scaling models whose rows climbed to N = 128-256, and the
 k >= 3 leads whose rungs rose by roundoff, converge at N = 32.  T keeps every
-vanishing order and commutes with the Lambda dilation, so lambda_sweep
-folds its rows in the same frame.  An isotropic lead, at whose T = I the
-energy is stationary to roundoff, keeps its symbol bit for bit, and d = 2
-keeps T = I.  Checks (a) and (b) read the model as written.
+degree, so the localized symbol of the framed levels is the localized symbol
+pulled back by T, and T commutes with the Lambda dilation, so lambda_sweep
+folds its rows from the framed symbol that localize keeps (`framed`): one
+frame and one construction of the reference per sweep, through
+hypothesis_check.  An isotropic lead, at whose T = I the energy is
+stationary to roundoff, keeps its symbol bit for bit, and d = 2 keeps
+T = I.  Checks (a) and (b) read the model as written.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -52,12 +54,9 @@ from .quantize import (
 from .symbols import (
     GradedSymbol,
     PolynomialSymbol,
-    _add_runs,
     _fold,
-    _group,
     _merge,
-    _parts,
-    _ranges,
+    _pull_back,
     _silent,
     graded_star,
     moyal_star,
@@ -115,11 +114,12 @@ def _energy_terms(lead: PolynomialSymbol, k: int) -> tuple[np.ndarray, np.ndarra
     2^j (2i+j)! (j+2l)! / (4^k i! j! l!), an exact integer ratio."""
     fact = math.factorial
     exps, e = [], []
-    for (ypow, epow), c in zip(lead._exps.tolist(), lead._coef.real.tolist()):
+    for (ypow, epow), c in lead.iter_terms():
         for j in range(ypow % 2, min(ypow, epow) + 1, 2):
             i, l = (ypow - j) // 2, (epow - j) // 2
             exps.append((i, j, l))
-            e.append(2 ** j * fact(ypow) * fact(epow) / (4 ** k * fact(i) * fact(j) * fact(l)) * c)
+            e.append(2 ** j * fact(ypow) * fact(epow) / (4 ** k * fact(i) * fact(j) * fact(l))
+                     * c.real)
     return np.array(exps, dtype=np.int64).reshape(-1, 3).T, np.array(e)
 
 
@@ -192,22 +192,6 @@ def _frame(lead: PolynomialSymbol, k: int) -> tuple[float, float] | None:
     return (math.exp(u), c) if u or c else None
 
 
-@_silent
-def _pull_back(p: PolynomialSymbol, frame: tuple[float, float]) -> PolynomialSymbol:
-    """p o T for the d = 1 frame T = [[a, 0], [c, 1/a]]: y^m eta^n becomes
-    a^m y^m (c y + eta/a)^n, expanded by the binomial theorem, each
-    monomial of the result summed in the order of p's monomials."""
-    a, c = frame
-    owner, t = _ranges(p._exps[:, 1] + 1)
-    m, n = p._exps[owner].T
-    weight = np.array([math.comb(*nt) for nt in zip(n.tolist(), t.tolist())], dtype=float)
-    weight *= a ** (m - n + t).astype(float) * c ** t.astype(float)
-    rows = np.column_stack((m + t, n - t))
-    head, where = _group(rows)
-    coef = _add_runs(_parts(p._coef[owner] * weight), where, len(head))
-    return PolynomialSymbol._arrays(1, rows.take(head, axis=0), coef)
-
-
 def _lead_frame(p: GradedSymbol) -> tuple[float, float] | None:
     """The frame of the degree-2k part of level 0 for d = 1; None (T = I)
     for d = 2."""
@@ -232,9 +216,10 @@ def _framed(p: GradedSymbol) -> GradedSymbol:
 class LocalizedOperator:
     """The localized model operator of a graded symbol at hbar = 1.
 
-    `symbol` is the localized symbol in the frame of its lead's best
-    Gaussian (localized_symbol(source) pulled back by T, itself when
-    T = I), and `matrix` is its quantization at the top rung.
+    `framed` is the source with every level pulled back to the frame of its
+    lead's best Gaussian (_framed; the source itself when T = I), `symbol`
+    the localized symbol of `framed`, and `matrix` its quantization at the
+    top rung.
     """
 
     source: GradedSymbol
@@ -243,27 +228,23 @@ class LocalizedOperator:
     matrix: OperatorMatrix = field(repr=False)
     lambda_min: float
     sweep: TruncationSweep
+    framed: GradedSymbol = field(repr=False, compare=False)
 
 
 def localize(p: GradedSymbol, ns: tuple[int, ...] = DEFAULT_TRUNCATIONS,
              strict: bool = True) -> LocalizedOperator:
     """Build the localized operator and its lowest eigenvalue.
 
-    The localized symbol is pulled back to the frame of its lead's best
-    Gaussian (d = 1; see the module docstring), and the eigenvalue is
-    resolved by a truncation sweep over `ns`; the stored matrix is the
-    one at the final truncation.
+    p is pulled back once to the frame of its lead's best Gaussian (d = 1;
+    see the module docstring), and the localized symbol is taken from the
+    framed levels: T keeps every degree, so it is the localized symbol of
+    p pulled back by T, and strict=True names the first monomial of p below
+    its order, which T maps to itself plus later monomials.  The eigenvalue
+    is resolved by a truncation sweep over `ns`; the stored matrix is the
+    one at the final truncation, and the framed symbol is kept as `framed`.
     """
-    sym = localized_symbol(p, strict=strict)
-    frame = _lead_frame(p)
-    if frame is not None:
-        sym = _pull_back(sym, frame)
-    return _localized(p, sym, ns)
-
-
-def _localized(p: GradedSymbol, sym: PolynomialSymbol, ns: tuple[int, ...]) -> LocalizedOperator:
-    """The LocalizedOperator of p whose localized symbol, in its lead's
-    frame, is sym."""
+    framed = _framed(p)
+    sym = localized_symbol(framed, strict=strict)
     sweep = truncation_sweep(sym, 1.0, list(ns))
     return LocalizedOperator(
         source=p,
@@ -272,6 +253,7 @@ def _localized(p: GradedSymbol, sym: PolynomialSymbol, ns: tuple[int, ...]) -> L
         matrix=sweep.matrix,
         lambda_min=sweep.lambda_min,
         sweep=sweep,
+        framed=framed,
     )
 
 
@@ -365,20 +347,11 @@ def hypothesis_check(p: GradedSymbol,
     """Diagnose the vanishing-order, ellipticity, and positivity
     hypotheses for a graded symbol.  A failed hypothesis is reported, not
     raised; a ladder past the quantizer's limits still raises
-    ResourceLimitError (a d = 2 model on the default ladder).  Keeps the
-    localized operator of the positivity check as `localized`."""
-    return _diagnose(p, ns, lambda: localize(p, ns=ns, strict=False))
-
-
-def _diagnose(p: GradedSymbol, ns: tuple[int, ...],
-              localized: Callable[[], LocalizedOperator]) -> HypothesisDiagnosis:
-    """hypothesis_check(p, ns), with localized() building the positivity
-    check's operator: lambda_sweep builds it from the framed symbol it
-    holds (_framed), so that the frame is computed once per sweep.  The
-    levels of p contribute disjoint degrees to its localized symbol and the
-    frame keeps each degree, so the localized symbol of the framed p is the
-    localized symbol of p pulled back, bit for bit.  Checks (a) and (b)
-    read p as written."""
+    ResourceLimitError (a d = 2 model on the default ladder).  Checks (a)
+    and (b) read p as written; (c) solves localize(p, ns, strict=False),
+    whose operator is kept as `localized` (with the framed p, from which
+    lambda_sweep folds its rows, so that a sweep finds the frame once), or
+    None when it is not Hermitian."""
     violations: dict[int, list[str]] = {}
     for j, q in p.levels.items():
         if j > p.k:
@@ -400,7 +373,7 @@ def _diagnose(p: GradedSymbol, ns: tuple[int, ...],
 
     op = None
     try:
-        op = localized()
+        op = localize(p, ns=ns, strict=False)
         sweep = op.sweep
     except NonHermitianError:
         # a non-Hermitian localized operator has no lowest eigenvalue

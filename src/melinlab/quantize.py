@@ -24,19 +24,20 @@ then a compression, and lowest eigenvalues are nonincreasing in N.
 The same coupling bound makes the single-mode matrix of y^a eta^b
 banded, with 2(a+b) + 1 nonzero diagonals, so the recursion runs on
 diagonals: O(size * deg^2) per monomial instead of dense O(size^3)
-products.  Every quantized matrix comes from one truncation ladder:
-the bands are peeled at the internal size of the top rung the caller
-gave, and a rung writes the Kronecker products of those bands (one per
-distinct second-mode factor; a single one for d = 1) only when read or
-solved.  weyl_quantize is the one-rung ladder, and _walk alone solves rungs.
-It walks a batch of rows at once, symbols with the same monomials at
+products.  A rung holds its bands and writes their Kronecker products
+(one per distinct second-mode factor; a single one for d = 1) only when
+read or solved.  Outside _walk, the one truncation ladder, there is one
+rung constructor, weyl_quantize, which peels its bands at n + deg(p), and
+one rung solve, _bottoms, which lowest_eigenvalue and _walk share.
+_walk walks a batch of rows at once, symbols with the same monomials at
 their own hbar (the folds of one graded symbol): one band stage with
-per-row weights, then per rung one stacked block write and one stacked
-eigvalsh or Cholesky certificate per sector for the rows still walking,
-each row with the bits it gets alone.  A row that walks past the given
-ladder has its bands peeled again at the cap, exact because a band's
-leading N-block is the same at every internal size of at least N + deg.
-truncation_sweep, weyl_quantize and lowest_eigenvalue are batches of one.
+per-row weights at the internal size of the top rung the caller gave,
+then per rung one stacked block write and one stacked eigvalsh or
+Cholesky certificate per sector for the rows still walking, each row with
+the bits it gets alone.  A row that walks past the given ladder has its
+bands peeled again at the cap, exact because a band's leading N-block is
+the same at every internal size of at least N + deg.  truncation_sweep
+is the walk of a batch of one.
 
 Real arithmetic.  Each term c y^a eta^b enters the block with the weight
 c i^|b| (|b| the total eta-degree) times the real hbar-scaled bands of
@@ -121,7 +122,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -156,7 +156,8 @@ CONVERGENCE_ABS = 1e-12
 
 
 class OperatorMatrix:
-    """A quantized symbol on the leading N^d Fock block: a rung of _ladder.
+    """A quantized symbol on the leading N^d Fock block: the rung that
+    weyl_quantize builds, or the top rung of a row of _walk.
 
     Basis ordering is lexicographic over per-mode levels with mode 1
     fastest: flat index = n_1 + N*n_2 + ...  Entries are exact values of
@@ -169,7 +170,7 @@ class OperatorMatrix:
                  parity: str | None, stack: list[tuple[np.ndarray, np.ndarray]]):
         self.d, self.n, self.hbar, self.pad = d, n, hbar, pad
         # whether the symbol is real (its blocks Hermitian), the flat indices of the
-        # parity sectors (no entry couples two), their kind and the ladder's bands,
+        # parity sectors (no entry couples two), their kind and the rung's bands,
         # a stack of one (the rung's row of its batch)
         self.hermitian, self._parity, self._stack = hermitian, parity, stack
         self.sectors = _sectors(d, n, parity)
@@ -178,11 +179,6 @@ class OperatorMatrix:
     @property
     def dim(self) -> int:
         return self.n ** self.d
-
-    @property
-    def _bands(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The (mode-2, mode-1) band pairs of this rung."""
-        return [(b2[0], b1[0]) for b2, b1 in self._stack]
 
     @property
     def entries(self) -> np.ndarray:
@@ -532,33 +528,38 @@ def _block(bands: list[tuple[np.ndarray, np.ndarray]], d: int, n: int, kind: str
     return out
 
 
-def _check_truncations(ns: list[int]) -> None:
-    """The ladder rule: at least one truncation, each in [2, MAX_TRUNCATION],
-    strictly increasing; ValueError otherwise."""
+def _check_truncations(ns: list) -> list[int]:
+    """The ladder rule, the one place it is stated: at least one truncation,
+    each an integer (2.0 is one, 2.5 is not) in [2, MAX_TRUNCATION], strictly
+    increasing; returns the ladder as ints, ValueError otherwise."""
+    for n in ns:
+        if not float(n).is_integer():
+            raise ValueError(f"truncations must be integers, got {n}")
+    ns = [int(n) for n in ns]
     if not ns or any(not 2 <= n <= MAX_TRUNCATION for n in ns):
         raise ValueError(f"truncations must satisfy 2 <= n <= {MAX_TRUNCATION}, got {ns}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"truncations must be strictly increasing, got {ns}")
+    return ns
 
 
 def _rows(ps: list[PolynomialSymbol], hbars: list[float],
           ns: list[int]) -> tuple[list[PolynomialSymbol], list[bool], list[int]]:
     """Each row's symbol as quantized, whether its rungs are Hermitian and
     its degree (0 for the zero symbol), after the gates, row by row, before
-    any band is peeled: a top rung of more than MAX_DENSE_DIM rows, or a
-    symbol of degree above MAX_DEGREE, raises ResourceLimitError.
-    Hermiticity is decided here, on the symbol: a non-finite coefficient
-    raises NonHermitianError; a symbol with max|Im c| <= HERMITICITY_TOL
-    max|c| is quantized by its real part and its rungs are marked
-    hermitian, the rungs of any other are not (_bottom and _walk refuse
-    them)."""
+    any band is peeled, on the ladder ns that _check_truncations returned: a
+    top rung of more than MAX_DENSE_DIM rows, or a symbol of degree above
+    MAX_DEGREE, raises ResourceLimitError.  Hermiticity is decided here, on
+    the symbol: a non-finite coefficient raises NonHermitianError; a symbol
+    with max|Im c| <= HERMITICITY_TOL max|c| is quantized by its real part
+    and its rungs are marked hermitian, the rungs of any other are not
+    (lowest_eigenvalue and _walk refuse them)."""
     rows, hermitian, degrees = [], [], []
     for p, hbar in zip(ps, hbars):
         if p.d > MAX_MODES:
             raise DimensionMismatch(f"quantization supports d <= {MAX_MODES}, got d={p.d}")
         if not 0 < hbar < math.inf:
             raise ValueError(f"hbar must be positive and finite, got {hbar}")
-        _check_truncations(ns)
         dim = ns[-1] ** p.d
         if dim > MAX_DENSE_DIM:
             raise ResourceLimitError(
@@ -582,27 +583,6 @@ def _rows(ps: list[PolynomialSymbol], hbars: list[float],
     return rows, hermitian, degrees
 
 
-def _ladder(p: PolynomialSymbol, hbar: float, ns: list[int]) -> Iterator[OperatorMatrix]:
-    """Quantize p at each truncation of the strictly increasing ns, a batch
-    of one row (see _rows for the gates and the Hermiticity rule).
-
-    The band stage runs once, at per-mode size ns[-1] + deg(p); a rung
-    builds a block only to read or solve it, so stopping early never
-    allocates a larger one.  Blocks are float64 when every term's weight
-    c i^|b| is real, else complex.  A real symbol's weights c i^(b1+b2)
-    match the symmetry (-1)^b of its real bands, so mirrored entries are
-    the same sums of exactly negated or conjugated terms, if every sum is
-    finite, which _bands' entry bound ensures.  Every rung is marked with
-    the parity sectors the symbol conserves (one, the whole block, if none).
-    """
-    (p,), (hermitian,), (degree,) = _rows([p], [hbar], ns)
-    size = ns[-1] + degree
-    bands = _bands([p], [hbar], size)
-    kind = _parity_kind(p)
-    for n in ns:
-        yield OperatorMatrix(p.d, n, hbar, size - n, hermitian, kind, bands)
-
-
 def weyl_quantize(p: PolynomialSymbol, hbar: float, n: int) -> OperatorMatrix:
     """Weyl quantization of p on the leading N^d Fock block.
 
@@ -619,8 +599,21 @@ def weyl_quantize(p: PolynomialSymbol, hbar: float, n: int) -> OperatorMatrix:
     -------
     OperatorMatrix with exact entries of the infinite matrix on the
     block, built on first read from bands at per-mode size n + deg(p).
+
+    See _rows for the gates and the Hermiticity rule.  A real symbol's
+    weights c i^(b1+b2) match the symmetry (-1)^b of its real bands, so
+    mirrored entries are the same sums of exactly negated or conjugated
+    terms, if every sum is finite, which _bands' entry bound ensures.  The
+    rung is marked with the parity sectors the symbol conserves (one, the
+    whole block, if none).
     """
-    return next(_ladder(p, hbar, [n]))
+    (n,) = _check_truncations([n])
+    (p,), (hermitian,), (degree,) = _rows([p], [hbar], [n])
+    return OperatorMatrix(p.d, n, hbar, degree, hermitian, _parity_kind(p),
+                          _bands([p], [hbar], n + degree))
+
+
+_NOT_HERMITIAN = "the symbol has complex coefficients: its matrix is not Hermitian"
 
 
 def lowest_eigenvalue(m: OperatorMatrix) -> float:
@@ -628,7 +621,7 @@ def lowest_eigenvalue(m: OperatorMatrix) -> float:
     truncation_sweep's matrix); anything else, a plain array included,
     raises TypeError.
 
-    A rung is Hermitian exactly when its symbol is real, as _ladder
+    A rung is Hermitian exactly when its symbol is real, as _rows
     decided: a rung of a complex symbol raises NonHermitianError before
     any block is built, and no block of a real one is scanned.
 
@@ -643,33 +636,24 @@ def lowest_eigenvalue(m: OperatorMatrix) -> float:
     shows that eigvalsh(B) lies above rho; failure sets rho = min(rho,
     eigvalsh(B)[0]).  The bottom is thus the minimum of eigvalsh over the
     sector blocks, bit for bit: the certificates only decide which blocks
-    need no eigvalsh.  Along a ladder (_walk), the sector that held the
-    bottom of the rung before is solved first, and where it has more than
+    need no eigvalsh.  The solve is _bottoms on a batch of one, the solve of
+    every rung of _walk too.  Along a ladder (_walk), the sector that held
+    the bottom of the rung before is solved first, and where it has more than
     two super-blocks by certified inverse iteration from that bottom,
     falling back to eigvalsh (see the module docstring for its accuracy).
     """
     if not isinstance(m, OperatorMatrix):
         raise TypeError(f"lowest_eigenvalue needs an OperatorMatrix from the quantizer, "
                         f"got {type(m).__name__}")
-    return _bottom(m, None, 0)[0]
+    if not m.hermitian:
+        raise NonHermitianError(_NOT_HERMITIAN)
+    return _bottoms(m._stack, m.d, m.n, m._parity, [None], 0)[0][0]
 
 
 def _margin(block: np.ndarray):
     """The certificate margin eta = 1e-10 max_i sum_j |B_ij| of a block, or
     of each block of a stack."""
     return 1e-10 * np.abs(block).sum(axis=-1).max(axis=-1)
-
-
-_NOT_HERMITIAN = "the symbol has complex coefficients: its matrix is not Hermitian"
-
-
-def _bottom(m: OperatorMatrix, hint: float | None, first: int) -> tuple[float, int]:
-    """(lowest_eigenvalue of the rung m, the sector that holds it), with hint
-    the bottom of the rung before m, held by its sector first, which is
-    solved first, or None (see lowest_eigenvalue): _bottoms on one row."""
-    if not m.hermitian:
-        raise NonHermitianError(_NOT_HERMITIAN)
-    return _bottoms(m._stack, m.d, m.n, m._parity, [hint], first)[0]
 
 
 def _bottoms(bands: list[tuple[np.ndarray, np.ndarray]], d: int, n: int, kind: str | None,
@@ -753,7 +737,8 @@ def _walk(ps: list[PolynomialSymbol], hbars: list[float], ns: list[int],
           escalate: bool = False) -> list[tuple[TruncationSweep, bool]]:
     """The one truncation walk: the lowest eigenvalue of quantize(p, hbar)
     for each row (p, hbar) of a batch at the rungs of one ladder, as
-    (sweep, converged) per row.
+    (sweep, converged) per row.  ns is held to the ladder rule by
+    _check_truncations, and the walk runs on the ints it returns.
 
     Without escalate every row solves every rung of ns (converged is
     True).  With escalate, ns is extended by doubling up to MAX_TRUNCATION
@@ -768,15 +753,15 @@ def _walk(ps: list[PolynomialSymbol], hbars: list[float], ns: list[int],
     together: one band stage with per-row weights, then per rung the
     stacked solve of _bottoms for the rows still walking, one call for the
     rows whose last bottoms lie in the same sector (all of them, as a
-    rule); a row drops out where it stops, and no rung past its stop is
-    built for it.  The gates
-    read the extended ladder before any band is peeled.  The bands are
+    rule), the rung solve that lowest_eigenvalue makes on one rung; a row
+    drops out where it stops, and no rung past its stop is built for it.
+    The gates read the extended ladder before any band is peeled.  The bands are
     peeled at the top of the given ladder, and again at the cap only for
     the rows still walking past it: the leading blocks are the same bits at
     any internal size of at least N + deg.  Each row's rungs pass the
     monotonicity gate of TruncationSweep, which keeps its last matrix.
     """
-    ns = [int(v) for v in ns]
+    ns = _check_truncations(ns)
     top = ns[-1]
     while escalate and ns[-1] * 2 <= MAX_TRUNCATION:
         ns.append(ns[-1] * 2)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import MelinLabError
 from .invariants import QuadraticData, melin_quantity
-from .localize import DEFAULT_TRUNCATIONS, _diagnose, _framed, _localized, localized_symbol
+from .localize import _framed, hypothesis_check
 from .models import quadratic_form_symbol
 from .quantize import _check_truncations, _walk, lowest_eigenvalue, weyl_quantize
 from .symbols import GradedSymbol
@@ -56,7 +56,9 @@ class ModelSpec:
 
     The symbol's order m is normalized to 0 for experiments: folding
     uses the level weights Lambda^-j only, i.e. any overall Lambda^m is
-    divided out before comparison.
+    divided out before comparison.  The truncations follow the ladder
+    rule of the quantizer and are kept as ints (32.0 is 32; 32.5 raises
+    ValueError).
     """
 
     symbol: GradedSymbol
@@ -67,7 +69,6 @@ class ModelSpec:
 
     def __post_init__(self):
         self.lambdas = [float(v) for v in self.lambdas]
-        self.truncations = [int(v) for v in self.truncations]
         if not self.lambdas:
             raise ValueError("need at least one Lambda")
         if not all(v >= 1 for v in self.lambdas):  # NaN fails too
@@ -77,7 +78,7 @@ class ModelSpec:
         if not _power_fits(self.lambdas[-1], self.symbol.k):
             raise ValueError(f"Lambda^k overflows a double at Lambda={self.lambdas[-1]:g}, "
                              f"k={self.symbol.k}")
-        _check_truncations(self.truncations)
+        self.truncations = _check_truncations(self.truncations)
         for name in ("limit_tol", "slope_tol"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
@@ -127,14 +128,16 @@ class SweepReport:
 def lambda_sweep(spec: ModelSpec, workers: int = 1) -> SweepReport:
     """Run the scaling sweep for a model.
 
-    The symbol, with m = 0, is pulled back once to the frame of its
-    lead's best Gaussian (d = 1; itself when T = I), and the localized
-    reference is that framed symbol's, so the frame is computed once.
-    Each row folds it at its Lambda, and quantize._walk walks all rows
-    with escalation as one batch, each row stopping on its own.  A row
-    that reaches the truncation cap unconverged gets a note and a reason:
-    its value is only an upper bound of the bottom.  The verdict is "pass"
-    iff no reason was found: the hypothesis diagnosis passes, every row
+    The localized reference is the bottom of the localized operator that
+    hypothesis_check(symbol) builds, and each row folds, with m = 0, the
+    framed symbol that operator keeps (LocalizedOperator.framed: the symbol
+    in the frame of its lead's best Gaussian, d = 1; itself when T = I), so
+    a sweep finds the frame once.  A localized operator that is not
+    Hermitian is not kept, and then the sweep frames the symbol itself.
+    quantize._walk walks all rows with escalation as one batch, each row
+    stopping on its own.  A row that reaches the truncation cap unconverged
+    gets a note and a reason: its value is only an upper bound of the
+    bottom.  The verdict is "pass" iff no reason was found: the hypothesis diagnosis passes, every row
     converged, the rescaled value at the largest Lambda matches the
     localized reference within limit_tol, and the fitted slope of
     log |lambda_min| against log Lambda matches -k within slope_tol.
@@ -145,11 +148,11 @@ def lambda_sweep(spec: ModelSpec, workers: int = 1) -> SweepReport:
         raise ValueError(f"workers must be >= 1, got {workers}")
     symbol = spec.symbol
     k = symbol.k
+    diagnosis = hypothesis_check(symbol)
+    base = _framed(symbol) if diagnosis.localized is None else diagnosis.localized.framed
     # an m = 0 symbol with T = I frames itself, so its cached merge serves every later sweep
-    base = _framed(symbol if symbol.m == 0 else GradedSymbol(symbol.d, k, symbol.levels, m=0))
-    reference_symbol = localized_symbol(base, strict=False)
-    diagnosis = _diagnose(symbol, DEFAULT_TRUNCATIONS,
-                          lambda: _localized(symbol, reference_symbol, DEFAULT_TRUNCATIONS))
+    if base.m != 0:
+        base = GradedSymbol(base.d, k, base.levels, m=0)
     reference, hypothesis_ok = diagnosis.lambda_min, diagnosis.ok
     reasons: list[str] = []
     if not hypothesis_ok:
@@ -247,7 +250,7 @@ def melin_phase_diagram(alphas, betas, gammas, svals, truncation: int = PHASE_TR
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    _check_truncations([truncation])
+    (truncation,) = _check_truncations([truncation])
     forms = [(float(a), float(b), float(g)) for a in alphas for b in betas for g in gammas]
     svals = [float(s) for s in svals]
     points: list[PhasePoint] = []

@@ -814,6 +814,24 @@ def taylor_transverse(p: PolynomialSymbol, order: int,
                  for rows in (deg == order, deg > order))
 
 
+@_silent
+def _pull_back(p: PolynomialSymbol, frame: tuple[float, float]) -> PolynomialSymbol:
+    """p o T, the composition of a d = 1 symbol with the linear symplectic
+    T = [[a, 0], [c, 1/a]] (frame = (a, c); see melinlab.localize for the
+    frame): y^m eta^n becomes a^m y^m (c y + eta/a)^n, expanded by the
+    binomial theorem, each monomial of the result summed in the order of
+    p's monomials."""
+    a, c = frame
+    owner, t = _ranges(p._exps[:, 1] + 1)
+    m, n = p._exps[owner].T
+    weight = np.array([math.comb(*nt) for nt in zip(n.tolist(), t.tolist())], dtype=float)
+    weight *= a ** (m - n + t).astype(float) * c ** t.astype(float)
+    rows = np.column_stack((m + t, n - t))
+    head, where = _group(rows)
+    coef = _add_runs(_parts(p._coef[owner] * weight), where, len(head))
+    return PolynomialSymbol._arrays(1, rows.take(head, axis=0), coef)
+
+
 # ---------------------------------------------------------------------------
 # Graded symbols
 # ---------------------------------------------------------------------------

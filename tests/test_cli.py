@@ -405,6 +405,19 @@ def test_phase_text_and_csv(tmp_path, capsys):
     assert len(lines) == 5
 
 
+def test_phase_takes_an_integral_float_truncation(tmp_path, capsys):
+    # the schema counts 32.0 as an integer, so the phase grid runs as at 32
+    outs = []
+    for truncation in (32, 32.0):
+        model = write_model(tmp_path, name=f"model{truncation!r}.json",
+                            phase={**PHASE_SECTION, "truncation": truncation})
+        out = tmp_path / f"phase{truncation!r}.csv"
+        assert main(["phase", model, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert "32.0" in (tmp_path / "model32.0.json").read_text()
+    assert outs[0] == outs[1]
+
+
 def test_phase_requires_section(tmp_path, capsys):
     model = write_model(tmp_path)
     assert main(["phase", model]) == 2

@@ -134,7 +134,8 @@ def test_quadratic_data_rejects_negative_d():
 def test_melin_quantity():
     q = QuadraticData(1, np.array([[2.0, 0.0], [0.0, 2.0]]), subprincipal=-1.0)
     assert melin_quantity(q) == pytest.approx(0.0, abs=1e-12)
-    assert melin_quantity(q, subprincipal=2.0) == pytest.approx(3.0, abs=1e-12)
+    q = QuadraticData(1, np.array([[2.0, 0.0], [0.0, 2.0]]), subprincipal=2.0)
+    assert melin_quantity(q) == pytest.approx(3.0, abs=1e-12)
     assert melin_quantity(np.array([[2.0, 0.0], [0.0, 2.0]])) == pytest.approx(1.0, abs=1e-12)
 
 

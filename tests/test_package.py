@@ -63,3 +63,19 @@ def test_oracles_import_only_the_symbol_class_from_melinlab():
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "melinlab":
             imported |= {f"{node.module}.{a.name}" for a in node.names}
     assert imported == {"melinlab.symbols.PolynomialSymbol"}
+
+
+def test_only_the_symbol_module_reads_the_symbol_storage():
+    # a PolynomialSymbol's arrays (_exps, _coef, built by _arrays) belong to
+    # symbols.py; every other module reads a symbol through its methods, and
+    # symbol algebra such as a pull-back lives in symbols.py
+    storage = {"_exps", "_coef", "_arrays"}
+    readers = {}
+    for path in sorted(Path(melinlab.__file__).parent.glob("*.py")):
+        if path.name == "symbols.py":
+            continue
+        used = {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute) and node.attr in storage}
+        if used:
+            readers[path.name] = sorted(used)
+    assert readers == {}

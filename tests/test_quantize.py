@@ -19,7 +19,6 @@ from melinlab.quantize import (
     MAX_DENSE_DIM,
     TruncationSweep,
     _PHASES,
-    _ladder,
     _scaled_band,
     conjugation_residual,
     lowest_eigenvalue,
@@ -407,7 +406,7 @@ PARITY_CASES = [
 
 @pytest.mark.parametrize("p, ns, count", PARITY_CASES)
 def test_parity_sectors_split_every_rung_exactly(p, ns, count):
-    for rung in _ladder(p, 0.7, ns):
+    for rung in [weyl_quantize(p, 0.7, n) for n in ns]:
         full = np.linalg.eigvalsh(rung.entries)[0]
         assert len(rung.sectors) == count
         label = np.full(rung.dim, -1)
@@ -592,7 +591,7 @@ def test_real_symbol_blocks_are_hermitian_bit_for_bit(d, parity, odd_eta, count)
             rung = weyl_quantize(p, 0.7, n)
             assert rung.hermitian
             assert len(rung.sectors) == count
-            blocks = [quantize._block(rung._bands, d, n, rung._parity, v) for v in range(count)]
+            blocks = [quantize._block(rung._stack, d, n, rung._parity, v)[0] for v in range(count)]
             for block in blocks + [rung.entries]:
                 assert block.dtype == np.complex128
                 assert np.abs(block - block.conj().T).max() == 0.0
@@ -657,13 +656,13 @@ def _sector_bottoms(m) -> list[float]:
 
 @pytest.mark.parametrize("p, ns", SECTOR_CASES)
 def test_sector_blocks_are_the_slices_of_the_entries_bit_for_bit(p, ns):
-    for rung in _ladder(p, 0.7, ns):
+    for rung in [weyl_quantize(p, 0.7, n) for n in ns]:
         full = rung.entries
         assert _rel_err(full, kron_quantize_oracle(p, 0.7, rung.n)) <= 1e-13
         label = np.empty(rung.dim, dtype=int)
         for v, idx in enumerate(rung.sectors):
             label[idx] = v
-            block = quantize._block(rung._bands, p.d, rung.n, rung._parity, v)
+            block = quantize._block(rung._stack, p.d, rung.n, rung._parity, v)[0]
             want = full[idx][:, idx]
             assert block.dtype == want.dtype and block.tobytes() == want.tobytes()
         assert not full[label[:, None] != label[None, :]].any()
@@ -679,7 +678,7 @@ def test_solving_a_mode_rung_never_builds_its_dense_block(p, ns, monkeypatch):
             raise AssertionError(f"dense block of {rung.dim} rows built")
         return build(bands, d, n, kind, *args, **kwargs)
 
-    for rung in _ladder(p, 0.7, ns):
+    for rung in [weyl_quantize(p, 0.7, n) for n in ns]:
         monkeypatch.setattr(quantize, "_block", sectors_only)
         value = lowest_eigenvalue(rung)
         monkeypatch.setattr(quantize, "_block", build)
@@ -772,11 +771,11 @@ def test_block_cholesky_certificate_decides_within_a_tenth_of_its_margin(p, kind
     # fail 1e-11 of that above each sector's bottom and succeed 1e-11 below it,
     # on super-blocks of unequal size (N = 31) and many of them (N = 32, 64)
     sizes = set()
-    for rung in _ladder(p, 1.0, [31, 32, 64]):
+    for rung in [weyl_quantize(p, 1.0, n) for n in [31, 32, 64]]:
         assert rung._parity == kind
-        width = max((b2.shape[0] - 1) // 2 for b2, _ in rung._bands)
+        width = max((b2.shape[-2] - 1) // 2 for b2, _ in rung._stack)
         for v in range(1, len(rung.sectors)):
-            block = quantize._block(rung._bands, 2, rung.n, kind, v)
+            block = quantize._block(rung._stack, 2, rung.n, kind, v)[0]
             plan = quantize._super_blocks(2, rung.n, kind, v, width)
             assert block.dtype == dtype and len(plan) > 1
             assert [s[0] for s in plan] + [len(block)] == [0] + [s[1] for s in plan]
@@ -791,8 +790,8 @@ def test_block_cholesky_certificate_decides_within_a_tenth_of_its_margin(p, kind
 @functools.lru_cache(maxsize=None)
 def _dense_bottom(case: int, n: int) -> float:
     """The minimum of eigvalsh over the sector blocks of CERTIFICATE_CASES[case] at N = n."""
-    rung = next(_ladder(CERTIFICATE_CASES[case][0], 1.0, [n]))
-    return min(np.linalg.eigvalsh(quantize._block(rung._bands, 2, n, rung._parity, v))[0]
+    rung = weyl_quantize(CERTIFICATE_CASES[case][0], 1.0, n)
+    return min(np.linalg.eigvalsh(quantize._block(rung._stack, 2, n, rung._parity, v)[0])[0]
                for v in range(len(rung.sectors)))
 
 
@@ -835,10 +834,10 @@ def test_block_factor_solves_the_shifted_sector(case):
     # block - shift I, real and complex
     p, kind, _ = CERTIFICATE_CASES[case]
     rng = np.random.default_rng(case)
-    for rung in _ladder(p, 1.0, [31, 32]):
-        width = max((b2.shape[0] - 1) // 2 for b2, _ in rung._bands)
+    for rung in [weyl_quantize(p, 1.0, n) for n in [31, 32]]:
+        width = max((b2.shape[-2] - 1) // 2 for b2, _ in rung._stack)
         for v in range(len(rung.sectors)):
-            block = quantize._block(rung._bands, 2, rung.n, kind, v)
+            block = quantize._block(rung._stack, 2, rung.n, kind, v)[0]
             plan = quantize._super_blocks(2, rung.n, kind, v, width)
             shift = np.linalg.eigvalsh(block)[0] - 1.0
             rhs = rng.standard_normal(len(block))
@@ -859,14 +858,15 @@ def test_iteration_falls_back_to_eigvalsh_bit_for_bit(case, monkeypatch):
     # the iteration cap
     m = weyl_quantize(CERTIFICATE_CASES[case][0], 1.0, 32)
     dense = lowest_eigenvalue(m)
-    values, vectors = np.linalg.eigh(quantize._block(m._bands, 2, 32, m._parity, 0))
+    values, vectors = np.linalg.eigh(quantize._block(m._stack, 2, 32, m._parity, 0)[0])
     iterate = quantize._inverse_iteration
 
     def from_second(block, plan, hint, margin, start):
         return iterate(block, plan, hint, margin, vectors[:, 1])
 
     calls = _iterations(monkeypatch)
-    assert abs(quantize._bottom(m, dense, 0)[0] - dense) <= 1e-12 * abs(dense)
+    bottom = quantize._bottoms(m._stack, 2, 32, m._parity, [dense], 0)[0][0]
+    assert abs(bottom - dense) <= 1e-12 * abs(dense)
     assert calls == [(256, True)]
     monkeypatch.undo()
     for hint, name, patch in [(values[1] + 1.0, None, None),
@@ -875,7 +875,7 @@ def test_iteration_falls_back_to_eigvalsh_bit_for_bit(case, monkeypatch):
         if name:
             monkeypatch.setattr(quantize, name, patch)
         calls = _iterations(monkeypatch)
-        assert quantize._bottom(m, hint, 0)[0] == dense
+        assert quantize._bottoms(m._stack, 2, 32, m._parity, [hint], 0)[0][0] == dense
         assert calls == [(256, False)]
         monkeypatch.undo()
 

@@ -25,6 +25,7 @@ from oracles import pull_back_oracle, random_symplectic
 
 # the function melinlab.localize shadows its module as a package attribute
 localize_module = importlib.import_module("melinlab.localize")
+sweep_module = importlib.import_module("melinlab.sweep")
 
 
 def quartic_spec(sub_coeff=1.0, sextic=0.0, lambdas=(16.0, 64.0, 256.0),
@@ -61,6 +62,30 @@ def test_model_spec_validation():
         for tol in (math.nan, math.inf, 0.0, -0.1):
             with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
                 ModelSpec(g, lambdas=[16.0, 64.0], truncations=[16, 32], **{name: tol})
+
+
+def test_a_truncation_that_is_not_an_integer_is_refused_everywhere():
+    # 16.0 is an integer and is taken as 16; 16.5, NaN and inf are refused by
+    # the one ladder rule wherever a truncation enters the library
+    g = quartic_model()
+    p = g.fold(16.0)
+    for bad in (16.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"integers, got {bad}"):
+            quantize.truncation_sweep(p, 1.0, [bad, 32])
+        with pytest.raises(ValueError, match=f"integers, got {bad}"):
+            quantize.weyl_quantize(p, 1.0, bad)
+        with pytest.raises(ValueError, match=f"integers, got {bad}"):
+            ModelSpec(g, lambdas=[16.0, 64.0], truncations=[bad, 32])
+        with pytest.raises(ValueError, match=f"integers, got {bad}"):
+            melin_phase_diagram([1.0], [0.0], [1.0], [0.0], truncation=bad)
+    with pytest.raises(ValueError, match="2 <= n <= 256, got \\[\\]"):
+        quantize.truncation_sweep(p, 1.0, [])  # checked before the walk reads its top
+    spec = ModelSpec(g, lambdas=[16.0, 64.0], truncations=[16.0, np.int64(32)])
+    assert spec.truncations == [16, 32] and all(type(n) is int for n in spec.truncations)
+    rung = quantize.weyl_quantize(p, 1.0, 16.0)
+    assert (rung.n, rung.pad) == (16, 4)
+    assert rung.entries.tobytes() == quantize.weyl_quantize(p, 1.0, 16).entries.tobytes()
+    assert quantize.truncation_sweep(p, 1.0, [16.0, 32.0]).truncations == [16, 32]
 
 
 def test_sweep_rows_pass_the_monotonicity_gate(monkeypatch):
@@ -339,7 +364,7 @@ def test_a_sweep_finds_the_frame_once_and_keeps_its_reference_bits(monkeypatch):
     spec = _anisotropic_spec()
     frame = _lead_frame(spec.symbol)
     assert frame is not None
-    loc = localize_module._pull_back(localized_symbol(spec.symbol, strict=False), frame)
+    loc = symbols._pull_back(localized_symbol(spec.symbol, strict=False), frame)
     want = quantize.truncation_sweep(loc, 1.0, [32, 64, 128]).lambda_min
     calls, find = [], localize_module._frame
     monkeypatch.setattr(localize_module, "_frame", lambda *a: (calls.append(a), find(*a))[1])
@@ -347,6 +372,52 @@ def test_a_sweep_finds_the_frame_once_and_keeps_its_reference_bits(monkeypatch):
     assert len(calls) == 1
     assert rep.reference == want
     assert rep.verdict == "pass"
+
+
+def test_a_sweep_takes_its_reference_from_the_public_hypothesis_check(monkeypatch):
+    # one construction of the reference: the sweep calls hypothesis_check, which
+    # calls localize, once each, through the module attributes that a tracer
+    # rebinds, and its rows fold the framed symbol that localize kept
+    calls, check, build = [], sweep_module.hypothesis_check, localize_module.localize
+    monkeypatch.setattr(sweep_module, "hypothesis_check",
+                        lambda *a, **kw: (calls.append("hypothesis_check"), check(*a, **kw))[1])
+    monkeypatch.setattr(localize_module, "localize",
+                        lambda *a, **kw: (calls.append(build(*a, **kw)), calls[-1])[1])
+    folds, fold = [], GradedSymbol.fold
+    monkeypatch.setattr(GradedSymbol, "fold", lambda g, lam: (folds.append(g), fold(g, lam))[1])
+    spec = _anisotropic_spec()
+    rep = lambda_sweep(spec)
+    assert calls[0] == "hypothesis_check" and len(calls) == 2
+    framed = calls[1].framed
+    assert rep.verdict == "pass" and rep.reference == calls[1].lambda_min
+    assert framed is not spec.symbol and framed.m == 0
+    assert len(folds) == len(spec.lambdas) and all(g is framed for g in folds)
+
+
+def test_a_sweep_frames_its_rows_itself_when_the_localized_operator_is_not_hermitian():
+    # the localized symbol keeps level 1's 1e-9 imaginary part, which is large
+    # against its degree-4 part, so hypothesis_check keeps no operator; the
+    # folds are near-real (max|c| is 1e6), so the rows are real, and in the
+    # lead's frame (a = 0.5) they converge where the plain basis does not
+    h = y() ** 2 + eta() ** 2
+    g = GradedSymbol(1, 2, {0: (4.0 * y() ** 2 + 0.25 * eta() ** 2) ** 2 + 1e6 * y() ** 6,
+                            1: (1 + 1e-9j) * h})
+    spec = ModelSpec(g, [64.0, 256.0], [16, 32])
+    rep = lambda_sweep(spec)
+    assert math.isnan(rep.reference) and not rep.hypothesis_ok
+    assert rep.reasons[0] == "hypothesis failure: localized positivity (iii)"
+    assert all(math.isfinite(row.lambda_min) for row in rep.rows)
+    assert _lead_frame(g)[0] == pytest.approx(0.5)
+    hbars = [1.0 / lam for lam in spec.lambdas]
+    framed = _framed(g)
+    walks = quantize._walk([framed.fold(lam) for lam in spec.lambdas], hbars, [16, 32],
+                           escalate=True)
+    assert [(row.n_used, row.lambda_min) for row in rep.rows] == [
+        (walk.truncations[-1], walk.lambda_min) for walk, _ in walks]
+    assert [(walk.truncations[-1], converged) for walk, converged in walks] == [(256, True)] * 2
+    assert rep.notes == []
+    plain = quantize._walk([g.fold(lam) for lam in spec.lambdas], hbars, [16, 32], escalate=True)
+    assert [(walk.truncations[-1], converged) for walk, converged in plain] == [(256, False)] * 2
 
 
 def test_a_sweep_solves_its_rows_with_one_eigvalsh_per_rung(monkeypatch):
