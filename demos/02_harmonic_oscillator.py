@@ -1,9 +1,10 @@
 """Weyl quantization in the Fock basis.
 
-quantize() returns the exact leading block of the infinite matrix: the
-ladder couples adjacent levels only, so computing with internal padding
-makes truncation a compression.  Eigenvalues therefore decrease as the
-truncation grows, and the harmonic oscillator comes out exactly.
+quantize() returns the exact leading block of the infinite matrix: each
+z-monomial zbar^m z^n of the symbol (z = (y + i eta) / sqrt(2 hbar)) has
+closed-form entries on one diagonal, so truncation is a compression.
+Eigenvalues therefore decrease as the truncation grows, and the harmonic
+oscillator comes out exactly.
 """
 
 import numpy as np

@@ -46,7 +46,7 @@ class NonHermitianError(MelinLabError):
 
 class MonotonicityError(MelinLabError):
     """A truncation sweep increased where compression says it cannot;
-    signals an exactness bug in the padding."""
+    signals an exactness bug in the quantizer."""
 
 
 class ModelFileError(MelinLabError):

@@ -10,59 +10,49 @@ so [yhat, etahat] = i*hbar: the Fock basis of the isotropic vacuum.
 This module quantizes every symbol as given, in that basis; localize and
 lambda_sweep first pull a d = 1 graded symbol back to the frame of its
 lead's best Gaussian (see melinlab.localize), a unitarily equivalent
-operator whose ladder converges sooner.  A monomial is quantized by
-peeling factors through the exact Jordan recursion
+operator whose ladder converges sooner.
 
-    quantize(y_s * q) = (yhat_s @ Q + Q @ yhat_s) / 2
+Ladder-operator coordinates.  In z = (y + i eta) / sqrt(2 hbar), whose
+operator is a, y^a eta^b = (hbar/2)^(W/2) i^b (z + zbar)^a (zbar - z)^b
+(W = a + b) is a sum of zbar^m z^(W-m) with integer weights, and the
+Weyl operator of zbar^m z^n, the symmetrized product of m a+ and n a, is
+sum_j j! C(m, j) C(n, j) 2^-j a+^(m-j) a^(n-j) (Cahill and Glauber,
+Phys. Rev. 177, 1857, 1969): one diagonal, n - m, with the entries
 
-which reproduces Weyl ordering because y_s # q + q # y_s = 2 y_s q for
-linear factors.  Ladder matrices couple adjacent levels only, so
-computing at internal size N + deg(p) per mode and keeping the leading
-N-block yields the exact entries of the infinite matrix; truncation is
-then a compression, and lowest eigenvalues are nonincreasing in N.
+    M[i, i + n - m] = sum_j j! C(m, j) C(n, j) 2^-j
+                      sqrt(i! / (i-m+j)!) sqrt((i+n-m)! / (i-m+j)!).
 
-The same coupling bound makes the single-mode matrix of y^a eta^b
-banded, with 2(a+b) + 1 nonzero diagonals, so the recursion runs on
-diagonals: O(size * deg^2) per monomial instead of dense O(size^3)
-products.  A rung holds its bands and writes their Kronecker products
-(one per distinct second-mode factor; a single one for d = 1) only when
-read or solved.  Outside _walk, the one truncation ladder, there is one
-rung constructor, weyl_quantize, which peels its bands at n + deg(p), and
-one rung solve, _bottoms, which lowest_eigenvalue and _walk share.
-_walk walks a batch of rows at once, symbols with the same monomials at
-their own hbar (the folds of one graded symbol): one band stage with
-per-row weights at the internal size of the top rung the caller gave,
-then per rung one stacked block write and one stacked eigvalsh or
-Cholesky certificate per sector for the rows still walking, each row with
-the bits it gets alone.  A row that walks past the given ladder has its
-bands peeled again at the cap, exact because a band's leading N-block is
-the same at every internal size of at least N + deg.  truncation_sweep
-is the walk of a batch of one.
+So a rung of size N holds the exact entries of the infinite matrix with
+no level beyond it, truncation is a compression, and lowest eigenvalues
+are nonincreasing in N.  The integer weights of a degree are summed
+before (hbar/2)^(W/2) scales them, so terms that cancel do so exactly
+(Weyl((y^2 + eta^2)^k) is diagonal, with the bottom k! hbar^k).  Each
+degree's diagonals are one hbar-free table (_diagonals); a band row sums
+coefficient times diagonal in extended precision and rounds once.
 
-Real arithmetic.  Each term c y^a eta^b enters the block with the weight
-c i^|b| (|b| the total eta-degree) times the real hbar-scaled bands of
-its factors: the phase i^b_s of every factor moves into the weight.  When
-every weight is real, which the ladder reads once from the exponents,
-the bands and the block are float64 and eigvalsh runs the real symmetric
-solver; otherwise they are complex.  Real-coefficient symbols even in
-eta take the real path, and so does eta_1 eta_2, whose two imaginary
-factors multiply to a real one (in the Fock basis complex conjugation
-sends Weyl(p(y, eta)) to Weyl(p(y, -eta))).
+A rung holds, per mode-2 z-monomial (one diagonal; at d = 1 the constant
+1), the summed mode-1 band, and writes their Kronecker products only when
+read or solved.  There is one rung constructor, weyl_quantize, one
+truncation ladder, _walk (which walks a batch of rows at once), and one
+rung solve, _bottoms, which lowest_eigenvalue and _walk share.
+
+Real arithmetic.  Each term c y^a eta^b enters with the weight c i^|b|
+(|b| the total eta-degree); when every weight is real the coefficients,
+bands and blocks are float64 and eigvalsh runs the real symmetric solver,
+otherwise they are complex.  So real symbols even in eta take the real
+path, and so does eta_1 eta_2, whose two imaginary factors multiply to a
+real one (conjugation swaps z and zbar: it sends Weyl(p(y, eta)) to
+Weyl(p(y, -eta))).
 
 Hermiticity is decided on the symbol, never on a block: Weyl(p)^* =
 Weyl(conj p) and quantization is injective (Folland, Harmonic Analysis
 in Phase Space, 1989, ch. 2), so Weyl(p) is self-adjoint exactly when
-every coefficient of p is real.  _rows applies that rule once per row
-of a ladder, and no block is scanned.
-
-Band cache.  The Weyl matrix of y^a eta^b is (hbar/2)^((a+b)/2) i^b R
-with a real band R that does not depend on hbar, so R is peeled once
-per process: _real_band caches it by (a, b, size), read-only, and keeps
-the _BAND_CACHE_SIZE = 128 most recently used.  A band holds
-(2(a+b) + 1) * size doubles, at most 35.9 KB for degree <= 8 at
-N <= 256 (size <= 264), so 4.6 MB for the full cache; in general 128
-bands of the largest degree and size peeled.  Each use multiplies R by
-the hbar factor, the same final operation as an uncached peel.
+every coefficient of p is real.  _rows applies that rule once per row of
+a ladder.  A real symbol's mirrored z-monomial gets the conjugate
+coefficient and reads the same diagonal, checked exactly symmetric when
+its table is built, so mirrored entries are the same sums of exactly
+conjugated terms, if every sum is finite, which the entry bound of
+_bands ensures; no block is scanned.
 
 Parity sectors.  The Weyl matrix of y_s^a eta_s^b changes n_s by
 amounts of the parity of a + b, so a symbol whose monomials all have
@@ -76,7 +66,7 @@ block written straight from the bands (see _block): lowest_eigenvalue
 solves one and certifies the others by Cholesky.  A sector lists its
 rows by flat index n_1 + N n_2, in runs of equal level of its last mode
 (n_1 at d = 1, n_2 at d = 2), and two rows couple only when those
-levels differ by at most W, that mode's band half-width.  So the
+levels differ by at most W, that mode's largest diagonal offset.  So the
 certificate is a right-looking block Cholesky (Golub and Van Loan,
 Matrix Computations, 4th ed., 4.3-4.5) over super-blocks of whole runs,
 of at least _SUPER_BLOCK = 32 rows.  The window rule: a super-block's
@@ -109,19 +99,21 @@ to eigvalsh only within its own eps |B|.
 
 Everything here is desk scale: d <= 2 modes and N <= 256 per mode, a
 dense block of at most MAX_DENSE_DIM = 4096 rows (d = 2 up to N = 64),
-and symbols of total degree at most MAX_DEGREE = 32 (a degree-32 band
-peels in milliseconds at N = 256 and its entries stay far below
-overflow, also in d = 2 products).  A ladder beyond either limit raises
-ResourceLimitError before anything is peeled or allocated, so the
-default d = 2 ladder (32, 64, 128) is rejected until a sparse path
-exists.
+and symbols of total degree at most MAX_DEGREE = 32 (the degree-32
+diagonal table builds in milliseconds, and entries stay far below
+overflow at N = 256, also in d = 2 products).  A ladder beyond either
+limit raises ResourceLimitError before any coefficient is computed or
+block allocated, so the default d = 2 ladder (32, 64, 128) is rejected
+until a sparse path exists.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,7 +138,6 @@ MAX_MODES = 2
 MAX_TRUNCATION = 256
 MAX_DENSE_DIM = 4096
 MAX_DEGREE = 32
-_BAND_CACHE_SIZE = 128
 _SUPER_BLOCK = 32
 _INVERSE_ITERATIONS = 8
 HERMITICITY_TOL = 1e-12
@@ -161,14 +152,16 @@ class OperatorMatrix:
 
     Basis ordering is lexicographic over per-mode levels with mode 1
     fastest: flat index = n_1 + N*n_2 + ...  Entries are exact values of
-    the infinite matrix (up to roundoff) thanks to internal padding,
-    float64 when every weight c i^|b| is real, complex128 otherwise; the
-    rung builds them from its bands on first read.
+    the infinite matrix (up to roundoff), closed forms that need no level
+    beyond the block, float64 when every weight c i^|b| is real,
+    complex128 otherwise; the rung builds them from its bands on first read.
     """
 
-    def __init__(self, d: int, n: int, hbar: float, pad: int, hermitian: bool,
-                 parity: str | None, stack: list[tuple[np.ndarray, np.ndarray]]):
-        self.d, self.n, self.hbar, self.pad = d, n, hbar, pad
+    pad = 0  # no level beyond the block is ever computed; perfbench's tracer reads it
+
+    def __init__(self, d: int, n: int, hbar: float, hermitian: bool, parity: str | None,
+                 stack: list[tuple]):
+        self.d, self.n, self.hbar = d, n, hbar
         # whether the symbol is real (its blocks Hermitian), the flat indices of the
         # parity sectors (no entry couples two), their kind and the rung's bands,
         # a stack of one (the rung's row of its batch)
@@ -187,120 +180,127 @@ class OperatorMatrix:
         return self._entries
 
 
-# Single-mode factor matrices are held in band storage: row W + k of a
-# (2W + 1, size) array holds the k-th diagonal, band[W + k, i] = M[i, i + k],
-# zero where i + k falls outside the matrix.  The Weyl matrix of
-# y^a eta^b is a polynomial of degree W = a + b in the ladder operators,
-# so it couples levels at most W apart and fits this band exactly.
-#
-# Peeling runs on the real matrix R with M = s^W i^b R, s = sqrt(hbar/2):
-# yhat = s S and etahat = i s T with the real tridiagonal
-# S[m, m+1] = S[m+1, m] = sqrt(m+1) and T = -T^T, T[m+1, m] = sqrt(m+1).
-# With g[m] = sqrt(m) (zero outside 1 <= m < size), a step
-# R -> (X @ R + R @ X) / 2 with X in {S, T} reads, entrywise,
-#
-#   2 R'[i, j] = sigma (g[i+1] R[i+1, j] + g[j] R[i, j-1])
-#                     + (g[i] R[i-1, j] + g[j+1] R[i, j+1])
-#
-# (sigma = +1 for S, -1 for T): each output diagonal k mixes diagonals
-# k - 1 and k + 1 with sqrt weights.  A real monomial quantizes to a
-# Hermitian M, i.e. R^T = (-1)^b R; each step averages R' with its signed
-# transpose, band[W + k, i] <- (band[W + k, i] + tau band[W - k, i + k]) / 2,
-# which is the Hermitian average of M in band form and keeps the final
-# matrix exactly Hermitian.
-
-_PHASES = (1.0, 1j, -1.0, -1j)
+def _expansion(a: int, b: int) -> list[int]:
+    """The integer weights K_m, m = 0..a+b, of zbar^m z^(a+b-m) in
+    (z + zbar)^a (zbar - z)^b."""
+    return [sum(math.comb(a, p) * math.comb(b, m - p) * (-1) ** (b + m + p) for p in range(m + 1))
+            for m in range(a + b + 1)]
 
 
-@functools.lru_cache(maxsize=_BAND_CACHE_SIZE)
-def _real_band(ypow: int, epow: int, size: int) -> np.ndarray:
-    """The real band R of y^ypow eta^epow (W = ypow + epow >= 1); it does
-    not depend on hbar, and it is read-only because every caller shares it.
-    R must be exactly symmetric for even epow and antisymmetric for odd
-    epow on its in-matrix positions, else NonHermitianError (a NaN fails).
-
-    Jordan peeling quantize(x q) = (xhat Q + Q xhat) / 2 on diagonals,
-    O(size W) per step, W steps, with the weights lo[i] = g[i],
-    up[i] = g[i+1] and col[r, i] = g[i + r - W - 1] for r in 0..2W+2.
-    flip holds the flat indices into the zero-padded (2W+3, size+2) work
-    array that read the transposed band (out-of-matrix positions read
-    the zero corner).
-    """
-    width = ypow + epow
-
-    def g(m: np.ndarray) -> np.ndarray:
-        inside = (m >= 1) & (m < size)
-        return np.where(inside, np.sqrt(np.where(inside, m, 0)), 0.0)
-
-    i = np.arange(size)
-    lo, up = g(i), g(i + 1)
-    col = g(i[None, :] + np.arange(2 * width + 3)[:, None] - width - 1)
-    k = np.arange(2 * width + 1)[:, None] - width
-    j = i[None, :] + k
-    inside = (j >= 0) & (j < size)
-    flip = np.where(inside, (width - k + 1) * (size + 2) + j + 1, 0)
-    work = np.zeros((2 * width + 3, size + 2))  # band inside a ring of zeros
-    band = work[1:-1, 1:-1]
-    band[width] = 1.0
-    below, above = work[:-2], work[2:]
-    for step in range(width):
-        sigma = 1.0 if step < ypow else -1.0
-        from_below = up * below[:, 2:] + col[1:-1] * below[:, 1:-1]
-        from_above = lo * above[:, :-2] + col[2:] * above[:, 1:-1]
-        new = 0.5 * (sigma * from_below + from_above)
-        band[...] = new
-        etas = step + 1 - ypow
-        tau = -1.0 if etas > 0 and etas % 2 else 1.0
-        band[...] = 0.5 * (new + tau * work.take(flip))
-    if not (band[inside] == tau * work.take(flip)[inside]).all():  # tau is (-1)^epow
-        raise NonHermitianError(f"the band of y^{ypow} eta^{epow} is not exactly "
-                                f"{'anti' if tau < 0 else ''}symmetric")
-    band = band.copy()
-    band.setflags(write=False)
-    return band
+@functools.lru_cache(maxsize=None)
+def _diagonals(width: int) -> np.ndarray:
+    """Row m holds the diagonal, of offset width - 2m, of the Weyl operator
+    of zbar^m z^(width-m) on the first MAX_TRUNCATION rows: hbar-free,
+    read-only, built on first use (2.3 MB for all degrees up to MAX_DEGREE).
+    Each row is computed on its own, and that of zbar^n z^m must be exactly
+    the transpose of that of zbar^m z^n, else NonHermitianError.  roots[p,
+    width + x] is sqrt(x (x-1) ... (x-p+1)) on the levels x in [-width,
+    size + width), zero where a^p sends |x> to 0 (and below level 0)."""
+    size = MAX_TRUNCATION
+    x = np.arange(-width, size + width).astype(np.longdouble)
+    roots = np.sqrt(np.cumprod([x >= 0, *np.maximum(x - np.arange(width)[:, None], 0)], axis=0))
+    i = np.arange(width, width + size)
+    table = np.empty((width + 1, size), dtype=np.longdouble)
+    for m in range(width + 1):
+        n = width - m
+        j = np.arange(min(m, n) + 1)
+        weight = [math.factorial(t) * math.comb(m, t) * math.comb(n, t) * 0.5 ** t for t in j]
+        table[m] = (np.array(weight, dtype=np.longdouble)[:, None]
+                    * (roots[m - j][:, i] * roots[n - j][:, i + n - m])).sum(axis=0)
+    for m in range((width + 1) // 2):  # each pair of offsets k = width - 2m > 0 and -k
+        k = width - 2 * m
+        mirror = table[width - m]
+        if not ((mirror[k:] == table[m, :size - k]).all() and not mirror[:k].any()):
+            raise NonHermitianError(f"the diagonal of zbar^{width - m} z^{m} is not exactly the "
+                                    f"transpose of that of zbar^{m} z^{width - m}")
+    table.setflags(write=False)
+    return table
 
 
-def _scaled_band(ypow: int, epow: int, hbar: float, size: int) -> np.ndarray:
-    """The real band (hbar/2)^(W/2) R of y^ypow eta^epow (ones for W = 0):
-    the single-mode Weyl matrix with its phase i^epow left out."""
-    width = ypow + epow
-    if width == 0:
-        return np.ones((1, size))
-    return (hbar / 2.0) ** (width / 2.0) * _real_band(ypow, epow, size)
+class _Plan(NamedTuple):
+    """How the terms of a symbol, in iter_terms order, become bands (_plan)."""
+
+    d: int
+    terms: np.ndarray    # per (term, z-monomial) pair of a nonzero weight: the term,
+    targets: np.ndarray  # the z-monomial,
+    weights: np.ndarray  # and the weight i^|b| K, in term order
+    halves: np.ndarray   # per z-monomial, half its total degree W
+    tables: tuple        # per mode-1 degree W1, rising: (W1, m1 of its z-monomials)
+    order: np.ndarray    # the z-monomials of all tables, in band order
+    starts: np.ndarray   # the first z-monomial of each band row
+    groups: tuple        # per mode-2 factor: (offset, W2, m2, mode-1 offsets, band rows)
+    kind: str | None     # the Fock parities the Weyl operator conserves (_sectors)
 
 
 @functools.lru_cache(maxsize=64)
-def _block_geometry(band_shape: tuple[int, ...], n: int, row_stride: int, col_stride: int,
-                    stride: int):
-    """(source, offsets) of the entries of a band, or of each band of a
-    stack (leading axes of band_shape), that fall in its leading n x n
-    block, shaped (*stack, entries): the entry (i, j) of band s is
-    band.flat[source] and sits at offset s * stride + i * row_stride +
-    j * col_stride of the dense result."""
-    *stack, rows, size = band_shape
-    r = np.arange(rows)[:, None]
+def _plan(d: int, exponents: tuple[tuple[int, ...], ...]) -> _Plan:
+    """The plan of a symbol whose terms have these exponents, in order.
+
+    Each term expands into z-monomials zbar_1^m1 z_1^n1 zbar_2^m2 z_2^n2
+    with the product of its modes' integer weights.  They are numbered in
+    band order: by mode-2 factor (its degree W2 = m2 + n2, then m2), a
+    single diagonal (at d = 1 the constant 1), then by mode-1 offset
+    k1 = n1 - m1, one band row each, then by mode-1 degree W1.  So each band
+    row is a sum over rising degrees, and the mirrored z-monomial (m and n
+    swapped in each mode) adds to the mirrored entry in the same place of
+    the same order.  The kind is "mode" if every term has even degree in
+    each mode, else "total" if every term has even total degree, else None."""
+    found: dict[tuple[int, ...], None] = {}  # (W2, m2, k1, W1, m1) of each z-monomial
+    expanded = []
+    for t, idx in enumerate(exponents):
+        modes = [[(m, idx[s] + idx[d + s], weight)
+                  for m, weight in enumerate(_expansion(idx[s], idx[d + s]))] for s in range(d)]
+        for (m1, w1, k1), (m2, w2, k2) in itertools.product(modes[0], modes[1] if d == 2
+                                                              else [(0, 0, 1)]):
+            if k1 * k2:
+                key = (w2, m2, w1 - 2 * m1, w1, m1)
+                found[key] = None
+                expanded.append((t, key, (1, 1j, -1, -1j)[sum(idx[d:]) % 4] * k1 * k2))
+    zs = sorted(found)
+    index = {key: z for z, key in enumerate(zs)}
+    rows = [z for z, key in enumerate(zs) if z == 0 or key[:3] != zs[z - 1][:3]]
+    by_degree: dict[int, list[int]] = {}  # W1 -> its z-monomials
+    spans: dict[tuple[int, int], list[int]] = {}  # (W2, m2) -> its band rows
+    for z, key in enumerate(zs):
+        by_degree.setdefault(key[3], []).append(z)
+    for r, z in enumerate(rows):
+        spans.setdefault(zs[z][:2], []).append(r)
+    degrees = sorted(by_degree)
+    tables = tuple((w1, np.array([zs[z][4] for z in by_degree[w1]])) for w1 in degrees)
+    listed = [z for w1 in degrees for z in by_degree[w1]]
+    groups = [(w2 - 2 * m2, w2, m2, tuple(zs[rows[r]][2] for r in span),
+               slice(span[0], span[-1] + 1)) for (w2, m2), span in spans.items()]
+    odd = [[(idx[s] + idx[d + s]) % 2 for s in range(d)] for idx in exponents]  # per term, mode
+    kind = ("mode" if not any(map(any, odd))
+            else "total" if not any(sum(row) % 2 for row in odd) else None)
+    return _Plan(d, np.array([t for t, _, _ in expanded]),
+                 np.array([index[k] for _, k, _ in expanded]),
+                 np.array([w for _, _, w in expanded], dtype=complex),
+                 np.array([(key[0] + key[3]) / 2 for key in zs]), tables, np.argsort(listed),
+                 np.array(rows), tuple(groups), kind)
+
+
+@functools.lru_cache(maxsize=256)
+def _geometry(offsets: tuple[int, ...], size: int, n: int, row_stride: int, col_stride: int,
+              stack: int = 1, stride: int = 0, first: int = 0, step: int = 1):
+    """(source, place) of the entries of a band of these offsets and row
+    length size, an array whose row t holds diagonal offsets[t],
+    band[t, i] = M[i, i + offsets[t]], or of each band of a stack, shaped
+    (stack, entries), that fall in the n x n matrix of the levels first,
+    first + step, ... (all levels, or one parity, whose offsets are even):
+    its entry (i, j) is band.flat[source] and sits at s * stride +
+    i * row_stride + j * col_stride = place of the dense result."""
+    k = np.array(offsets)[:, None]
     i = np.arange(n)[None, :]
-    j = i + r - rows // 2
+    j = i + k // step
     inside = (j >= 0) & (j < n)
-    s = np.arange(math.prod(stack)).reshape(*stack, 1)
-    source = s * (rows * size) + (r * size + i)[inside]
-    offsets = s * stride + (i * row_stride + j * col_stride)[inside]
+    s = np.arange(stack)[:, None]
+    source = s * (len(offsets) * size) + (np.arange(len(offsets))[:, None] * size
+                                          + first + step * i)[inside]
+    place = s * stride + (i * row_stride + j * col_stride)[inside]
     source.setflags(write=False)
-    offsets.setflags(write=False)
-    return source, offsets
-
-
-def _parity_kind(p: PolynomialSymbol) -> str | None:
-    """The Fock parities the Weyl operator of p conserves: "mode" if
-    every monomial has even degree in each mode, else "total" if every
-    monomial has even total degree, else None.  Read from lists: on a few
-    terms numpy's per-call cost is most of the work."""
-    degrees = p.mode_degrees().tolist()
-    if not any(degree % 2 for row in degrees for degree in row):
-        return "mode"
-    if not any(sum(row) % 2 for row in degrees):
-        return "total"
-    return None
+    place.setflags(write=False)
+    return source, place
 
 
 @functools.lru_cache(maxsize=64)
@@ -434,98 +434,107 @@ def _inverse_iteration(block: np.ndarray, plan: tuple[tuple[int, int, int], ...]
     return None
 
 
+def _terms(p: PolynomialSymbol) -> tuple[tuple, tuple]:
+    """(exponents, coefficients) of p's terms in iter_terms order; the zero
+    symbol gets one zero term, so that its blocks stack too."""
+    return tuple(zip(*p.iter_terms())) or (((0,) * 2 * p.d,), (0j,))
+
+
 @_silent
-def _bands(ps: list[PolynomialSymbol], hbars: list[float],
-           size: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Band stage of a batch of rows, symbols with the same monomials at
-    their own hbar: per distinct mode-2 factor, its real scaled bands and
-    the summed mode-1 bands they multiply, stacked over the rows (axis 0),
-    at per-mode internal size `size` (each real band peeled once per
-    process).  A term's phases i^b1 i^b2 go into its per-row weight
-    c i^|b|, and each row adds its terms in iter_terms order, so a row gets
-    the bits it would get alone; the summed bands are float64 when every
-    weight is real and complex otherwise.  Sums past a double give inf or
-    NaN without a warning, so every band stage is held to the entry bound:
-    a row whose sum of max|band2| max|band1| over band pairs is not below
-    finfo(float).max / 2 raises ResourceLimitError."""
-    p, count = ps[0], len(ps)
-    # the rows' terms, the same monomials in iter_terms order; the zero symbol
-    # gets one zero term, so that its blocks stack too
-    rows = [list(q.iter_terms()) or [((0,) * 2 * q.d, 0j)] for q in ps]
-    weights = [[c * _PHASES[sum(idx[p.d:]) % 4] for idx, c in row] for row in rows]
-    real = not any(w.imag for row in weights for w in row)
-    factors: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for t, (idx, _) in enumerate(rows[0]):
-        # (mode-1, mode-2) exponents; at d = 1 the mode-2 factor is y^0 eta^0
-        ys, es = idx[:p.d] + (0,), idx[p.d:] + (0,)
-        factors.setdefault((ys[1], es[1]), []).append((ys[0], es[0], t))
-    bands, bounds = [], [0.0] * count
-    for (a2, b2), terms in factors.items():
-        width, size2 = max(a + b for a, b, _ in terms), size ** (p.d - 1)
-        summed = np.zeros((count, 2 * width + 1, size), dtype=float if real else complex)
-        band2 = (np.empty((count, 2 * (a2 + b2) + 1, size2)) if a2 + b2
-                 else np.ones((count, 1, size2)))  # the constant band 1, every band2 at d = 1
-        for r, (ws, hbar) in enumerate(zip(weights, hbars)):
-            row = summed[r]
-            for a, b, t in terms:
-                row[width - a - b : width + a + b + 1] += (
-                    (ws[t].real if real else ws[t]) * _scaled_band(a, b, hbar, size))
-            top2 = 1.0
-            if a2 + b2:
-                band2[r] = _scaled_band(a2, b2, hbar, size2)
-                top2 = float(np.abs(band2[r]).max())
-            bounds[r] += top2 * float(np.abs(row).max())
-        bands.append((band2, summed))
-    for bound in bounds:
+def _coefficients(d: int, exponents: tuple, rows: list[tuple],
+                  hbars: list[float]) -> tuple[_Plan, np.ndarray]:
+    """Coefficient stage of a batch of rows, symbols with these exponents
+    (_terms) and each row's coefficients, at their own hbar: the plan and
+    the coefficients of its z-monomials by part (the real part, and the
+    imaginary part unless every weight c i^|b| is real) and row.  Each
+    row sums its terms' weighted integer weights in term order, which gives
+    it the bits it gets alone and a real symbol's mirrored z-monomial the
+    conjugate coefficient, and only then scales them by (hbar/2)^(W/2)."""
+    plan = _plan(d, exponents)
+    products = np.array(rows, dtype=complex)[:, plan.terms] * plan.weights
+    # bincount adds in the order of its input: each row's products in term order
+    summed = np.array([[np.bincount(plan.targets, row, len(plan.halves)) for row in part]
+                       for part in [products.real] + [products.imag] * bool(products.imag.any())])
+    return plan, summed * (np.array(hbars)[:, None] / 2.0) ** plan.halves
+
+
+@_silent
+def _bands(plan: _Plan, coefficients: np.ndarray, n: int) -> list[tuple]:
+    """Band stage of a batch of rows at size n: per mode-2 factor, (its
+    offset, its diagonal, None at d = 1, the mode-1 offsets, the summed
+    mode-1 bands stacked over the rows).  A band row sums coefficient times
+    diagonal over rising degrees in extended precision (np.longdouble) and
+    rounds once: the bottoms of graded symbols feel the rounding of each
+    entry.  Sums past a double give inf or NaN without a warning, so every
+    band stage is held to the entry bound: a row whose sum of max|diagonal|
+    max|mode-1 band| over mode-2 factors is not below finfo(float).max / 2
+    raises ResourceLimitError."""
+    tables = [_diagonals(width)[ms, :n] for width, ms in plan.tables]
+    diagonals = tables[0] if len(tables) == 1 else np.concatenate(tables)[plan.order]
+    extended = coefficients.astype(np.longdouble)[..., None] * diagonals
+    if len(plan.starts) < extended.shape[2]:  # each band row's run, summed in order
+        extended = np.add.reduceat(extended, plan.starts, axis=2)
+    if len(extended) == 1:
+        summed = extended[0].astype(float)
+    else:
+        summed = np.empty(extended.shape[1:], dtype=complex)
+        summed.real, summed.imag = extended
+    bands = [(k2, None if plan.d == 1 else _diagonals(w2)[m2, :n].astype(float), ks,
+              np.ascontiguousarray(summed[:, span])) for k2, w2, m2, ks, span in plan.groups]
+    if plan.d == 1:
+        bounds = np.abs(summed).max(axis=(1, 2))
+    else:  # the largest entry of each row's bands of each mode-2 factor, times its diagonal's
+        tops = np.abs(summed).max(axis=2)
+        tops = np.maximum.reduceat(tops, [span.start for *_, span in plan.groups], axis=1)
+        bounds = (tops * [f.max() for _, f, _, _ in bands]).sum(axis=1)
+    for bound in bounds.tolist():
         if not bound < np.finfo(float).max / 2:
             raise ResourceLimitError(f"matrix entries may overflow: their bound {bound:.3e} is not "
                                      f"below the overflow limit {np.finfo(float).max / 2:.3e}")
     return bands
 
 
-def _block(bands: list[tuple[np.ndarray, np.ndarray]], d: int, n: int, kind: str | None = None,
-           v: int = 0) -> np.ndarray:
+def _block(bands: list[tuple], d: int, n: int, kind: str | None = None, v: int = 0) -> np.ndarray:
     """Block stage of the ladder: the summed Kronecker products of the
-    (mode-2, mode-1) band pairs on the leading n^d block (mode 1 fastest)
-    or on its parity sector v of the given kind, read-only, of the summed
-    bands' dtype, unchecked: _rows decides Hermiticity on the symbol.
-    Bands stacked over rows (leading axes) give the stack of their blocks
+    (mode-2 diagonal, mode-1 band) pairs on the leading n^d block (mode 1
+    fastest) or on its parity sector v of the given kind, read-only, of the
+    summed bands' dtype, unchecked: _rows decides Hermiticity on the symbol.
+    Bands stacked over rows (leading axis) give the stack of their blocks
     in one write.  Sector (p1, p2) = (v & 1, v >> 1) of the per-mode kind
-    is the same write of every second column from p_s and the even band
-    rows (the odd ones are zero); a total-parity sector keeps the products
-    inside it; at d = 1 the mode-2 factor is the constant band 1, so the
-    products are one gather."""
-    n1, n2 = n, n ** (d - 1)
-    if kind == "mode":
-        p1, p2 = v & 1, v >> 1
-        bands = [(b2[..., ::2, p2::2], b1[..., ::2, p1::2]) for b2, b1 in bands]
-        n1, n2 = len(range(p1, n1, 2)), len(range(p2, n2, 2))
+    is the same write from every second level from p_s; a total-parity
+    sector keeps the products inside it; at d = 1 there is no mode-2
+    factor, so the products are one gather."""
+    step, p1, p2 = (2, v & 1, v >> 1) if kind == "mode" else (1, 0, 0)
+    n1, n2 = len(range(p1, n, step)), len(range(p2, n ** (d - 1), step))
     dim = size = n1 * n2
     if kind == "total":  # the local index of each flat index in sector v, else -1
         sector = _sectors(d, n, kind)[v]
         size, local = len(sector), np.full(dim, -1)
         local[sector] = np.arange(size)
-    stack = bands[0][1].shape[:-2]
-    out = np.zeros(stack + (size, size), dtype=bands[0][1].dtype)
+    stack = len(bands[0][3])
+    out = np.zeros((stack, size, size), dtype=bands[0][3].dtype)
     flat = out.reshape(-1)
-    for band2, band1 in bands:
-        if d == 1:  # the mode-2 factor is the constant band 1, a product that changes nothing
-            src1, place = _block_geometry(band1.shape, n1, dim, 1, size * size)
-            products = band1.take(src1)
-        else:  # the outer products of the two factors' entries, block by block
-            src1, off1 = _block_geometry(band1.shape, n1, dim, 1, 0)
-            src2, off2 = _block_geometry(band2.shape, n2, n1 * dim, n1,
-                                         0 if kind == "total" else size * size)
-            place = off2[..., :, None] + off1[..., None, :]
-            products = band2.take(src2)[..., :, None] * band1.take(src1)[..., None, :]
+    for k2, diagonal, ks, band in bands:
+        src1, place = _geometry(ks, band.shape[-1], n1, dim, 1, stack,
+                                0 if kind == "total" else size * size, p1, step)
+        products = band.take(src1)
+        if diagonal is not None:  # the outer products of the two factors' entries
+            src2, off2 = _geometry((k2,), len(diagonal), n2, n1 * dim, n1, 1, 0, p2, step)
+            place = off2[0][:, None] + place[:, None, :]
+            products = diagonal.take(src2[0])[:, None] * products[:, None, :]
             if kind == "total":  # the products inside sector v, at their local indices
                 row, col = local[place // dim], local[place % dim]
                 inside = (row >= 0) & (col >= 0)
-                first = np.arange(0, out.size, size * size).reshape(stack + (1, 1))
+                first = np.arange(0, out.size, size * size).reshape(stack, 1, 1)
                 place, products = (first + row * size + col)[inside], products[inside]
         flat[place] += products
     out.setflags(write=False)
     return out
+
+
+def _pick(bands: list[tuple], rows: list[int]) -> list[tuple]:
+    """The bands of some rows of a batch."""
+    return [(k2, diagonal, ks, band[rows]) for k2, diagonal, ks, band in bands]
 
 
 def _check_truncations(ns: list) -> list[int]:
@@ -547,9 +556,9 @@ def _rows(ps: list[PolynomialSymbol], hbars: list[float],
           ns: list[int]) -> tuple[list[PolynomialSymbol], list[bool], list[int]]:
     """Each row's symbol as quantized, whether its rungs are Hermitian and
     its degree (0 for the zero symbol), after the gates, row by row, before
-    any band is peeled, on the ladder ns that _check_truncations returned: a
-    top rung of more than MAX_DENSE_DIM rows, or a symbol of degree above
-    MAX_DEGREE, raises ResourceLimitError.  Hermiticity is decided here, on
+    any coefficient is computed, on the ladder ns that _check_truncations
+    returned: a top rung of more than MAX_DENSE_DIM rows, or a symbol of
+    degree above MAX_DEGREE, raises ResourceLimitError.  Hermiticity is decided here, on
     the symbol: a non-finite coefficient raises NonHermitianError; a symbol
     with max|Im c| <= HERMITICITY_TOL max|c| is quantized by its real part
     and its rungs are marked hermitian, the rungs of any other are not
@@ -598,19 +607,17 @@ def weyl_quantize(p: PolynomialSymbol, hbar: float, n: int) -> OperatorMatrix:
     Returns
     -------
     OperatorMatrix with exact entries of the infinite matrix on the
-    block, built on first read from bands at per-mode size n + deg(p).
+    block, built on first read from bands of size n.
 
-    See _rows for the gates and the Hermiticity rule.  A real symbol's
-    weights c i^(b1+b2) match the symmetry (-1)^b of its real bands, so
-    mirrored entries are the same sums of exactly negated or conjugated
-    terms, if every sum is finite, which _bands' entry bound ensures.  The
-    rung is marked with the parity sectors the symbol conserves (one, the
-    whole block, if none).
+    See _rows for the gates and the Hermiticity rule.  The rung is marked
+    with the parity sectors the symbol conserves (one, the whole block, if
+    none).
     """
     (n,) = _check_truncations([n])
-    (p,), (hermitian,), (degree,) = _rows([p], [hbar], [n])
-    return OperatorMatrix(p.d, n, hbar, degree, hermitian, _parity_kind(p),
-                          _bands([p], [hbar], n + degree))
+    (p,), (hermitian,), _ = _rows([p], [hbar], [n])
+    exponents, coefficients = _terms(p)
+    plan, coefficients = _coefficients(p.d, exponents, [coefficients], [hbar])
+    return OperatorMatrix(p.d, n, hbar, hermitian, plan.kind, _bands(plan, coefficients, n))
 
 
 _NOT_HERMITIAN = "the symbol has complex coefficients: its matrix is not Hermitian"
@@ -636,11 +643,9 @@ def lowest_eigenvalue(m: OperatorMatrix) -> float:
     shows that eigvalsh(B) lies above rho; failure sets rho = min(rho,
     eigvalsh(B)[0]).  The bottom is thus the minimum of eigvalsh over the
     sector blocks, bit for bit: the certificates only decide which blocks
-    need no eigvalsh.  The solve is _bottoms on a batch of one, the solve of
-    every rung of _walk too.  Along a ladder (_walk), the sector that held
-    the bottom of the rung before is solved first, and where it has more than
-    two super-blocks by certified inverse iteration from that bottom,
-    falling back to eigvalsh (see the module docstring for its accuracy).
+    need no eigvalsh.  The solve is _bottoms on a batch of one; along a
+    ladder (_walk) it also takes certified inverse iteration (see the
+    module docstring).
     """
     if not isinstance(m, OperatorMatrix):
         raise TypeError(f"lowest_eigenvalue needs an OperatorMatrix from the quantizer, "
@@ -656,7 +661,7 @@ def _margin(block: np.ndarray):
     return 1e-10 * np.abs(block).sum(axis=-1).max(axis=-1)
 
 
-def _bottoms(bands: list[tuple[np.ndarray, np.ndarray]], d: int, n: int, kind: str | None,
+def _bottoms(bands: list[tuple], d: int, n: int, kind: str | None,
              hints: list[float | None], first: int) -> list[tuple[float, int]]:
     """(lowest_eigenvalue, the sector that holds it) of each row of a rung
     whose bands are stacked over the rows (axis 0), where every row solves
@@ -670,8 +675,8 @@ def _bottoms(bands: list[tuple[np.ndarray, np.ndarray]], d: int, n: int, kind: s
     iterate), and on each other sector one Cholesky certificate at every
     row's bottom so far, then eigvalsh on the rows it fails.  Inverse
     iteration runs per row."""
-    # the band half-width of the last mode: mode 1's summed band at d = 1
-    width = max(pair[2 - d].shape[-2] for pair in bands) // 2
+    # the largest offset of the last mode's diagonals (mode 1 at d = 1)
+    width = max(abs(k) for k2, _, ks, _ in bands for k in (ks if d == 1 else (k2,)))
     best: list = [None] * len(hints)  # each row's (bottom, sector) so far
     for v in [first] + [v for v in range(len(_sectors(d, n, kind))) if v != first]:
         block = _block(bands, d, n, kind, v)
@@ -719,7 +724,7 @@ class TruncationSweep:
             if rise > MONOTONICITY_TOL:
                 raise MonotonicityError(
                     f"lowest eigenvalue rose by {rise:.3e} from N={self.truncations[i - 1]} "
-                    f"to N={self.truncations[i]}; padding exactness is broken"
+                    f"to N={self.truncations[i]}; quantizer exactness is broken"
                 )
 
     @property
@@ -750,45 +755,45 @@ def _walk(ps: list[PolynomialSymbol], hbars: list[float], ns: list[int],
     converged is False when the cap is reached first.
 
     Rows with the same monomials (the folds of one graded symbol, say) walk
-    together: one band stage with per-row weights, then per rung the
+    together: one coefficient stage with per-row weights, then per rung the
     stacked solve of _bottoms for the rows still walking, one call for the
     rows whose last bottoms lie in the same sector (all of them, as a
     rule), the rung solve that lowest_eigenvalue makes on one rung; a row
-    drops out where it stops, and no rung past its stop is built for it.
-    The gates read the extended ladder before any band is peeled.  The bands are
-    peeled at the top of the given ladder, and again at the cap only for
-    the rows still walking past it: the leading blocks are the same bits at
-    any internal size of at least N + deg.  Each row's rungs pass the
-    monotonicity gate of TruncationSweep, which keeps its last matrix.
+    drops out where it stops.  The gates read the extended ladder first.
+    Bands built at the top of the given ladder serve every rung up to it
+    (a rung's entries are the leading block of any larger one), and each
+    rung past it builds its own.  Each row's rungs pass the monotonicity
+    gate of TruncationSweep, which keeps its last matrix.
     """
     ns = _check_truncations(ns)
     top = ns[-1]
     while escalate and ns[-1] * 2 <= MAX_TRUNCATION:
         ns.append(ns[-1] * 2)
     ps, hermitian, degrees = _rows(ps, hbars, ns)
+    terms = [_terms(p) for p in ps]
     batches: dict[tuple, list[int]] = {}
-    for r, p in enumerate(ps):
-        batches.setdefault(tuple(idx for idx, _ in p.iter_terms()), []).append(r)
+    for r, (exponents, _) in enumerate(terms):
+        batches.setdefault(exponents, []).append(r)
     walks: list = [None] * len(ps)
-    for rows in batches.values():
+    for exponents, rows in batches.items():
         p, degree = ps[rows[0]], degrees[rows[0]]
-        kind, size = _parity_kind(p), top + degree
-        bands = _bands([ps[r] for r in rows], [hbars[r] for r in rows], size)
+        plan, coefficients = _coefficients(p.d, exponents, [terms[r][1] for r in rows],
+                                           [hbars[r] for r in rows])
         if not all(hermitian[r] for r in rows):
             raise NonHermitianError(_NOT_HERMITIAN)
         values: dict[int, list[float]] = {r: [] for r in rows}
         held = dict.fromkeys(rows, 0)
+        size = 0
         for i, n in enumerate(ns):
-            if n + degree > size:  # a row walks past the given ladder: peel at the cap
-                size = ns[-1] + degree
-                bands = _bands([ps[r] for r in rows], [hbars[r] for r in rows], size)
+            if n > size:  # bands at the given ladder's top serve every rung up to it
+                size = max(n, top)
+                bands = _bands(plan, coefficients, size)
             solved: list = [None] * len(rows)
             for first in dict.fromkeys(held[r] for r in rows):  # rows whose bottoms share a sector
                 group = [j for j, r in enumerate(rows) if held[r] == first]
-                stack = bands if len(group) == len(rows) else [(b2[group], b1[group])
-                                                               for b2, b1 in bands]
+                stack = bands if len(group) == len(rows) else _pick(bands, group)
                 hints = [values[rows[j]][-1] if values[rows[j]] else None for j in group]
-                for j, found in zip(group, _bottoms(stack, p.d, n, kind, hints, first)):
+                for j, found in zip(group, _bottoms(stack, p.d, n, plan.kind, hints, first)):
                     solved[j] = found
             going = []
             for j, (r, (value, v)) in enumerate(zip(rows, solved)):
@@ -798,8 +803,8 @@ def _walk(ps: list[PolynomialSymbol], hbars: list[float], ns: list[int],
                                  and abs(value - found[-2])
                                  < CONVERGENCE_REL * abs(value) + CONVERGENCE_ABS)
                 if converged or i == len(ns) - 1:
-                    rung = OperatorMatrix(p.d, n, hbars[r], size - n, hermitian[r], kind,
-                                          [(b2[j:j + 1], b1[j:j + 1]) for b2, b1 in bands])
+                    rung = OperatorMatrix(p.d, n, hbars[r], hermitian[r], plan.kind,
+                                          _pick(bands, [j]))
                     walks[r] = (ns[:i + 1], found, rung, converged or not escalate)
                 else:
                     going.append(j)
@@ -807,7 +812,7 @@ def _walk(ps: list[PolynomialSymbol], hbars: list[float], ns: list[int],
                 break
             if len(going) < len(rows):
                 rows = [rows[j] for j in going]
-                bands = [(b2[going], b1[going]) for b2, b1 in bands]
+                bands, coefficients = _pick(bands, going), coefficients[:, going]
     return [(TruncationSweep(used, found, matrix=rung), converged)
             for used, found, rung, converged in walks]
 
@@ -815,10 +820,9 @@ def _walk(ps: list[PolynomialSymbol], hbars: list[float], ns: list[int],
 def truncation_sweep(p: PolynomialSymbol, hbar: float, ns: list[int]) -> TruncationSweep:
     """Lowest eigenvalue of quantize(p, hbar) at each truncation in ns.
 
-    One ladder, the walk of a batch of one row: the bands are peeled once
-    at the largest N and every rung solves blocks built from them; the
-    result keeps the top rung's matrix, whose entries are built on first
-    read.
+    One ladder, the walk of a batch of one row: bands built once at the
+    largest N serve every rung; the result keeps the top rung's matrix,
+    whose entries are built on first read.
     """
     return _walk([p], [hbar], ns)[0][0]
 

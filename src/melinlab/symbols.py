@@ -349,11 +349,6 @@ class PolynomialSymbol:
         """Largest coefficient modulus; 0.0 for the zero polynomial."""
         return max(map(abs, self._coef.tolist()), default=0.0)
 
-    def mode_degrees(self) -> np.ndarray:
-        """(terms, d) int array: each monomial's degree in each mode s, the
-        power of y_s plus the power of eta_s, monomials in sorted order."""
-        return self._exps[:, :self.d] + self._exps[:, self.d:]
-
     def iter_terms(self) -> Iterator[tuple[MultiIndex, complex]]:
         """Terms in the canonical order (by total degree, then index)."""
         terms = zip(map(tuple, self._exps.tolist()), self._coef.tolist())

@@ -123,6 +123,33 @@ def kron_quantize_oracle(p, hbar, n):
     return total[np.ix_(keep, keep)]
 
 
+def radial_spectrum_oracle(a, d, levels):
+    """Weyl eigenvalues at hbar = 1 of the radial symbol a(h_1 + ... + h_d),
+    h_s = y_s^2 + eta_s^2, on the total Fock levels n = 0..levels-1, for a
+    polynomial a given by its coefficients in rising powers.  On total
+    level n the operator is (Groenewold, Physica 12, 1946; Folland,
+    Harmonic Analysis in Phase Space, 1989, ch. 1)
+
+        (-1)^n / C(n+d-1, d-1) / (d-1)!
+            * int_0^inf a(s) s^(d-1) e^-s L_n^(d-1)(2s) ds,
+
+    integrated by Gauss-Laguerre quadrature with just enough nodes to be
+    exact on the polynomial integrand; L_n^(d-1) by its three-term
+    recurrence.  Independent of the quantizer: no Fock matrix is formed."""
+    a = np.polynomial.Polynomial(a)
+    alpha = d - 1
+    out = []
+    for n in range(levels):
+        nodes, weights = np.polynomial.laguerre.laggauss((a.degree() + alpha + n) // 2 + 1)
+        x, before, laguerre = 2.0 * nodes, np.zeros_like(nodes), np.ones_like(nodes)
+        for k in range(n):
+            before, laguerre = laguerre, ((2 * k + 1 + alpha - x) * laguerre
+                                          - (k + alpha) * before) / (k + 1)
+        integral = np.sum(weights * a(nodes) * nodes ** alpha * laguerre)
+        out.append((-1) ** n * integral / math.comb(n + alpha, alpha) / math.factorial(alpha))
+    return np.array(out)
+
+
 def number_operator(k, d, n):
     """Diagonal of the comparison operator N_k = sum_{|alpha| <= k}
     (L^alpha)+ L^alpha at hbar = 1, L_s = i sqrt(2) a_s+, on the leading

@@ -334,7 +334,7 @@ def test_sweep_prints_a_note_per_row_that_hits_the_cap(tmp_path, capsys):
 @pytest.mark.parametrize("base, k, printed", [(16.0, 3, "386.124237764"), (4.0, 5, "3841.24999512")])
 def test_anisotropic_leads_at_k_above_2_localize_and_sweep(tmp_path, capsys, base, k, printed):
     # (y^2 + base eta^2)^k expanded at level 0, y^2 + eta^2 at level k - 1: both
-    # commands exited 2 with a false "padding exactness is broken"
+    # commands exited 2 with a false MonotonicityError ("exactness is broken")
     lead = [{"c": [math.comb(k, i) * base ** (k - i), 0], "y": [2 * i], "eta": [2 * (k - i)]}
             for i in range(k + 1)]
     model = quartic_model_dict(k=k, sweep={"lambdas": [16, 64, 256], "truncations": [16, 32]})
@@ -343,6 +343,22 @@ def test_anisotropic_leads_at_k_above_2_localize_and_sweep(tmp_path, capsys, bas
     path.write_text(json.dumps(model))
     assert main(["localize", str(path)]) == 0
     assert f"lambda_min = {printed}" in capsys.readouterr().out.splitlines()
+    assert main(["sweep", str(path), "--out", str(tmp_path / "r.csv")]) == 0
+    assert "verdict: pass" in capsys.readouterr().out.splitlines()
+
+
+def test_high_k_isotropic_model_localizes_and_sweeps(tmp_path, capsys):
+    # h^12 at level 0 and h^11 at level 2 (h = y^2 + eta^2, k = 12): the localized
+    # bottom is 12! on every rung.  Its N = 128 rung read -1.5e12 when the
+    # y^a eta^b bands left off-diagonal roundoff, and both commands failed
+    h12 = [{"c": [math.comb(12, i), 0], "y": [2 * i], "eta": [24 - 2 * i]} for i in range(13)]
+    h11 = [{"c": [math.comb(11, i), 0], "y": [2 * i], "eta": [22 - 2 * i]} for i in range(12)]
+    model = {"d": 1, "m": 0, "k": 12, "levels": [{"j": 0, "terms": h12}, {"j": 2, "terms": h11}],
+             "sweep": {"lambdas": [16, 64, 256], "truncations": [16, 32]}}
+    path = tmp_path / "k12.json"
+    path.write_text(json.dumps(model))
+    assert main(["localize", str(path)]) == 0
+    assert "lambda_min = 479001600" in capsys.readouterr().out.splitlines()
     assert main(["sweep", str(path), "--out", str(tmp_path / "r.csv")]) == 0
     assert "verdict: pass" in capsys.readouterr().out.splitlines()
 

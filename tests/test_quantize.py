@@ -17,9 +17,8 @@ from melinlab import quantize
 from melinlab.quantize import (
     MAX_DEGREE,
     MAX_DENSE_DIM,
+    MAX_TRUNCATION,
     TruncationSweep,
-    _PHASES,
-    _scaled_band,
     conjugation_residual,
     lowest_eigenvalue,
     truncation_sweep,
@@ -35,6 +34,7 @@ from oracles import (
     mode_operators,
     number_operator,
     quantize_oracle,
+    radial_spectrum_oracle,
     random_polynomial,
 )
 
@@ -255,7 +255,7 @@ def test_conjugation_residual_rejects_non_finite_lambda(lam):
 
 
 # ---------------------------------------------------------------------------
-# Banded peeling against the dense Jordan product
+# Closed-form diagonals against the dense Jordan product
 # ---------------------------------------------------------------------------
 
 MONOMIALS_UP_TO_8 = [(a, w - a) for w in range(9) for a in range(w + 1)]
@@ -265,56 +265,52 @@ def _rel_err(got, want):
     return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
 
 
-def _phased_band(a, b, hbar, size):
-    """Single-mode Weyl matrix of y^a eta^b in complex band storage: the
-    phase i^b that the quantizer moves into the term weight, times the band."""
-    return np.multiply(_PHASES[b % 4], _scaled_band(a, b, hbar, size), dtype=complex)
-
-
-def _dense(band, size):
-    """Unpack band storage, band[W + k, i] = M[i, i + k], into M."""
-    width = band.shape[0] // 2
-    out = np.zeros((size, size), dtype=complex)
-    for k in range(-width, width + 1):
-        i = np.arange(max(0, -k), min(size, size - k))
-        out[i, i + k] = band[width + k, i]
-    return out
-
-
 @pytest.mark.parametrize("size", [3, 10, 262])
 def test_mode_band_matches_dense_jordan(size):
+    # the oracle's last W = a + b levels carry its truncated ladder, so the
+    # single-mode matrix of y^a eta^b is compared on the oracle's leading
+    # size - W block (at most MAX_TRUNCATION levels)
     for hbar in ((1.0, 0.3) if size < 100 else (0.3,)):
         for a, b in MONOMIALS_UP_TO_8:
-            got = _dense(_phased_band(a, b, hbar, size), size)
-            want = jordan_mode_oracle(a, b, hbar, size)
+            keep = min(size - a - b, MAX_TRUNCATION)
+            if keep < 2:
+                continue
+            got = weyl_quantize(PolynomialSymbol.monomial(1, (a, b)), hbar, keep).entries
+            want = jordan_mode_oracle(a, b, hbar, size)[:keep, :keep]
             assert _rel_err(got, want) <= 1e-13, (a, b, size, hbar)
 
 
-def test_band_cache_serves_every_hbar_from_one_peel():
-    # M = (hbar/2)^(W/2) i^b R with R real and hbar-free: R is peeled once
-    quantize._real_band.cache_clear()
+def test_diagonal_tables_serve_every_hbar_from_one_build():
+    # the diagonals of zbar^m z^n are hbar-free: one read-only table per
+    # degree, built once and read by every hbar and every truncation
+    quantize._diagonals.cache_clear()
     for hbar in (1.0, 0.3):
-        for a, b in MONOMIALS_UP_TO_8[1:]:
-            got = _dense(_phased_band(a, b, hbar, 12), 12)
-            assert _rel_err(got, jordan_mode_oracle(a, b, hbar, 12)) <= 1e-13, (a, b, hbar)
-    info = quantize._real_band.cache_info()
-    assert info.misses == len(MONOMIALS_UP_TO_8) - 1
-    assert info.hits == len(MONOMIALS_UP_TO_8) - 1
-    cached = quantize._real_band(2, 1, 12)
-    assert cached.dtype == np.float64 and not cached.flags.writeable
+        for n in (12, 40):
+            for a, b in MONOMIALS_UP_TO_8[1:]:
+                rung = weyl_quantize(PolynomialSymbol.monomial(1, (a, b)), hbar, n)
+                want = jordan_mode_oracle(a, b, hbar, n + a + b)[:n, :n]
+                assert _rel_err(rung.entries, want) <= 1e-13, (a, b, hbar, n)
+    assert quantize._diagonals.cache_info().misses == 8
+    table = quantize._diagonals(3)
+    assert table.shape == (4, MAX_TRUNCATION) and table.dtype == np.longdouble
+    assert not table.flags.writeable
     with pytest.raises(ValueError):
-        cached[0, 0] = 1.0
-    # callers get a fresh scaled copy, never the cached array
-    assert not np.shares_memory(_scaled_band(2, 1, 1.0, 12), cached)
+        table[0, 0] = 1.0
+    # a rung's summed bands are its own, never the cached table
+    band = weyl_quantize(y() ** 2 * eta(), 1.0, 12)._stack[0][3]
+    assert not np.shares_memory(band, table)
 
 
-def test_phase_grid_peels_each_form_monomial_once():
-    quantize._real_band.cache_clear()
+def test_phase_grid_builds_one_table_and_one_plan():
+    quantize._diagonals.cache_clear()
+    quantize._plan.cache_clear()
     axis = np.linspace(0.7, 2.5, 4)
     report = melin_phase_diagram(axis, np.linspace(-0.5, 0.5, 4), axis, [0.0])
     assert len(report.points) == 64
-    # y^2, y eta and eta^2 at internal size 64 + 2, shared by all 64 forms
-    assert quantize._real_band.cache_info().misses == 3
+    # y^2, y eta and eta^2 are all of degree 2: one table, and one plan shared
+    # by all 64 forms
+    assert quantize._diagonals.cache_info().misses == 1
+    assert quantize._plan.cache_info().misses == 1
 
 
 def test_nan_matrix_fails_the_hermiticity_check():
@@ -359,8 +355,8 @@ def test_mixed_d2_symbol_matches_full_kron_gather():
 
 
 def test_truncation_sweep_rungs_equal_separate_quantizations():
-    # bands peeled once at the top rung give each rung the exact bytes of
-    # a separate quantization at that rung
+    # each rung of a walk has the exact bytes of a separate quantization at
+    # that rung
     p1 = y() ** 4 + eta() ** 4 + y() ** 2 - 0.5 * (y() * eta())
     p2 = (y(2, 0) ** 2 + eta(2, 0) ** 2) ** 2 + 0.3 * (y(2, 0) * eta(2, 1)) ** 2 \
         + eta(2, 1) ** 4 + y(2, 1) ** 2 * eta(2, 1) ** 2 + y(2, 1) ** 4
@@ -546,20 +542,27 @@ def test_real_weight_of_a_complex_symbol_is_still_checked():
 
 
 # ---------------------------------------------------------------------------
-# Hermitian by construction: each band checked when peeled, no block scanned
+# Hermitian by construction: each cached diagonal checked when built, no
+# block scanned
 # ---------------------------------------------------------------------------
 
 
-def test_every_real_band_is_exactly_symmetric_or_antisymmetric():
-    quantize._real_band.cache_clear()
-    for size in (9, 40, 262):
-        for a, b in [(a, w - a) for w in range(1, 13) for a in range(w + 1)]:
-            band = quantize._real_band(a, b, size)  # peeled, and checked, here
-            dense = np.zeros((size, size))
-            for k in range(-(a + b), a + b + 1):
+def test_every_cached_diagonal_is_exactly_symmetric():
+    # Weyl(zbar^n z^m) is the transpose of the real Weyl(zbar^m z^n): each
+    # table row is built on its own (and checked), and on every truncation
+    # the two dense matrices must be exact transposes
+    quantize._diagonals.cache_clear()
+    for width in range(MAX_DEGREE + 1):
+        table = quantize._diagonals(width)  # built, and checked, here
+        for size in (9, 40, 256):
+            dense = []
+            for m in range(width + 1):
+                k = width - 2 * m
                 i = np.arange(max(0, -k), min(size, size - k))
-                dense[i, i + k] = band[a + b + k, i]
-            assert np.array_equal(dense.T, (-1) ** b * dense), (a, b, size)
+                dense.append(np.zeros((size, size)))
+                dense[-1][i, i + k] = table[m, i]
+            for m in range(width + 1):
+                assert np.array_equal(dense[width - m], dense[m].T), (width, m, size)
 
 
 def _seeded_real_symbol(rng, d, parity, odd_eta):
@@ -617,11 +620,15 @@ def test_entries_near_overflow_are_refused_before_any_block():
               PolynomialSymbol(1, {(2, 0): 1.7e308, (0, 2): 1.7e308})):
         with pytest.raises(ResourceLimitError, match="overflow limit"):
             weyl_quantize(p, 1.0, 16)
-    # finite entries near 1e306 stay below the bound and are solved
+    # finite entries near 1e306 stay below the bound and are solved, to the
+    # eps |B| of eigvalsh: the bottom is 6.6002671515104037e+296 in 60-digit
+    # arithmetic (the Weyl matrices of y^4 and eta^2 are powers of yhat and
+    # etahat), about 1e-10 of the largest entry
     p = PolynomialSymbol(2, {(4, 4, 0, 0): 1e300, (0, 0, 2, 2): 1.0})
-    assert lowest_eigenvalue(weyl_quantize(p, 1.0, 16)) == pytest.approx(
-        6.600267142500937e+296, rel=1e-12)
     m = weyl_quantize(p, 1.0, 16).entries
+    norm = np.abs(m).sum(axis=1).max()
+    assert abs(lowest_eigenvalue(weyl_quantize(p, 1.0, 16)) - 6.6002671515104037e+296) \
+        <= 4 * np.finfo(float).eps * norm
     assert np.abs(m - m.T).max() == 0.0
 
 
@@ -669,7 +676,7 @@ def test_sector_blocks_are_the_slices_of_the_entries_bit_for_bit(p, ns):
 
 
 @pytest.mark.parametrize("p, ns",
-                         [c for c in SECTOR_CASES if quantize._parity_kind(c[0]) == "mode"])
+                         [c for c in SECTOR_CASES if weyl_quantize(c[0], 1.0, 2)._parity == "mode"])
 def test_solving_a_mode_rung_never_builds_its_dense_block(p, ns, monkeypatch):
     build = quantize._block
 
@@ -773,7 +780,7 @@ def test_block_cholesky_certificate_decides_within_a_tenth_of_its_margin(p, kind
     sizes = set()
     for rung in [weyl_quantize(p, 1.0, n) for n in [31, 32, 64]]:
         assert rung._parity == kind
-        width = max((b2.shape[-2] - 1) // 2 for b2, _ in rung._stack)
+        width = max(abs(k2) for k2, *_ in rung._stack)
         for v in range(1, len(rung.sectors)):
             block = quantize._block(rung._stack, 2, rung.n, kind, v)[0]
             plan = quantize._super_blocks(2, rung.n, kind, v, width)
@@ -835,7 +842,7 @@ def test_block_factor_solves_the_shifted_sector(case):
     p, kind, _ = CERTIFICATE_CASES[case]
     rng = np.random.default_rng(case)
     for rung in [weyl_quantize(p, 1.0, n) for n in [31, 32]]:
-        width = max((b2.shape[-2] - 1) // 2 for b2, _ in rung._stack)
+        width = max(abs(k2) for k2, *_ in rung._stack)
         for v in range(len(rung.sectors)):
             block = quantize._block(rung._stack, 2, rung.n, kind, v)[0]
             plan = quantize._super_blocks(2, rung.n, kind, v, width)
@@ -967,7 +974,7 @@ def test_symbols_without_parity_iterate_on_every_rung_after_the_first(monkeypatc
     for p, hbar, ns, iterated in [(h * h + 0.3 * y() ** 3 + 0.5 * h, 0.25, [64, 128, 256],
                                    [128, 256]),
                                   (mode2 + 0.2 * y(2, 0) ** 3, 1.0, [8, 16, 32], [256, 1024])]:
-        assert quantize._parity_kind(p) is None
+        assert weyl_quantize(p, 1.0, 2)._parity is None
         calls, iterations = _counting(monkeypatch), _iterations(monkeypatch)
         sweep = truncation_sweep(p, hbar, ns)
         monkeypatch.undo()
@@ -976,6 +983,42 @@ def test_symbols_without_parity_iterate_on_every_rung_after_the_first(monkeypatc
         top = sweep.matrix.entries
         norm = np.abs(top).sum(axis=1).max()
         assert abs(sweep.values[-1] - np.linalg.eigvalsh(top)[0]) <= 4 * np.finfo(float).eps * norm
+
+
+# (d, coefficients of a in rising powers): h, h^2, h^3, h^2 - 6h and
+# h^4 - 4h^2 + 3 at d = 1, (h_1 + h_2)^j for j <= 3 at d = 2
+RADIAL_CASES = [(1, [0, 1]), (1, [0, 0, 1]), (1, [0, 0, 0, 1]), (1, [0, -6, 1]),
+                (1, [3, 0, -4, 0, 1]), (2, [0, 1]), (2, [0, 0, 1]), (2, [0, 0, 0, 1])]
+
+
+@pytest.mark.parametrize("d, a", RADIAL_CASES)
+def test_radial_symbols_have_the_laguerre_spectrum(d, a):
+    # Weyl(a(h_1 + ... + h_d)) is diagonal in the Fock basis, with the
+    # eigenvalue of total level n in closed form (radial_spectrum_oracle); the
+    # first 8 total levels of the N = 32 rung must match it, off-diagonals
+    # included
+    h = harmonic_symbol(d)
+    p = sum((c * h ** j for j, c in enumerate(a) if c), PolynomialSymbol.zero(d))
+    m = weyl_quantize(p, 1.0, 32).entries
+    want = radial_spectrum_oracle(a, d, 8)
+    flat = np.arange(32 ** d)
+    total = sum((flat // 32 ** s) % 32 for s in range(d))
+    keep = flat[total < 8]
+    expected = np.diag(want[total[keep]])
+    assert np.abs(m[np.ix_(keep, keep)] - expected).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_powers_of_the_harmonic_symbol_have_the_bottom_k_factorial(k):
+    # Weyl(h^k) = (2 hbar)^k Weyl(zbar^k z^k): exactly diagonal, with the bottom
+    # k! hbar^k on every rung.  Summed y^a eta^b bands left off-diagonal
+    # roundoff of (N hbar)^k eps, which eigvalsh turned into bottoms off by up to
+    # 3.5e14 relative at N = 256 (k = 16)
+    sweep = truncation_sweep(harmonic_symbol() ** k, 1.0, [32, 64, 128, 256])
+    want = math.factorial(k)
+    assert all(abs(value - want) <= 1e-12 * want for value in sweep.values), sweep.values
+    top = sweep.matrix.entries
+    assert not (top - np.diag(np.diag(top))).any()
 
 
 # ---------------------------------------------------------------------------
@@ -1014,8 +1057,8 @@ def _same_walks(alone, together) -> None:
 @pytest.mark.parametrize("squeeze", [1.0, 1.7, 30.0, 80.0, 200.0])
 def test_a_batch_of_rows_gives_the_bits_of_one_row_at_a_time(squeeze):
     # in the plain frame the squeezed models escalate, some rows to the cap,
-    # so rows drop out of the batch at different rungs and the bands are
-    # peeled again at the cap for the rows still walking
+    # so rows drop out of the batch at different rungs and the rows still
+    # walking build their bands at each rung past the given ladder
     g = _scaling_model(np.random.default_rng(int(squeeze * 10)), squeeze)
     for escalate in (True, False):
         _same_walks(*_walk_alone_and_together(g, LAMBDAS, [16, 32], escalate))
@@ -1058,17 +1101,14 @@ def test_rows_whose_bottoms_lie_in_different_sectors_keep_their_bits(monkeypatch
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
-def test_a_band_peeled_at_n_plus_its_width_is_exact_on_the_leading_block(n):
-    # the walk peels at the top of the given ladder and again at the cap,
-    # which is exact because the leading n-block of a band does not depend
-    # on the internal size once it is at least n + W
+def test_a_rung_is_the_leading_block_of_every_larger_rung(n):
+    # entries are closed forms computed at the rung's own size, with no level
+    # beyond it: a rung is the leading block of any larger rung, bit for bit
     for a, b in MONOMIALS_UP_TO_12:
-        width = a + b
-        k = np.arange(2 * width + 1)[:, None] - width
-        inside = (np.arange(n)[None, :] + k >= 0) & (np.arange(n)[None, :] + k < n)
-        small = quantize._real_band(a, b, n + width)[:, :n][inside]
-        large = quantize._real_band(a, b, 262)[:, :n][inside]
-        assert small.tobytes() == large.tobytes(), (a, b, n)
+        p = 0.7 * PolynomialSymbol.monomial(1, (a, b)) + harmonic_symbol()
+        small = weyl_quantize(p, 0.8, n).entries
+        large = weyl_quantize(p, 0.8, MAX_TRUNCATION).entries[:n, :n]
+        assert small.dtype == large.dtype and small.tobytes() == large.tobytes(), (a, b, n)
 
 
 MONOMIALS_UP_TO_12 = [(a, w - a) for w in range(1, 13) for a in range(w + 1)]

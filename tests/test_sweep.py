@@ -83,7 +83,7 @@ def test_a_truncation_that_is_not_an_integer_is_refused_everywhere():
     spec = ModelSpec(g, lambdas=[16.0, 64.0], truncations=[16.0, np.int64(32)])
     assert spec.truncations == [16, 32] and all(type(n) is int for n in spec.truncations)
     rung = quantize.weyl_quantize(p, 1.0, 16.0)
-    assert (rung.n, rung.pad) == (16, 4)
+    assert (rung.n, rung.pad) == (16, 0)
     assert rung.entries.tobytes() == quantize.weyl_quantize(p, 1.0, 16).entries.tobytes()
     assert quantize.truncation_sweep(p, 1.0, [16.0, 32.0]).truncations == [16, 32]
 
@@ -96,7 +96,7 @@ def test_sweep_rows_pass_the_monotonicity_gate(monkeypatch):
     monkeypatch.setattr(quantize, "_bottoms", lambda bands, d, n, kind, hints, first: (
         [(float(next(rising)), first) for _ in hints] if len(hints) > 1
         else solve(bands, d, n, kind, hints, first)))
-    with pytest.raises(MonotonicityError, match="padding exactness"):
+    with pytest.raises(MonotonicityError, match="quantizer exactness"):
         lambda_sweep(quartic_spec(lambdas=(16.0, 64.0)))
 
 
