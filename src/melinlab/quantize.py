@@ -28,7 +28,11 @@ are nonincreasing in N.  The integer weights of a degree are summed
 before (hbar/2)^(W/2) scales them, so terms that cancel do so exactly
 (Weyl((y^2 + eta^2)^k) is diagonal, with the bottom k! hbar^k).  Each
 degree's diagonals are one hbar-free table (_diagonals); a band row sums
-coefficient times diagonal in extended precision and rounds once.
+coefficient times diagonal in extended precision and rounds once.  That
+precision is np.longdouble's, the 64-bit mantissa of x86-64 Linux, the
+only platform on which the tests' 1e-12 closed-form bounds are verified;
+where np.longdouble is float64 (Windows, macOS on arm64) every partial sum
+rounds, and those bounds are unverified.
 
 A rung holds, per mode-2 z-monomial (one diagonal; at d = 1 the constant
 1), the summed mode-1 band, and writes their Kronecker products only when
@@ -63,13 +67,30 @@ sector index sets (2^d sectors split by the parity of each n_s, 2 by
 that of n_1 + n_2, or, without parity, one: the whole block); entries
 between sectors are exactly zero.  Every rung is solved by sector, each
 block written straight from the bands (see _block): lowest_eigenvalue
-solves one and certifies the others by Cholesky.  A sector lists its
-rows by flat index n_1 + N n_2, in runs of equal level of its last mode
-(n_1 at d = 1, n_2 at d = 2), and two rows couple only when those
-levels differ by at most W, that mode's largest diagonal offset.  So the
-certificate is a right-looking block Cholesky (Golub and Van Loan,
-Matrix Computations, 4th ed., 4.3-4.5) over super-blocks of whole runs,
-of at least _SUPER_BLOCK = 32 rows.  The window rule: a super-block's
+solves one, rho, and certifies that each other sector lies above it.
+
+Disc certificates.  Before another sector is written, _discs reads off
+the bands, in O(N^d) work and with no block, each row's diagonal entry
+D_i, bit for bit the block's, and a bound R_i of sum_{j != i} |B_ij|:
+the sum of |mode-2 diagonal| |mode-1 band| over the products off the
+diagonal, each counted on its own, which by the triangle inequality
+bounds an entry where several products add up.  Every eigenvalue of the
+Hermitian B lies in some disc [D_i - R_i, D_i + R_i] (Gershgorin 1931;
+Horn and Johnson, Matrix Analysis, Thm. 6.1.1), so a sector with
+min_i (D_i - R_i) > rho + 1e-10 max_i (|D_i| + R_i) lies above rho by
+more than the Cholesky certificate's margin eta = 1e-10 max_i sum_j
+|B_ij|, which is at most that term, and is never written.  The discs of
+the rows of a sector are those of its block, since every entry that
+couples a row lies in the row's sector.
+
+Cholesky certificates.  A sector the discs leave is written and
+certified by Cholesky.  A sector lists its rows by flat index
+n_1 + N n_2, in runs of equal level of its last mode (n_1 at d = 1, n_2
+at d = 2), and two rows couple only when those levels differ by at most
+W, that mode's largest diagonal offset.  So the certificate is a
+right-looking block Cholesky (Golub and Van Loan, Matrix Computations,
+4th ed., 4.3-4.5) over super-blocks of whole runs, of at least
+_SUPER_BLOCK = 32 rows.  The window rule: a super-block's
 window ends at the last row within W levels of it, since no entry and
 no fill-in lies farther out, and one Cholesky factorization of the
 window gives its diagonal factor and panel, with no inverse.  Timed on
@@ -532,6 +553,51 @@ def _block(bands: list[tuple], d: int, n: int, kind: str | None = None, v: int =
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _disc_masks(offsets: tuple[tuple[int, tuple[int, ...]], ...], n: int):
+    """The masks of _discs for bands of these (mode-2 offset, mode-1
+    offsets) at size n, built once per pair: per band row, 1 where its entry
+    (i, i + k1) lies in the n x n block (n, not the band's length, which may
+    be larger) and off the diagonal; the first band row of each mode-2
+    factor; per mode-2 factor, 1 where (i, i + k2) lies in the block; and
+    the (factor, band row) of each diagonal band, k2 = k1 = 0."""
+    i = np.arange(n)
+    ks = np.array([k for _, k1 in offsets for k in k1])[:, None]
+    off = np.concatenate([np.array(k1) != 0 if k2 == 0 else np.ones(len(k1), dtype=bool)
+                          for k2, k1 in offsets])
+    mode1 = ((i + ks >= 0) & (i + ks < n) & off[:, None]).astype(float)
+    starts = np.cumsum([0] + [len(k1) for _, k1 in offsets[:-1]])
+    mode2 = np.array([(i + k2 >= 0) & (i + k2 < n) for k2, _ in offsets], dtype=float)
+    centres = tuple((g, k1.index(0)) for g, (k2, k1) in enumerate(offsets) if k2 == 0 and 0 in k1)
+    for mask in (mode1, starts, mode2):
+        mask.setflags(write=False)
+    return mode1, starts, mode2, centres
+
+
+def _discs(bands: list[tuple], d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gershgorin discs of the rows of the n^d block of each row of a
+    batch, from its bands (which may be longer than n), with no block
+    written: (D, R), each shaped (rows, n^d) by flat index, D the real part
+    of each diagonal entry, bit for bit that of the block, and R at least
+    the sum of the absolute values of the other entries of that block row,
+    each product |mode-2 diagonal| |mode-1 band| counted on its own
+    (triangle inequality).  Every entry that couples a row lies in the
+    row's parity sector, so the discs of a sector are its rows' discs."""
+    mode1, starts, mode2, centres = _disc_masks(tuple((k2, ks) for k2, _, ks, _ in bands), n)
+    stack = len(bands[0][3])
+    absolute = np.concatenate([np.abs(band[..., :n]) for *_, band in bands], axis=1)
+    sums = np.add.reduceat(absolute * mode1, starts, axis=1)  # (stack, factor, n_1)
+    diagonal = np.zeros((stack, n ** (d - 1), n), dtype=bands[0][3].dtype)
+    for g, t in centres:  # in band order, the sums that _block writes on the diagonal
+        _, f, _, band = bands[g]
+        centre = band[:, None, t, :n]
+        diagonal += centre if f is None else f[:n, None] * centre
+    if d == 1:
+        return diagonal.real.reshape(stack, n), sums[:, 0]
+    scale = np.abs(np.array([f[:n] for _, f, _, _ in bands])) * mode2
+    return diagonal.real.reshape(stack, n * n), (scale.T @ sums).reshape(stack, n * n)
+
+
 def _pick(bands: list[tuple], rows: list[int]) -> list[tuple]:
     """The bands of some rows of a batch."""
     return [(k2, diagonal, ks, band[rows]) for k2, diagonal, ks, band in bands]
@@ -633,17 +699,20 @@ def lowest_eigenvalue(m: OperatorMatrix) -> float:
     any block is built, and no block of a real one is scanned.
 
     Every rung is solved by sector, a symbol without parity being one: the
-    first sector block takes eigvalsh, rho, and each other block B one
-    Cholesky factorization of B - (rho + eta) I, eta = 1e-10 max_i sum_j
-    |B_ij|, by super-blocks of consecutive levels of the last mode
-    (_factors; see the module docstring).  The block factorization is
-    backward stable like the dense one, with an error of about dim eps |B|
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    ch. 10), and so is eigvalsh; eta is hundreds of times that, so success
-    shows that eigvalsh(B) lies above rho; failure sets rho = min(rho,
-    eigvalsh(B)[0]).  The bottom is thus the minimum of eigvalsh over the
-    sector blocks, bit for bit: the certificates only decide which blocks
-    need no eigvalsh.  The solve is _bottoms on a batch of one; along a
+    first sector block takes eigvalsh, rho.  Each other sector is first
+    bounded by its Gershgorin discs, read off the bands (_discs; see the
+    module docstring): if every disc lies above rho + 1e-10 max_i (|D_i| +
+    R_i), the sector lies above rho + eta and is never written.  Otherwise
+    its block B takes one Cholesky factorization of B - (rho + eta) I,
+    eta = 1e-10 max_i sum_j |B_ij|, by super-blocks of consecutive levels
+    of the last mode (_factors).  The block factorization is backward
+    stable like the dense one, with an error of about dim eps |B| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 10), and
+    so is eigvalsh; eta is hundreds of times that, so either certificate
+    shows that eigvalsh(B) lies above rho; a failed Cholesky certificate
+    sets rho = min(rho, eigvalsh(B)[0]).  The bottom is thus the minimum of
+    eigvalsh over the sector blocks, bit for bit: the certificates only
+    decide which blocks need no eigvalsh.  The solve is _bottoms on a batch of one; along a
     ladder (_walk) it also takes certified inverse iteration (see the
     module docstring).
     """
@@ -669,21 +738,32 @@ def _bottoms(bands: list[tuple], d: int, n: int, kind: str | None,
     lowest_eigenvalue); hints[r] is the bottom of row r's rung before, held
     by `first`, or None.
 
-    Each sector block is written once for all rows, and each step is one
-    stacked call over the rows that take it, which gives each row the bits
-    it gets alone: eigvalsh on the first sector (but on the rows that
-    iterate), and on each other sector one Cholesky certificate at every
-    row's bottom so far, then eigvalsh on the rows it fails.  Inverse
-    iteration runs per row."""
+    Each step is one stacked call over the rows that take it, which gives
+    each row the bits it gets alone: the first sector is written for all
+    rows and takes eigvalsh (but on the rows that iterate).  Each other
+    sector is written, once, only for the rows whose discs (read once per
+    rung) do not certify it at their bottom so far; it takes one Cholesky
+    certificate at each such row's bottom so far, then eigvalsh on the
+    rows it fails.  Inverse iteration runs per row."""
     # the largest offset of the last mode's diagonals (mode 1 at d = 1)
     width = max(abs(k) for k2, _, ks, _ in bands for k in (ks if d == 1 else (k2,)))
     best: list = [None] * len(hints)  # each row's (bottom, sector) so far
-    for v in [first] + [v for v in range(len(_sectors(d, n, kind))) if v != first]:
-        block = _block(bands, d, n, kind, v)
+    sectors = _sectors(d, n, kind)
+    discs = _discs(bands, d, n) if len(sectors) > 1 else None
+    for v in [first] + [v for v in range(len(sectors)) if v != first]:
+        rows = list(range(len(hints)))  # the rows whose sector v is written
+        if v != first:  # certified at each row's bottom so far by the discs, else written
+            centre, radius = (part[:, sectors[v]] for part in discs)
+            floor = [value for value, _ in best] + 1e-10 * (np.abs(centre) + radius).max(axis=1)
+            certified = (centre - radius).min(axis=1) > floor
+            rows = [i for i in rows if not certified[i]]
+            if not rows:
+                continue
         plan = _super_blocks(d, n, kind, v, width)
-        if v != first:  # certified at each row's bottom so far, or solved
-            shifts = _margin(block) + [value for value, _ in best]
-            dense = [i for i, ok in enumerate(_certified(block, shifts, plan)) if not ok]
+        block = _block(bands if len(rows) == len(hints) else _pick(bands, rows), d, n, kind, v)
+        if v != first:
+            shifts = _margin(block) + [best[i][0] for i in rows]
+            dense = [j for j, ok in enumerate(_certified(block, shifts, plan)) if not ok]
         else:
             dense = []
             for i, hint in enumerate(hints):
@@ -695,8 +775,9 @@ def _bottoms(bands: list[tuple], d: int, n: int, kind: str | None,
                         continue
                 dense.append(i)
         if dense:
-            lowest = np.linalg.eigvalsh(block if len(dense) == len(hints) else block[dense])
-            for i, value in zip(dense, lowest[:, 0].tolist()):
+            lowest = np.linalg.eigvalsh(block if len(dense) == len(block) else block[dense])
+            for j, value in zip(dense, lowest[:, 0].tolist()):
+                i = rows[j]
                 best[i] = (value, v) if best[i] is None else min(best[i], (value, v))
     return best
 

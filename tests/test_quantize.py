@@ -736,11 +736,13 @@ def test_one_eigvalsh_per_rung_of_a_two_mode_model(monkeypatch):
     # eigvalsh solves the first sector block of the first rung and of the
     # 64-row (two super-block) sector at N = 16; the 256- and 1024-row first
     # sectors take inverse iteration on super-block factors.  No factorization
-    # spans a whole sector of more than one super-block, and only the
-    # iteration inverts: the 8 + 32 diagonal factors of the two iterated sectors
+    # spans a whole sector of more than one super-block: the Gershgorin discs
+    # certify every other sector, which is never written or factored.  Only
+    # the iteration inverts: the 8 + 32 diagonal factors of the two iterated
+    # sectors
     assert calls == [16, 64]
     assert spans and all(rows < whole for rows, whole, blocks in spans if blocks > 1)
-    assert {(rows, blocks) for rows, whole, blocks in spans if rows == whole} == {(16, 1)}
+    assert {(rows, blocks) for rows, whole, blocks in spans if rows == whole} == set()
     assert inverted == [quantize._SUPER_BLOCK] * (8 + 32)
     monkeypatch.undo()
     for n, value in zip(sweep.truncations, sweep.values):
@@ -901,9 +903,136 @@ def test_one_block_plans_and_first_rungs_do_no_new_work(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", refuse)
     h = harmonic_symbol()
     assert [len(quantize._super_blocks(1, 64, "mode", v, 4)) for v in (0, 1)] == [1, 1]
+    # only the first rung's odd sector is factored: it holds the bottom -8,
+    # below the even sector's -4, so no disc bound certifies it; from N = 32
+    # on the odd sector is solved first and the discs certify the even one
     factored = _counting(monkeypatch, "cholesky")
     truncation_sweep(h * h - 6.0 * h, 1.0, [16, 32, 64])
-    assert factored == [8, 16, 32]
+    assert factored == [8]
+
+
+def _off_diagonal_sums(blocks: np.ndarray) -> np.ndarray:
+    """The sum of |B_ij| over j != i of each row of each block of a stack."""
+    absolute = np.abs(blocks)
+    absolute[:, np.arange(blocks.shape[-1]), np.arange(blocks.shape[-1])] = 0.0
+    return absolute.sum(axis=2)
+
+
+def _disc_faults(bands: list, d: int, n: int, kind, discs) -> set[str]:
+    """The properties that (D, R) = discs fail against the sector blocks
+    written from bands at n: "diagonal" (D is not the real diagonal of the
+    blocks bit for bit, or that diagonal is not real), "below" (R is under
+    a block row's off-diagonal absolute sum) and "above" (R is over the sum
+    of those of each mode-2 factor's block written alone, where the
+    triangle inequality puts it); 1e-12 relative covers summation order."""
+    low, radius = discs
+    faults = set()
+    for v, idx in enumerate(quantize._sectors(d, n, kind)):
+        blocks = quantize._block(bands, d, n, kind, v)
+        diagonal = np.diagonal(blocks, axis1=1, axis2=2)
+        alone = sum(_off_diagonal_sums(quantize._block([band], d, n, kind, v)) for band in bands)
+        if not np.array_equal(low[:, idx], diagonal.real) or diagonal.imag.any():
+            faults.add("diagonal")
+        if (_off_diagonal_sums(blocks) > radius[:, idx] * (1 + 1e-12)).any():
+            faults.add("below")
+        if (radius[:, idx] > alone * (1 + 1e-12)).any():
+            faults.add("above")
+    return faults
+
+
+_NO_PARITY_TWO_MODE = _seeded_two_mode(201, lambda rng: rng.uniform(0.1, 0.3) * y(2, 0) ** 3)
+
+# (symbol, parity kind, dtype): d = 1 and d = 2, every kind, real and complex
+DISC_CASES = [
+    (PARITY_CASES[0][0], "mode", np.float64),
+    (DTYPE_CASES[4][0], "mode", np.complex128),
+    (PARITY_CASES[3][0], None, np.float64),
+    *CERTIFICATE_CASES[:3],
+    (PARITY_CASES[2][0], "total", np.complex128),
+    (_NO_PARITY_TWO_MODE, None, np.float64),
+]
+
+
+@pytest.mark.parametrize("p, kind, dtype", DISC_CASES)
+def test_discs_are_read_off_the_bands_of_the_written_blocks(p, kind, dtype):
+    # bands built at the top rung serve the smaller ones, odd and even
+    for top, n in ([(40, 40), (40, 31), (40, 32)] if p.d == 1 else [(16, 16), (16, 11), (16, 12)]):
+        bands = weyl_quantize(p, 0.7, top)._stack
+        assert weyl_quantize(p, 0.7, n)._parity == kind and bands[0][3].dtype == dtype
+        assert _disc_faults(bands, p.d, n, kind, quantize._discs(bands, p.d, n)) == set()
+
+
+@pytest.mark.parametrize("p, kind, dtype", [DISC_CASES[i] for i in (0, 2, 3, 4, 5)])
+def test_planted_disc_errors_fail_the_check(p, kind, dtype):
+    # the band length in place of n in the edge mask counts entries past the
+    # block; dropping the centre mode-1 band of a mode-2 factor off its
+    # diagonal (k2 != 0), where that band is off the block's diagonal, leaves
+    # its entries out
+    top, n = (40, 31) if p.d == 1 else (16, 11)
+    bands = weyl_quantize(p, 0.7, top)._stack
+    low, radius = (part.reshape((1,) + (top,) * p.d)[(slice(None),) + (slice(n),) * p.d]
+                   .reshape(1, n ** p.d) for part in quantize._discs(bands, p.d, top))
+    assert _disc_faults(bands, p.d, n, kind, (low, radius)) == {"above"}
+    if p.d == 2:
+        dropped = [(k2, f, ks, band if k2 == 0 else band * (np.array(ks) != 0)[:, None])
+                   for k2, f, ks, band in bands]
+        assert _disc_faults(bands, 2, n, kind, quantize._discs(dropped, 2, n)) == {"below"}
+
+
+def test_every_sector_the_discs_certify_factors_at_the_certificate_shift():
+    # on a seeded corpus of both parity kinds at d = 1 and d = 2: where the
+    # discs of a sector lie above the bottom rho of sector 0 by their margin,
+    # the sector also passes the Cholesky certificate at rho + eta
+    h = harmonic_symbol()
+    rng = np.random.default_rng(211)
+    corpus = [(h * h + rng.uniform(-6.0, 2.0) * h + rng.uniform(0.0, 0.5) * y() ** 4
+               + rng.uniform(-0.3, 0.3) * (y() * eta()) ** 2, [15, 32, 64]) for _ in range(6)]
+    corpus += [(_seeded_two_mode(int(seed), lambda r: r.uniform(-0.3, 0.3) * y(2, 0) * y(2, 1)
+                                 + r.uniform(0.0, 2.0) * harmonic_symbol(2)), [7, 12, 16])
+               for seed in rng.integers(1000, size=3)]
+    corpus += [(c[0], [9, 16]) for c in CERTIFICATE_CASES]
+    counts = {True: 0, False: 0}
+    for p, ns in corpus:
+        for n in ns:
+            rung = weyl_quantize(p, 1.0, n)
+            width = max(abs(k) for k2, _, ks, _ in rung._stack for k in (ks if p.d == 1 else (k2,)))
+            rho = np.linalg.eigvalsh(quantize._block(rung._stack, p.d, n, rung._parity, 0)[0])[0]
+            low, radius = quantize._discs(rung._stack, p.d, n)
+            for v, idx in list(enumerate(rung.sectors))[1:]:
+                certified = ((low[0, idx] - radius[0, idx]).min()
+                             > rho + 1e-10 * (np.abs(low[0, idx]) + radius[0, idx]).max())
+                counts[bool(certified)] += 1
+                if certified:
+                    block = quantize._block(rung._stack, p.d, n, rung._parity, v)[0]
+                    plan = quantize._super_blocks(p.d, n, rung._parity, v, width)
+                    assert quantize._factors(block, rho + quantize._margin(block), plan) is not None
+    assert counts[True] > 20 and counts[False] > 2, counts
+
+
+def test_a_two_mode_rung_writes_only_the_sector_it_solves(monkeypatch):
+    # a mode2-shaped model at (16, 32): each rung writes its first sector and
+    # the discs certify the other three, with no certificate factorization
+    quad = y(2, 0) ** 2 + 1.2 * eta(2, 0) ** 2 + 0.8 * y(2, 1) ** 2 + eta(2, 1) ** 2
+    p = quad * quad + 0.4 * y(2, 0) ** 2 * y(2, 1) ** 2 + 0.9 * harmonic_symbol(2)
+    written, certified = [], []
+    block, certify = quantize._block, quantize._certified
+
+    def writing(bands, d, n, kind=None, v=0):
+        written.append((n, v))
+        return block(bands, d, n, kind, v)
+
+    def certifying(blocks, *args):
+        certified.append(len(blocks))
+        return certify(blocks, *args)
+
+    monkeypatch.setattr(quantize, "_block", writing)
+    monkeypatch.setattr(quantize, "_certified", certifying)
+    sweep = truncation_sweep(p, 1.0, [16, 32])
+    assert written == [(16, 0), (32, 0)] and certified == []
+    monkeypatch.undo()
+    for n, value in zip(sweep.truncations, sweep.values):
+        want = min(_sector_bottoms(weyl_quantize(p, 1.0, n)))
+        assert abs(value - want) <= 1e-12 * abs(want)
 
 
 def _squeezed(a: float, b: float) -> PolynomialSymbol:
