@@ -267,8 +267,10 @@ def unit_sphere_grid(d: int) -> np.ndarray:
     """Deterministic angular grid on the unit sphere of R^(2d).
 
     720 points on the circle for d = 1; a 3-angle hyperspherical product
-    grid with more than 10^4 points on S^3 for d = 2.  Built once per
-    process and shared read-only, as are its column powers (`_grid_power`).
+    grid on S^3 for d = 2, whose rows at the polar angles t1 = 0 and
+    t2 = 0 repeat points exactly: each point keeps its first row, in
+    order, 10,165 of 11,132.  Built once per process and shared
+    read-only, as are its column powers (`_grid_power`).
     """
     if d == 1:
         theta = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
@@ -285,6 +287,7 @@ def unit_sphere_grid(d: int) -> np.ndarray:
             np.sin(a) * np.sin(b) * np.cos(c),
             np.sin(a) * np.sin(b) * np.sin(c),
         ])
+        grid = grid[np.sort(np.unique(grid, axis=0, return_index=True)[1])]
     else:
         raise DimensionMismatch(f"sphere sampling supports 1 <= d <= 2, got d={d}")
     grid.setflags(write=False)
@@ -294,8 +297,8 @@ def unit_sphere_grid(d: int) -> np.ndarray:
 @functools.lru_cache(maxsize=128)
 def _grid_power(d: int, axis: int, k: int) -> np.ndarray:
     """Read-only `column ** k` of the grid, from the view (address, stride)
-    that `evaluate` reads, so bit-identical.  At most 128 arrays of 89 KB
-    (11.4 MB): every (axis, k) of a d = 2 lead up to MAX_DEGREE = 32."""
+    that `evaluate` reads, so bit-identical.  At most 128 arrays of 81 KB
+    (10.4 MB): every (axis, k) of a d = 2 lead up to MAX_DEGREE = 32."""
     out = unit_sphere_grid(d)[:, axis] ** k
     out.setflags(write=False)
     return out

@@ -36,9 +36,10 @@ rounds, and those bounds are unverified.
 
 A rung holds, per mode-2 z-monomial (one diagonal; at d = 1 the constant
 1), the summed mode-1 band, and writes their Kronecker products only when
-read or solved.  There is one rung constructor, weyl_quantize, one
-truncation ladder, _walk (which walks a batch of rows at once), and one
-rung solve, _bottoms, which lowest_eigenvalue and _walk share.
+read or solved.  Rungs are built by weyl_quantize and, for each row's
+last rung, by _walk; there is one truncation ladder, _walk (which walks
+a batch of rows at once), and one rung solve, _bottoms, which
+lowest_eigenvalue and _walk share.
 
 Real arithmetic.  Each term c y^a eta^b enters with the weight c i^|b|
 (|b| the total eta-degree); when every weight is real the coefficients,
@@ -83,11 +84,14 @@ more than the Cholesky certificate's margin eta = 1e-10 max_i sum_j
 the rows of a sector are those of its block, since every entry that
 couples a row lies in the row's sector.
 
-Cholesky certificates.  A sector the discs leave is written and
-certified by Cholesky.  A sector lists its rows by flat index
-n_1 + N n_2, in runs of equal level of its last mode (n_1 at d = 1, n_2
-at d = 2), and two rows couple only when those levels differ by at most
-W, that mode's largest diagonal offset.  So the certificate is a
+Cholesky certificates.  A sector the discs leave is written once for
+all the rows of a batch that need it, and one pass over those rows makes
+each decision: a row of the first sector may iterate (below), a row of
+any other takes one Cholesky certificate at its own margin, and the
+rows left take one stacked eigvalsh.  A sector lists its rows by flat
+index n_1 + N n_2, in runs of equal level of its last mode (n_1 at
+d = 1, n_2 at d = 2), and two rows couple only when those levels differ
+by at most W, that mode's largest diagonal offset.  So the certificate is a
 right-looking block Cholesky (Golub and Van Loan, Matrix Computations,
 4th ed., 4.3-4.5) over super-blocks of whole runs, of at least
 _SUPER_BLOCK = 32 rows.  The window rule: a super-block's
@@ -384,27 +388,6 @@ def _factors(block: np.ndarray, shift: float,
     except np.linalg.LinAlgError:
         return None
     return factor
-
-
-def _certified(blocks: np.ndarray, shifts: np.ndarray,
-               plan: tuple[tuple[int, int, int], ...]) -> list[bool]:
-    """Whether each block of a stack, less its shift, has a Cholesky factor.
-    A plan of one super-block, the whole block, takes one stacked Cholesky
-    factorization, which gives each block its own bits, and _factors per
-    block only where the stack fails; a longer plan takes _factors per
-    block, since a stacked panel product does not give the bits of one
-    product at a time."""
-    if len(plan) == 1:
-        work = blocks.copy()
-        n = work.shape[-1]
-        work.reshape(-1, n * n)[:, ::n + 1] -= shifts[:, None]
-        try:
-            np.linalg.cholesky(work)
-            return [True] * len(blocks)
-        except np.linalg.LinAlgError:
-            if len(blocks) == 1:
-                return [False]
-    return [_factors(block, shift, plan) is not None for block, shift in zip(blocks, shifts)]
 
 
 def _solve(factor: list[tuple[np.ndarray, np.ndarray]],
@@ -712,9 +695,10 @@ def lowest_eigenvalue(m: OperatorMatrix) -> float:
     shows that eigvalsh(B) lies above rho; a failed Cholesky certificate
     sets rho = min(rho, eigvalsh(B)[0]).  The bottom is thus the minimum of
     eigvalsh over the sector blocks, bit for bit: the certificates only
-    decide which blocks need no eigvalsh.  The solve is _bottoms on a batch of one; along a
-    ladder (_walk) it also takes certified inverse iteration (see the
-    module docstring).
+    decide which blocks need no eigvalsh.  The solve is _bottoms on a batch
+    of one, whose one pass over each written sector makes these decisions;
+    along a ladder (_walk) that pass also takes certified inverse
+    iteration (see the module docstring).
     """
     if not isinstance(m, OperatorMatrix):
         raise TypeError(f"lowest_eigenvalue needs an OperatorMatrix from the quantizer, "
@@ -738,13 +722,14 @@ def _bottoms(bands: list[tuple], d: int, n: int, kind: str | None,
     lowest_eigenvalue); hints[r] is the bottom of row r's rung before, held
     by `first`, or None.
 
-    Each step is one stacked call over the rows that take it, which gives
-    each row the bits it gets alone: the first sector is written for all
-    rows and takes eigvalsh (but on the rows that iterate).  Each other
-    sector is written, once, only for the rows whose discs (read once per
-    rung) do not certify it at their bottom so far; it takes one Cholesky
-    certificate at each such row's bottom so far, then eigvalsh on the
-    rows it fails.  Inverse iteration runs per row."""
+    A sector is written once, stacked over the rows that take it: the
+    first for all rows, each other for the rows whose discs (read once per
+    rung) do not certify it at their bottom so far.  One pass over the
+    written rows settles what it can: a row with a hint iterates in the
+    first sector where it has more than two super-blocks, and a row of
+    any other takes _factors at its bottom so far plus its block's
+    _margin.  The rows left take one stacked eigvalsh, which gives each
+    the bits it gets alone."""
     # the largest offset of the last mode's diagonals (mode 1 at d = 1)
     width = max(abs(k) for k2, _, ks, _ in bands for k in (ks if d == 1 else (k2,)))
     best: list = [None] * len(hints)  # each row's (bottom, sector) so far
@@ -761,19 +746,18 @@ def _bottoms(bands: list[tuple], d: int, n: int, kind: str | None,
                 continue
         plan = _super_blocks(d, n, kind, v, width)
         block = _block(bands if len(rows) == len(hints) else _pick(bands, rows), d, n, kind, v)
-        if v != first:
-            shifts = _margin(block) + [best[i][0] for i in rows]
-            dense = [j for j, ok in enumerate(_certified(block, shifts, plan)) if not ok]
-        else:
-            dense = []
-            for i, hint in enumerate(hints):
-                if hint is not None and len(plan) > 2:  # below, eigvalsh is as fast
-                    start = np.full(block.shape[-1], block.shape[-1] ** -0.5)
-                    value = _inverse_iteration(block[i], plan, hint, _margin(block[i]), start)
-                    if value is not None:
-                        best[i] = (value, v)
-                        continue
-                dense.append(i)
+        dense = []  # the rows of block that take eigvalsh
+        for j, i in enumerate(rows):
+            if v != first:  # certified above the row's bottom so far, or solved
+                if _factors(block[j], best[i][0] + _margin(block[j]), plan) is not None:
+                    continue
+            elif hints[i] is not None and len(plan) > 2:  # below, eigvalsh is as fast
+                start = np.full(block.shape[-1], block.shape[-1] ** -0.5)
+                value = _inverse_iteration(block[j], plan, hints[i], _margin(block[j]), start)
+                if value is not None:
+                    best[i] = (value, v)
+                    continue
+            dense.append(j)
         if dense:
             lowest = np.linalg.eigvalsh(block if len(dense) == len(block) else block[dense])
             for j, value in zip(dense, lowest[:, 0].tolist()):

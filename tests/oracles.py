@@ -241,19 +241,21 @@ def product_oracle(a_terms, b_terms):
 
 
 def pull_back_oracle(p, s):
-    """p(S z) for a d = 1 symbol p and a 2x2 matrix S: every monomial
-    y^m eta^n becomes the product of m factors s11 y + s12 eta and n factors
-    s21 y + s22 eta, multiplied out one at a time by product_oracle."""
-    ys = {(1, 0): float(s[0][0]), (0, 1): float(s[0][1])}
-    es = {(1, 0): float(s[1][0]), (0, 1): float(s[1][1])}
+    """p(S z) for a symbol p in d modes and a 2d x 2d matrix S, z = (y, eta):
+    every monomial prod_i z_i^k_i becomes the product of k_i factors
+    sum_j s_ij z_j for each coordinate i, multiplied out one at a time by
+    product_oracle."""
+    two_d = 2 * p.d
+    rows = [{tuple(int(a == j) for a in range(two_d)): float(s[i][j]) for j in range(two_d)}
+            for i in range(two_d)]
     out = {}
-    for (m, n), c in p.terms.items():
-        term = {(0, 0): c}
-        for factor in [ys] * m + [es] * n:
+    for idx, c in p.terms.items():
+        term = {(0,) * two_d: c}
+        for factor in [row for row, k in zip(rows, idx) for _ in range(k)]:
             term = product_oracle(term, factor)
         for key, v in term.items():
             out[key] = out.get(key, 0.0) + v
-    return PolynomialSymbol(1, out)
+    return PolynomialSymbol(p.d, out)
 
 
 def evaluate_oracle(terms, points):

@@ -138,7 +138,9 @@ def test_unit_sphere_grid_shapes_and_norms():
     assert g1.shape == (720, 2)
     np.testing.assert_allclose((g1 ** 2).sum(axis=1), 1.0, atol=1e-12)
     g2 = unit_sphere_grid(2)
-    assert g2.shape == (22 * 22 * 23, 4)
+    # the 22 x 22 x 23 angle grid less its 967 exact repeats, at t1 = 0 or t2 = 0
+    assert g2.shape == (22 * 22 * 23 - 967, 4)
+    assert len(np.unique(g2, axis=0)) == len(g2)
     np.testing.assert_allclose((g2 ** 2).sum(axis=1), 1.0, atol=1e-12)
     with pytest.raises(ValueError):
         unit_sphere_grid(3)

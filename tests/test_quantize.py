@@ -12,6 +12,7 @@ from melinlab.errors import (
     NonHermitianError,
     ResourceLimitError,
 )
+from melinlab.localize import hypothesis_check
 from melinlab.models import harmonic_symbol, quartic_model
 from melinlab import quantize
 from melinlab.quantize import (
@@ -33,9 +34,11 @@ from oracles import (
     ladder,
     mode_operators,
     number_operator,
+    pull_back_oracle,
     quantize_oracle,
     radial_spectrum_oracle,
     random_polynomial,
+    random_symplectic,
 )
 
 
@@ -657,6 +660,29 @@ def _counting(monkeypatch, name: str = "eigvalsh") -> list[int]:
     return calls
 
 
+def _factorizations(monkeypatch) -> list[tuple[int, int, bool, bool]]:
+    """Patch quantize._factors to record (sector rows, super-blocks, whether
+    it factors, whether it is a certificate) of each call; the calls that
+    the inverse iteration makes are not certificates."""
+    calls, factors, iterate, iterating = [], quantize._factors, quantize._inverse_iteration, []
+
+    def factored(block, shift, plan):
+        factor = factors(block, shift, plan)
+        calls.append((len(block), len(plan), factor is not None, not iterating))
+        return factor
+
+    def iterated(*args):
+        iterating.append(True)
+        try:
+            return iterate(*args)
+        finally:
+            iterating.pop()
+
+    monkeypatch.setattr(quantize, "_factors", factored)
+    monkeypatch.setattr(quantize, "_inverse_iteration", iterated)
+    return calls
+
+
 def _sector_bottoms(m) -> list[float]:
     return [np.linalg.eigvalsh(m.entries[idx][:, idx])[0] for idx in m.sectors]
 
@@ -718,18 +744,13 @@ def test_one_eigvalsh_per_rung_of_a_two_mode_model(monkeypatch):
     calls, inverted = _counting(monkeypatch), _counting(monkeypatch, "inv")
     # (rows, sector rows, super-blocks) of every Cholesky factorization
     spans, sector, cholesky = [], [], np.linalg.cholesky
-    factors, certified = quantize._factors, quantize._certified
+    factors = quantize._factors
 
     def factored(block, shift, plan):
         sector[:] = [len(block), len(plan)]
         return factors(block, shift, plan)
 
-    def certifying(blocks, shifts, plan):
-        sector[:] = [blocks.shape[-1], len(plan)]
-        return certified(blocks, shifts, plan)
-
     monkeypatch.setattr(quantize, "_factors", factored)
-    monkeypatch.setattr(quantize, "_certified", certifying)
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: (spans.append((a.shape[-1], *sector)),
                                                           cholesky(a))[1])
     sweep = truncation_sweep(p, 1.0, [8, 16, 32, 64])
@@ -1012,27 +1033,97 @@ def test_every_sector_the_discs_certify_factors_at_the_certificate_shift():
 def test_a_two_mode_rung_writes_only_the_sector_it_solves(monkeypatch):
     # a mode2-shaped model at (16, 32): each rung writes its first sector and
     # the discs certify the other three, with no certificate factorization
+    # (the factorizations of the inverse iteration are not certificates)
     quad = y(2, 0) ** 2 + 1.2 * eta(2, 0) ** 2 + 0.8 * y(2, 1) ** 2 + eta(2, 1) ** 2
     p = quad * quad + 0.4 * y(2, 0) ** 2 * y(2, 1) ** 2 + 0.9 * harmonic_symbol(2)
-    written, certified = [], []
-    block, certify = quantize._block, quantize._certified
+    written, factorizations = [], _factorizations(monkeypatch)
+    block = quantize._block
 
     def writing(bands, d, n, kind=None, v=0):
         written.append((n, v))
         return block(bands, d, n, kind, v)
 
-    def certifying(blocks, *args):
-        certified.append(len(blocks))
-        return certify(blocks, *args)
-
     monkeypatch.setattr(quantize, "_block", writing)
-    monkeypatch.setattr(quantize, "_certified", certifying)
     sweep = truncation_sweep(p, 1.0, [16, 32])
+    certified = [call for call in factorizations if call[3]]
     assert written == [(16, 0), (32, 0)] and certified == []
     monkeypatch.undo()
     for n, value in zip(sweep.truncations, sweep.values):
         want = min(_sector_bottoms(weyl_quantize(p, 1.0, n)))
         assert abs(value - want) <= 1e-12 * abs(want)
+
+
+def test_a_squeezed_two_mode_batch_certifies_every_other_sector_row_by_row(monkeypatch):
+    # the mode2-shaped model with its first mode squeezed, 4 y1^2 + eta1^2 / 4:
+    # the discs certify no other sector on any rung, so each is written and every
+    # row of the batch takes its own Cholesky certificate there
+    quad = 4.0 * y(2, 0) ** 2 + 0.25 * eta(2, 0) ** 2 + 0.8 * y(2, 1) ** 2 + eta(2, 1) ** 2
+    p = quad * quad + 0.4 * y(2, 0) ** 2 * y(2, 1) ** 2 + 0.9 * harmonic_symbol(2)
+    hbars, ns = [1.0, 0.8], [8, 16, 32]
+    written, block = [], quantize._block
+
+    def writing(bands, d, n, kind=None, v=0):
+        written.append((n, v, len(bands[0][3])))
+        return block(bands, d, n, kind, v)
+
+    monkeypatch.setattr(quantize, "_block", writing)
+    batch = _factorizations(monkeypatch)
+    walked = [sweep for sweep, _ in quantize._walk([p, p], hbars, ns)]
+    monkeypatch.undo()
+    assert written == [(n, v, 2) for n in ns for v in range(4)]
+    alone, factorizations = [], []
+    for hbar in hbars:
+        calls = _factorizations(monkeypatch)
+        alone.append(quantize._walk([p], [hbar], ns)[0][0])
+        monkeypatch.undo()
+        factorizations += calls
+    # the batch makes the calls of its rows alone: the certificates of every
+    # other sector of every rung, and the inverse iteration's shift at N = 32,
+    # which lies above the bottom there (eigvalsh solves that sector)
+    assert sorted(batch) == sorted(factorizations) == sorted(
+        [(16, 1, True, True)] * 6 + [(64, 2, True, True)] * 6 + [(256, 8, True, True)] * 6
+        + [(256, 8, False, False)] * 2)
+    for row, lone, hbar, top in zip(walked, alone, hbars, [8.09157955579661, 5.583533364836326]):
+        assert row.values == lone.values
+        assert row.values[-1] == pytest.approx(top, rel=1e-14)
+        for n, value in zip(ns, row.values):
+            want = min(_sector_bottoms(weyl_quantize(p, hbar, n)))
+            if n <= 16:
+                assert value == want
+            else:
+                assert abs(value - want) <= 1e-12 * abs(want)
+
+
+def test_coupled_two_mode_bottoms_are_metaplectically_covariant(monkeypatch):
+    # for a linear symplectic S, Weyl(p o S) is unitarily equivalent to Weyl(p)
+    # at every hbar (Folland, Harmonic Analysis in Phase Space, 1989, ch. 4),
+    # and S keeps every vanishing order, so the localized bottoms of three
+    # coupled models agree; p o S conserves only the total parity, so its
+    # other sector is written and certified row by row at 128, 512 and 2048
+    # rows.  A non-symplectic S moves the bottom
+    rng = np.random.default_rng(5)
+    ns = (16, 32, 64)
+    for model in range(3):
+        a1, g1, a2, g2 = rng.uniform(0.7, 1.4, 4)
+        quad = a1 * y(2, 0) ** 2 + g1 * eta(2, 0) ** 2 + a2 * y(2, 1) ** 2 + g2 * eta(2, 1) ** 2
+        lead = quad * quad + rng.uniform(0.1, 0.6) * y(2, 0) ** 2 * y(2, 1) ** 2
+        p = GradedSymbol(2, 2, {0: lead, 1: harmonic_symbol(2)})
+        s = random_symplectic(rng, 2, 0.3)
+        plain = hypothesis_check(p, ns=ns)
+        factorizations = _factorizations(monkeypatch)
+        moved = hypothesis_check(
+            GradedSymbol(2, 2, {j: pull_back_oracle(q, s) for j, q in p.levels.items()}), ns=ns)
+        monkeypatch.undo()
+        assert plain.ok and moved.ok, model
+        assert moved.localized.sweep.matrix._parity == "total"
+        assert sorted(call for call in factorizations if call[3]) == [
+            (128, 4, True, True), (512, 16, True, True), (2048, 64, True, True)]
+        assert abs(moved.lambda_min - plain.lambda_min) <= 1e-13 * plain.lambda_min, model
+        if model == 0:
+            stretched = GradedSymbol(2, 2, {j: pull_back_oracle(q, np.diag([2.0, 1.0, 1.0, 1.0]))
+                                            for j, q in p.levels.items()})
+            wrong = hypothesis_check(stretched, ns=ns).lambda_min
+            assert abs(wrong - plain.lambda_min) > 0.1 * plain.lambda_min
 
 
 def _squeezed(a: float, b: float) -> PolynomialSymbol:
