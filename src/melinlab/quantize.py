@@ -82,7 +82,16 @@ min_i (D_i - R_i) > rho + 1e-10 max_i (|D_i| + R_i) lies above rho by
 more than the Cholesky certificate's margin eta = 1e-10 max_i sum_j
 |B_ij|, which is at most that term, and is never written.  The discs of
 the rows of a sector are those of its block, since every entry that
-couples a row lies in the row's sector.
+couples a row lies in the row's sector.  Discs that are all points decide
+the rung: where R_i = 0 for every i and every row of a batch, each row's
+rung is diagonal (a radial symbol a(h_1 + ... + h_d) gives one: the Weyl
+operator of zbar^m z^m is diagonal), its bottom is the least D_i, and the
+sector that holds it the lowest-numbered one with that value, as the
+certificates below select.  No block is written and no eigvalsh,
+factorization or iteration runs.  eigvalsh returns those bits for a
+diagonal block (LAPACK splits it into 1 x 1 blocks), except where it
+rescales a block of norm outside about [1e-146, 7e145] and may move the
+last bit; the discs keep the exact entry.
 
 Cholesky certificates.  A sector the discs leave is written once for
 all the rows of a batch that need it, and one pass over those rows makes
@@ -695,7 +704,11 @@ def lowest_eigenvalue(m: OperatorMatrix) -> float:
     shows that eigvalsh(B) lies above rho; a failed Cholesky certificate
     sets rho = min(rho, eigvalsh(B)[0]).  The bottom is thus the minimum of
     eigvalsh over the sector blocks, bit for bit: the certificates only
-    decide which blocks need no eigvalsh.  The solve is _bottoms on a batch
+    decide which blocks need no eigvalsh.  A rung whose discs are all
+    points (R_i = 0: a diagonal rung, such as a radial symbol's) is read
+    off them, its least diagonal entry, with no block written: the same
+    bits, except on a block so large or small that eigvalsh rescales it
+    (see the module docstring).  The solve is _bottoms on a batch
     of one, whose one pass over each written sector makes these decisions;
     along a ladder (_walk) that pass also takes certified inverse
     iteration (see the module docstring).
@@ -722,20 +735,27 @@ def _bottoms(bands: list[tuple], d: int, n: int, kind: str | None,
     lowest_eigenvalue); hints[r] is the bottom of row r's rung before, held
     by `first`, or None.
 
-    A sector is written once, stacked over the rows that take it: the
-    first for all rows, each other for the rows whose discs (read once per
-    rung) do not certify it at their bottom so far.  One pass over the
-    written rows settles what it can: a row with a hint iterates in the
-    first sector where it has more than two super-blocks, and a row of
-    any other takes _factors at its bottom so far plus its block's
-    _margin.  The rows left take one stacked eigvalsh, which gives each
-    the bits it gets alone."""
+    The discs of a rung of more than one sector are read once.  Where
+    every radius of every row is 0 (each rung diagonal), each row's
+    (bottom, sector) is the least (min of D_i over sector v, v) over the
+    sectors, the bottom a Python float, and nothing is written or solved;
+    a batch that mixes diagonal and other rows takes the path below.  A
+    sector is written once, stacked over the rows that take it: the first
+    for all rows, each other for the rows whose discs do not certify it at
+    their bottom so far.  One pass over the written rows settles what it
+    can: a row with a hint iterates in the first sector where it has more
+    than two super-blocks, and a row of any other takes _factors at its
+    bottom so far plus its block's _margin.  The rows left take one
+    stacked eigvalsh, which gives each the bits it gets alone."""
     # the largest offset of the last mode's diagonals (mode 1 at d = 1)
     width = max(abs(k) for k2, _, ks, _ in bands for k in (ks if d == 1 else (k2,)))
     best: list = [None] * len(hints)  # each row's (bottom, sector) so far
     sectors = _sectors(d, n, kind)
     discs = _discs(bands, d, n) if len(sectors) > 1 else None
-    for v in [first] + [v for v in range(len(sectors)) if v != first]:
+    order = [first] + [v for v in range(len(sectors)) if v != first]
+    if discs is not None and not discs[1].any():  # every disc a point: each rung is diagonal
+        return [min((float(centre[sectors[v]].min()), v) for v in order) for centre in discs[0]]
+    for v in order:
         rows = list(range(len(hints)))  # the rows whose sector v is written
         if v != first:  # certified at each row's bottom so far by the discs, else written
             centre, radius = (part[:, sectors[v]] for part in discs)

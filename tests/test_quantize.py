@@ -719,14 +719,17 @@ def test_solving_a_mode_rung_never_builds_its_dense_block(p, ns, monkeypatch):
 
 
 def test_certificates_fall_back_where_the_bottom_is_not_in_sector_0(monkeypatch):
-    h = harmonic_symbol()
-    h1, h2 = y(2, 0) ** 2 + eta(2, 0) ** 2, y(2, 1) ** 2 + eta(2, 1) ** 2
-    # (symbol, N, sector bottoms, eigvalsh calls): h^2 - 6h has its bottom
-    # -8 in the odd sector; (h1 + h2 - 4)^2 has 2 in both mixed sectors, to
-    # within roundoff, so each of them falls back
+    # squeezed images of h^2 - 6h and (h1 + h2 - 4)^2, whose rungs are not
+    # diagonal (the discs of a radial symbol are points and decide its rung)
+    q = _squeezed(1.5, 0.3)
+    q1, q2 = _squeezed(1.5, 0.3, 2, 0), _squeezed(1.5, 0.3, 2, 1)
+    # (symbol, N, sector bottoms, eigvalsh calls): q^2 - 6q has its bottom
+    # -8 in the odd sector; (q1 + q2 - 4)^2 has 2 in both mixed sectors
+    # (2.0000002 at N = 16), to within roundoff, so each of them falls back
     cases = [
-        (h * h - 6.0 * h, 32, [-4.0, -8.000000000000004], 2),
-        ((h1 + h2 - 4.0) ** 2, 16, [6.0, 1.9999999999999978, 1.9999999999999973, 6.0], 3),
+        (q * q - 6.0 * q, 32, [-4.0, -8.0], 2),
+        ((q1 + q2 - 4.0) ** 2, 16,
+         [6.000000000038989, 2.0000002066770777, 2.0000002066770746, 6.000000445785791], 3),
     ]
     for p, n, bottoms, solves in cases:
         m = weyl_quantize(p, 1.0, n)
@@ -922,14 +925,16 @@ def test_one_block_plans_and_first_rungs_do_no_new_work(monkeypatch):
     assert lowest_eigenvalue(weyl_quantize(p, 1.0, 32)) == _dense_bottom(0, 32)
     assert truncation_sweep(p, 1.0, [32]).values == [_dense_bottom(0, 32)]
     monkeypatch.setattr(np.linalg, "inv", refuse)
-    h = harmonic_symbol()
+    q = _squeezed(1.5, 0.3)
     assert [len(quantize._super_blocks(1, 64, "mode", v, 4)) for v in (0, 1)] == [1, 1]
-    # only the first rung's odd sector is factored: it holds the bottom -8,
-    # below the even sector's -4, so no disc bound certifies it; from N = 32
-    # on the odd sector is solved first and the discs certify the even one
+    # q^2 - 6q, a squeezed image of h^2 - 6h: the first rung's odd sector holds
+    # the bottom -8, below the even sector's -4, so no disc bound certifies it
+    # and its certificate fails; from N = 32 on the odd sector is solved first,
+    # and the even one, whose discs are wide in the squeezed basis, takes one
+    # certificate per rung
     factored = _counting(monkeypatch, "cholesky")
-    truncation_sweep(h * h - 6.0 * h, 1.0, [16, 32, 64])
-    assert factored == [8]
+    truncation_sweep(q * q - 6.0 * q, 1.0, [16, 32, 64])
+    assert factored == [8, 16, 32]
 
 
 def _off_diagonal_sums(blocks: np.ndarray) -> np.ndarray:
@@ -1126,12 +1131,15 @@ def test_coupled_two_mode_bottoms_are_metaplectically_covariant(monkeypatch):
             assert abs(wrong - plain.lambda_min) > 0.1 * plain.lambda_min
 
 
-def _squeezed(a: float, b: float) -> PolynomialSymbol:
-    """a y^2 + 2b y eta + g eta^2 with a g - b^2 = 1: a linear symplectic
-    image of y^2 + eta^2, so by metaplectic covariance the Weyl operator of
-    any polynomial in it is unitarily equivalent to that of the polynomial
-    in y^2 + eta^2."""
-    return a * y() ** 2 + 2.0 * b * (y() * eta()) + (1.0 + b * b) / a * eta() ** 2
+def _squeezed(a: float, b: float, d: int = 1, s: int = 0) -> PolynomialSymbol:
+    """a y_s^2 + 2b y_s eta_s + g eta_s^2 with a g - b^2 = 1 in mode s of d:
+    a linear symplectic image of y_s^2 + eta_s^2, so by metaplectic
+    covariance the Weyl operator of any polynomial in the modes' images is
+    unitarily equivalent to that of the polynomial in the y_s^2 + eta_s^2,
+    parity sector by parity sector (the metaplectic operator commutes with
+    each (-1)^{N_s}), and its rungs are not diagonal."""
+    ys, es = y(d, s), eta(d, s)
+    return a * ys ** 2 + 2.0 * b * (ys * es) + (1.0 + b * b) / a * es ** 2
 
 
 @pytest.mark.parametrize("hbar", [1 / 16, 1 / 256])
@@ -1149,17 +1157,18 @@ def test_iterated_top_rungs_match_the_squeezed_closed_form(k, bottom, a, b, hbar
 
 
 def test_the_walk_iterates_in_the_sector_that_held_the_bottom(monkeypatch):
-    # h^2 - 6h has its bottom -8 (n = 1) in the odd sector at d = 1, and so has
-    # its squeezed image; (h1 + h2 - 4)^2 has its bottom 2 in both mixed sectors
-    # at d = 2.  The walk solves the sector that held the previous rung's
-    # bottom first, so its iteration converges (no eigvalsh on a 128-row d = 1
-    # block) and the other sectors are certified at its value
-    h = harmonic_symbol()
-    h1, h2 = y(2, 0) ** 2 + eta(2, 0) ** 2, y(2, 1) ** 2 + eta(2, 1) ** 2
-    q = _squeezed(3.0, 0.5)
-    for p, ns, bottom, iterated in [(h * h - 6.0 * h, [64, 128, 256], -8.0, [128]),
+    # h^2 - 6h has its bottom -8 (n = 1) in the odd sector at d = 1, and so have
+    # its squeezed images; (h1 + h2 - 4)^2 has its bottom 2 in both mixed
+    # sectors at d = 2, and so has its image with both modes squeezed (the
+    # radial symbols' rungs are diagonal and read off their discs).  The walk
+    # solves the sector that held the previous rung's bottom first, so its
+    # iteration converges (no eigvalsh on a 128-row d = 1 block) and the other
+    # sectors are certified at its value
+    r, q = _squeezed(1.5, 0.3), _squeezed(3.0, 0.5)
+    q1, q2 = _squeezed(1.5, 0.3, 2, 0), _squeezed(1.5, 0.3, 2, 1)
+    for p, ns, bottom, iterated in [(r * r - 6.0 * r, [64, 128, 256], -8.0, [128]),
                                     (q * q - 6.0 * q, [64, 128, 256], -8.0, [128]),
-                                    ((h1 + h2 - 4.0) ** 2, [8, 16, 32, 64], 2.0, [256, 1024])]:
+                                    ((q1 + q2 - 4.0) ** 2, [8, 16, 32, 64], 2.0, [256, 1024])]:
         calls, iterations = _counting(monkeypatch), _iterations(monkeypatch)
         sweep = truncation_sweep(p, 1.0, ns)
         monkeypatch.undo()
@@ -1211,15 +1220,20 @@ RADIAL_CASES = [(1, [0, 1]), (1, [0, 0, 1]), (1, [0, 0, 0, 1]), (1, [0, -6, 1]),
                 (1, [3, 0, -4, 0, 1]), (2, [0, 1]), (2, [0, 0, 1]), (2, [0, 0, 0, 1])]
 
 
+def _radial(a, d: int) -> PolynomialSymbol:
+    """a(h_1 + ... + h_d), h_s = y_s^2 + eta_s^2, for a polynomial a given by
+    its coefficients in rising powers."""
+    h = harmonic_symbol(d)
+    return sum((c * h ** j for j, c in enumerate(a) if c), PolynomialSymbol.zero(d))
+
+
 @pytest.mark.parametrize("d, a", RADIAL_CASES)
 def test_radial_symbols_have_the_laguerre_spectrum(d, a):
     # Weyl(a(h_1 + ... + h_d)) is diagonal in the Fock basis, with the
     # eigenvalue of total level n in closed form (radial_spectrum_oracle); the
     # first 8 total levels of the N = 32 rung must match it, off-diagonals
     # included
-    h = harmonic_symbol(d)
-    p = sum((c * h ** j for j, c in enumerate(a) if c), PolynomialSymbol.zero(d))
-    m = weyl_quantize(p, 1.0, 32).entries
+    m = weyl_quantize(_radial(a, d), 1.0, 32).entries
     want = radial_spectrum_oracle(a, d, 8)
     flat = np.arange(32 ** d)
     total = sum((flat // 32 ** s) % 32 for s in range(d))
@@ -1239,6 +1253,92 @@ def test_powers_of_the_harmonic_symbol_have_the_bottom_k_factorial(k):
     assert all(abs(value - want) <= 1e-12 * want for value in sweep.values), sweep.values
     top = sweep.matrix.entries
     assert not (top - np.diag(np.diag(top))).any()
+
+
+# (d, coefficients of a in rising powers, ladder): h^k for k = 1..16 and
+# h^2 - 6h (bottom -8, in the odd sector) at d = 1; h^2 + 0.7 h, (h_1 + h_2)^j
+# for j <= 3 and (h_1 + h_2 - 4)^2 (bottom 2, in both mixed sectors) at d = 2
+DIAGONAL_CASES = ([(1, [0] * k + [1], [32, 64, 128, 256]) for k in range(1, 17)]
+                  + [(1, [0, -6, 1], [32, 64, 128, 256])]
+                  + [(2, a, [8, 16, 32, 64])
+                     for a in ([0, 0.7, 1], [0, 1], [0, 0, 1], [0, 0, 0, 1], [16, -8, 1])])
+
+
+@pytest.mark.parametrize("d, a, ns", DIAGONAL_CASES)
+def test_diagonal_rungs_are_read_off_their_discs(d, a, ns, monkeypatch):
+    # the rungs of a radial symbol are exactly diagonal, so every Gershgorin
+    # disc is a point: the rung solve, along the walk and from any first
+    # sector, writes no block and runs no eigvalsh, factorization or iteration.
+    # Its bottom and the sector that holds it are those of eigvalsh over the
+    # sector blocks, bit for bit, and the bottom is the Laguerre closed form
+    def refuse(*args, **kwargs):
+        raise AssertionError("a diagonal rung was written or solved")
+
+    for name in ("_block", "_factors", "_inverse_iteration"):
+        monkeypatch.setattr(quantize, name, refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    p = _radial(a, d)
+    sweep = truncation_sweep(p, 1.0, ns)
+    rungs = [weyl_quantize(p, 1.0, n) for n in ns]
+    found = [[quantize._bottoms(m._stack, d, m.n, m._parity, [None], first)[0]
+              for first in range(len(m.sectors))] for m in rungs]
+    monkeypatch.undo()
+    want = radial_spectrum_oracle(a, d, 8)
+    for m, value, held in zip(rungs, sweep.values, found):
+        assert not quantize._discs(m._stack, d, m.n)[1].any()
+        dense = min((np.linalg.eigvalsh(quantize._block(m._stack, d, m.n, m._parity, v)[0])[0], v)
+                    for v in range(len(m.sectors)))
+        assert value == dense[0] and all(type(b) is float and (b, v) == dense for b, v in held)
+        assert abs(value - want.min()) <= 1e-12 * np.abs(want).max()
+
+
+def test_a_radial_symbol_off_its_diagonal_takes_the_written_path(monkeypatch):
+    # a small term off the diagonal gives the discs a nonzero radius, so they
+    # no longer decide the rung: its sectors are written and solved as before
+    written, block = [], quantize._block
+
+    def writing(bands, d, n, kind=None, v=0):
+        written.append((n, v))
+        return block(bands, d, n, kind, v)
+
+    monkeypatch.setattr(quantize, "_block", writing)
+    for d, a, n, extra in [(1, [0, -6, 1], 32, 1e-6 * y() ** 2),
+                           (2, [16, -8, 1], 16, 1e-6 * y(2, 0) ** 2)]:
+        m = weyl_quantize(_radial(a, d) + extra, 1.0, n)
+        assert quantize._discs(m._stack, d, n)[1].any()
+        written.clear()
+        value = lowest_eigenvalue(m)
+        assert written and value == min(_sector_bottoms(m))
+
+
+def test_a_batch_of_diagonal_and_other_rows_keeps_each_rows_bits(monkeypatch):
+    # y^4 + 2 y^2 eta^2 + eta^4 = h^2 is radial and y^4 + 2.2 y^2 eta^2 + eta^4
+    # is not; with the same monomials they walk as one batch, which takes the
+    # written path (iterating at N = 256), while h^2 alone writes no block.
+    # Each row keeps the bits it gets alone
+    radial = y() ** 4 + 2.0 * (y() ** 2 * eta() ** 2) + eta() ** 4
+    other = y() ** 4 + 2.2 * (y() ** 2 * eta() ** 2) + eta() ** 4
+    ns = [32, 64, 128, 256]
+    written, block = [], quantize._block
+
+    def writing(bands, d, n, kind=None, v=0):
+        written.append((n, v, len(bands[0][3])))
+        return block(bands, d, n, kind, v)
+
+    monkeypatch.setattr(quantize, "_block", writing)
+    iterations = _iterations(monkeypatch)
+    for hbars in ([1.0, 1.0], [0.7, 1.0]):
+        written.clear()
+        iterations.clear()
+        together = quantize._walk([radial, other], hbars, ns)
+        assert written and all(rows == 2 for *_, rows in written)
+        assert iterations == [(128, True)] * 2
+        written.clear()
+        alone = [quantize._walk([radial], hbars[:1], ns)[0]]
+        assert written == []
+        alone.append(quantize._walk([other], hbars[1:], ns)[0])
+        _same_walks(alone, together)
+        assert together[0][0].values[-1] == pytest.approx(2.0 * hbars[0] ** 2, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
